@@ -11,7 +11,6 @@ the constant of the norm inequality it certifies.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -42,24 +41,27 @@ DEGENERACY_FLOOR = 1e-13
 MAX_DENSE_DIM = 2000
 
 
-def interval_phase_integral(a, b, d) -> complex:
-    """Closed form of the oscillatory integral of e^{2 pi i d x} over [a, b].
+def _phase_integrals(a, b, d: np.ndarray) -> np.ndarray:
+    """Closed form of the integral of e^{2 pi i d x} over [a, b], for each d.
 
     Written as e^{i pi d (a+b)} * sin(pi d (b-a)) / (pi d) with both phases
-    range-reduced, so the result is exactly zero whenever d*(b-a) is an
+    range-reduced, so the result is exactly zero wherever d*(b-a) is an
     integer (full-period oscillations), which keeps full-window compressions
     exactly diagonal.
     """
-    if d == 0:
-        return complex(b - a)
-    half = d * (b - a)
-    k = round(half)
-    s = math.sin(math.pi * (half - k))
-    if k % 2:
-        s = -s
-    phase = d * (a + b)
-    phase -= 2 * round(phase / 2)
-    return cmath.exp(1j * math.pi * phase) * (s / (math.pi * d))
+    width, center = float(b - a), float(a + b)
+    k = np.round(d * width)
+    s = np.sin(np.pi * (d * width - k)) * (1 - 2 * (k % 2))
+    phase = d * center
+    phase -= 2 * np.round(phase / 2)
+    with np.errstate(invalid="ignore"):
+        z = np.exp(1j * np.pi * phase) * (s / (np.pi * d))
+    return np.where(d == 0, width, z)
+
+
+def interval_phase_integral(a, b, d) -> complex:
+    """Integral of e^{2 pi i d x} over [a, b]: the scalar view of the Gram kernel."""
+    return complex(_phase_integrals(a, b, np.array([float(d)]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +166,26 @@ def _torus_intervals(E: ThickSet) -> tuple:
     return E.intervals
 
 
+def _gram_entries(freqs, intervals, period) -> np.ndarray:
+    """Gram matrix of e^{2 pi i f x / period} over the intervals, over period.
+
+    Differences are exact (Python ints stay ints) until one conversion to
+    float; the closed form runs once per distinct difference and interval.
+    """
+    n = len(freqs)
+    rows, cols = np.triu_indices(n)
+    exact = np.array(freqs, dtype=object)
+    diffs = (exact[rows] - exact[cols]).astype(float) / period
+    distinct, inverse = np.unique(diffs, return_inverse=True)
+    acc = sum(_phase_integrals(a, b, distinct) for a, b in intervals)
+    # true division: numpy's complex / real multiplies by the reciprocal
+    entries = (acc.view(float) / period).view(complex)[inverse]
+    m = np.zeros((n, n), dtype=complex)
+    m[rows, cols] = entries
+    m[cols, rows] = entries.conj()
+    return m
+
+
 def gram_matrix(E: ThickSet, seq: Sequence) -> HermitianForm:
     """Gram matrix of the exponentials of a frequency list restricted to E.
 
@@ -171,26 +193,14 @@ def gram_matrix(E: ThickSet, seq: Sequence) -> HermitianForm:
     E inside the unit torus, assembled from the per-interval closed form.
     """
     intervals = _torus_intervals(E)
-    freqs = [float(v) for v in seq.values]
-    n = len(freqs)
-    if n == 0:
+    if len(seq) == 0:
         raise ValueError("need at least one frequency")
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            d = freqs[i] - freqs[j]
-            z = sum(
-                (interval_phase_integral(a, b, d) for a, b in intervals),
-                complex(0),
-            )
-            m[i, j] = z
-            m[j, i] = z.conjugate()
     return HermitianForm(
-        n,
-        m,
+        len(seq),
+        _gram_entries(seq.values, intervals, 1),
         {
             "kind": "gram",
-            "frequencies": freqs,
+            "frequencies": [float(v) for v in seq.values],
             "set": E.to_dict(),
         },
     )
@@ -249,10 +259,8 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     the identity.  Returns the smallest eigenvalue and C = 1/lambda_min, the
     best constant of the norm inequality on the truncated model space.
     """
-    w0, w1 = E.window
+    intervals = _window_trace(E, grid)
     T = grid.period
-    if abs(float(w0)) > 1e-9 or abs(float(w1) - T) > 1e-9 * max(1.0, T):
-        raise ValueError("set window must coincide with the grid window [0, T]")
     if E.measure <= 0:
         raise ValueError("set must have positive measure")
     bins = _profile_bins(profile, grid)
@@ -260,20 +268,9 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     n = bins.size
     if n > MAX_DENSE_DIM:
         raise ValueError(f"profile spans {n} bins, above the dense solver cap")
-    m = np.zeros((n, n), dtype=complex)
-    intervals = [(float(a), float(b)) for a, b in E.intervals]
-    for i in range(n):
-        for j in range(i, n):
-            d = (bins[i] - bins[j]) / T
-            z = sum(
-                (interval_phase_integral(a, b, d) for a, b in intervals),
-                complex(0),
-            ) / T
-            m[i, j] = z
-            m[j, i] = z.conjugate()
     form = HermitianForm(
         n,
-        m,
+        _gram_entries(bins, intervals, T),
         {
             "kind": "ls_compression",
             "bins": [int(k) for k in bins],

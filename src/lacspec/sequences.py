@@ -50,8 +50,10 @@ class Sequence:
     integer_valued: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        vals = tuple(self.values)
+        vals = tuple(int(v) if isinstance(v, np.integer) else v for v in self.values)
         for i, v in enumerate(vals):
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"boolean value at index {i}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"non-finite value at index {i}")
         for i in range(len(vals) - 1):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lacspec.concentration import (
@@ -16,7 +18,7 @@ from lacspec.concentration import (
     theorem_split_check,
 )
 from lacspec.errors import NumericalError
-from lacspec.sequences import Sequence, TailSchedule
+from lacspec.sequences import Sequence, TailSchedule, build_counterexample
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import BandFunction, Grid, SpectralProfile, random_band_function
 
@@ -53,10 +55,17 @@ class TestIntervalIntegral:
 
 
 class TestGramMatrix:
-    def test_full_torus_is_identity(self):
-        seq = Sequence(tuple(range(-8, 8)))
+    @given(
+        st.integers(2**53, 2**80),
+        st.lists(st.integers(0, 2**12), min_size=1, max_size=12, unique=True),
+    )
+    @example(-8, list(range(16)))
+    @settings(max_examples=40, deadline=None)
+    def test_full_torus_is_identity(self, base, offsets):
+        # integer frequencies past 2**53 must be differenced before rounding
+        seq = Sequence(tuple(base + k for k in sorted(offsets)))
         G = gram_matrix(ThickSet(((0.0, 1.0),), (0.0, 1.0)), seq)
-        np.testing.assert_array_equal(G.entries, np.eye(16))
+        np.testing.assert_array_equal(G.entries, np.eye(len(seq)))
 
     def test_two_by_two_half_torus(self):
         # entries checked against adaptive quadrature of the defining
@@ -68,10 +77,22 @@ class TestGramMatrix:
         assert G.entries[0, 1] == pytest.approx(-1j / math.pi, abs=1e-12)
         assert G.entries[0, 0] == pytest.approx(0.5, abs=1e-15)
 
-    def test_entries_match_quadrature_on_random_sets(self):
-        rng = np.random.default_rng(11)
-        E = random_torus_set(rng)
-        seq = Sequence((0.0, 1.5, 4.0))
+    @given(
+        st.lists(
+            st.tuples(st.floats(0, 1), st.floats(0, 1)).map(sorted),
+            min_size=1,
+            max_size=3,
+        ),
+        st.one_of(
+            st.lists(st.integers(-20, 20), min_size=1, max_size=4, unique=True),
+            st.lists(st.floats(-20, 20), min_size=1, max_size=4, unique=True),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_entries_match_quadrature_on_random_sets(self, intervals, freqs):
+        E = ThickSet(tuple(intervals), (0.0, 1.0))
+        assume(E.measure > 0)
+        seq = Sequence(tuple(sorted(freqs)))
         G = gram_matrix(E, seq)
         for i, li in enumerate(seq.values):
             for j, lj in enumerate(seq.values):
@@ -144,6 +165,14 @@ class TestNazarovConstant:
             a = nazarov_constant(small, seq).lambda_min
             b = nazarov_constant(large, seq).lambda_min
             assert a <= b + 1e-12
+
+    @pytest.mark.parametrize("K", [30, 36])  # 4**36 is past int64
+    def test_counterexample_on_full_torus_is_exact(self, K):
+        E = ThickSet(((0, 1),), (0, 1))
+        seq = build_counterexample(K)
+        np.testing.assert_array_equal(gram_matrix(E, seq).entries, np.eye(2 * K))
+        est = nazarov_constant(E, seq)
+        assert est.lambda_min == 1.0 and est.degenerate is False
 
     def test_estimate_record(self):
         E = ThickSet(((0.0, 0.5),), (0.0, 1.0))

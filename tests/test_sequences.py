@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,18 @@ class TestSequence:
     def test_integer_detection(self):
         assert Sequence((1, 2, 4)).integer_valued
         assert not Sequence((1.0, 2.5)).integer_valued
+
+    def test_numpy_integers_become_ints(self):
+        seq = Sequence(tuple(np.arange(3)))
+        assert seq.integer_valued
+        assert seq.to_text() == "0\n1\n2\n"
+        wide = Sequence((np.int64(-(2**62)), np.int64(2**62)))
+        assert wide[1] - wide[0] == 2**63
+
+    def test_booleans_rejected(self):
+        for vals in ((True, 2), (np.False_, 1)):
+            with pytest.raises(ValueError, match="boolean"):
+                Sequence(vals)
 
     def test_text_roundtrip(self):
         seq = Sequence((1, 3, 7, 15))
