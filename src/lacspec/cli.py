@@ -387,7 +387,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

@@ -124,6 +124,22 @@ def _require(name: str, d: dict, keys: set, errors: list) -> None:
             errors.append(f"{name}: missing key '{k}'")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_number(
+    name: str, d: dict, key: str, errors: list, ok=None, requirement: str = ""
+) -> None:
+    """Report ``d[key]``, when present, unless it is a number satisfying ``ok``."""
+    if key not in d:
+        return
+    if not _is_number(d[key]):
+        errors.append(f"{name}: {key} must be a number, got {d[key]!r}")
+    elif ok is not None and not ok(d[key]):
+        errors.append(f"{name}: {requirement}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
@@ -143,19 +159,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(
+                [f"config: top level must be a JSON object, got {type(d).__name__}"]
+            )
         errors: list[str] = []
         _check_keys("config", d, _TOP_KEYS, errors)
         if d.get("version") != 1:
             errors.append(f"config: version must be 1, got {d.get('version')!r}")
         kind = d.get("kind")
-        if kind not in _REQUIRED:
+        if not isinstance(kind, str) or kind not in _REQUIRED:
             errors.append(
                 f"config: kind must be one of {sorted(_REQUIRED)}, got {kind!r}"
             )
         if not isinstance(d.get("output_dir"), str) or not d.get("output_dir"):
             errors.append("config: output_dir must be a non-empty string")
-        if kind in _REQUIRED:
+        if isinstance(kind, str) and kind in _REQUIRED:
             present = {k for k in ("sequence", "set", "grid", "ensemble", "params") if k in d}
+            for section in sorted(present):
+                if not isinstance(d[section], dict):
+                    errors.append(f"config: section '{section}' must be a JSON object")
             for missing in _REQUIRED[kind] - present:
                 errors.append(f"config: kind '{kind}' requires section '{missing}'")
             for extra in present - _REQUIRED[kind]:
@@ -224,7 +247,7 @@ def _validate_sequence_spec(name: str, spec: dict, errors: list) -> None:
         "greedy": {"builder", "count", "schedule"},
         "counterexample": {"builder", "K"},
     }
-    if builder not in allowed:
+    if not isinstance(builder, str) or builder not in allowed:
         errors.append(
             f"{name}: builder must be one of {sorted(allowed)}, got {builder!r}"
         )
@@ -232,16 +255,17 @@ def _validate_sequence_spec(name: str, spec: dict, errors: list) -> None:
     _check_keys(name, spec, allowed[builder], errors)
     if builder == "geometric":
         _require(name, spec, {"start", "ratio", "count"}, errors)
-        if spec.get("ratio", 2) <= 1:
-            errors.append(f"{name}: geometric ratio must exceed 1")
+        _check_number(name, spec, "ratio", errors, lambda r: r > 1,
+                      "geometric ratio must exceed 1")
     elif builder == "arithmetic":
         _require(name, spec, {"start", "step", "count"}, errors)
-        if spec.get("step", 1) <= 0:
-            errors.append(f"{name}: arithmetic step must be positive")
+        _check_number(name, spec, "step", errors, lambda h: h > 0,
+                      "arithmetic step must be positive")
     elif builder == "greedy":
         _require(name, spec, {"count"}, errors)
     elif builder == "counterexample":
         _require(name, spec, {"K"}, errors)
+    _check_number(name, spec, "start", errors)
     if "count" in spec and (not isinstance(spec["count"], int) or spec["count"] < 1):
         errors.append(f"{name}: count must be a positive integer")
     if "K" in spec and (not isinstance(spec["K"], int) or spec["K"] < 1):
@@ -260,7 +284,7 @@ def _validate_set_spec(name: str, spec: dict, kind: str, errors: list) -> None:
             errors.append(f"{name}: prefix pattern needs a non-empty 'measures' list")
         else:
             for m in measures:
-                if not 0 < m <= 1:
+                if not (_is_number(m) and 0 < m <= 1):
                     errors.append(f"{name}: prefix measure {m} must lie in (0, 1]")
     elif pattern == "comb":
         gamma_key = "gammas" if kind == "ls_gamma_sweep" else "gamma"
@@ -270,10 +294,10 @@ def _validate_set_spec(name: str, spec: dict, kind: str, errors: list) -> None:
         if gamma_key == "gamma":
             gammas = [gammas] if gammas is not None else []
         for g in gammas or []:
-            if not 0 < g <= 1:
+            if not (_is_number(g) and 0 < g <= 1):
                 errors.append(f"{name}: comb gamma {g} must lie in (0, 1]")
-        if "delta" in spec and spec["delta"] <= 0:
-            errors.append(f"{name}: comb delta must be positive")
+        _check_number(name, spec, "delta", errors, lambda dl: dl > 0,
+                      "comb delta must be positive")
     elif pattern == "full":
         _check_keys(name, spec, {"pattern"}, errors)
     else:
@@ -286,8 +310,8 @@ def _validate_set_spec(name: str, spec: dict, kind: str, errors: list) -> None:
 def _validate_grid_spec(spec: dict, errors: list) -> None:
     _check_keys("grid", spec, {"period", "samples"}, errors)
     _require("grid", spec, {"period", "samples"}, errors)
-    if "period" in spec and spec["period"] <= 0:
-        errors.append("grid: period must be positive")
+    _check_number("grid", spec, "period", errors, lambda p: p > 0,
+                  "period must be positive")
     if "samples" in spec and (
         not isinstance(spec["samples"], int) or spec["samples"] < 2
     ):
@@ -340,8 +364,8 @@ def _validate_params(name: str, spec: dict, kind: str, errors: list) -> None:
         _require(name, spec, {"N", "T_max"}, errors)
         if "N" in spec and (not isinstance(spec["N"], int) or spec["N"] < 1):
             errors.append(f"{name}: N must be a positive integer")
-        if "T_max" in spec and spec["T_max"] <= 1:
-            errors.append(f"{name}: T_max must exceed 1")
+        _check_number(name, spec, "T_max", errors, lambda t: t > 1,
+                      "T_max must exceed 1")
 
 
 def schedule_from(spec) -> TailSchedule:

@@ -294,12 +294,26 @@ def growth_bound(n: int, L: int) -> int:
     return (2 * L + 1) * n**3 + 1
 
 
-def _mark(bitmap: np.ndarray, centers: np.ndarray, offsets: Iterable[int]) -> None:
-    size = bitmap.shape[0]
-    for p in offsets:
-        idx = centers + p
-        idx = idx[(idx >= 0) & (idx < size)]
-        bitmap[idx] = True
+def _next_free(centers: np.ndarray, start: int, L: int) -> int:
+    """Smallest v >= start with no marked center in [v - L, v + L].
+
+    Positions past the end of ``centers`` hold no center.  The window scanned
+    above ``start`` doubles until it contains a free slot.
+    """
+    gap = 2 * L + 1  # consecutive centers further apart than this leave a slot
+    lo = max(start - L, 0)
+    span = 64 * gap
+    while True:
+        hi = start + span + L
+        found = np.flatnonzero(centers[lo:hi]) + lo
+        # a virtual center just below the window makes `start` the first
+        # candidate; one at the window's end confines candidates to it
+        end = hi if hi < centers.size else hi + gap
+        edges = np.concatenate(([start - L - 1], found, [end]))
+        free = np.flatnonzero(np.diff(edges) > gap)
+        if free.size:
+            return int(edges[free[0]]) + L + 1
+        span *= 2
 
 
 def _greedy_steps(count: int, schedule: TailSchedule):
@@ -307,52 +321,48 @@ def _greedy_steps(count: int, schedule: TailSchedule):
 
     Each new term is the smallest positive integer x avoiding every value
     a + b - c + p over previously chosen a, b, c and |p| <= L, where L is the
-    schedule threshold for the current length.  Avoidance is tracked in a
-    boolean table over [0, bound]; thresholds never decrease along the run,
-    so previously marked centers only ever need widening.
+    schedule threshold for the current length.
+
+    Table invariant: after the n-th term x_n, a boolean table of at least
+    2 x_n entries marks every center a + b - c >= x_n.  That is exact.  Every
+    integer up to x_n is already forbidden, because x_n was the smallest free
+    slot and thresholds never decrease.  A center below x_n forbids nothing
+    above x_n that the center x_n = x_n + x_n - x_n does not, at this and any
+    wider threshold.  The centers at or above x_n that x_n adds are
+    x_n + a - b with a >= b, all below 2 x_n; those of the form a + b - x_n
+    lie below it.  The threshold enters only when the next term is searched
+    from x_n + 1, so a schedule that widens L needs no re-marking.  The table
+    grows by doubling, so memory follows the largest term and there is no
+    ceiling on the run length; each term is still checked against the cubic
+    bound as it is produced.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     yield (1, 1, None, 1)
-    if count == 1:
-        return
-    final_L = schedule.threshold_for(count - 1)
-    size = growth_bound(count - 1, final_L) + final_L + 2
-    if size > 2_000_000_000:
-        raise ValueError("greedy run too large for the dense avoidance table")
-    forbidden = np.zeros(size, dtype=bool)
-    lam = [1]
-    chunks: list[np.ndarray] = []
-    pending = np.array([1], dtype=np.int64)  # from the seed term: 1 + 1 - 1
-    marked_L = None
+    terms = np.empty(count, dtype=np.int64)
+    diffs = np.empty(count * (count - 1) // 2, dtype=np.int64)  # a - b, a > b
+    centers = np.zeros(0, dtype=bool)
+    x = 1
     for n in range(1, count):
-        L = schedule.threshold_for(n)
-        if marked_L is None:
-            marked_L = L
-        elif L > marked_L:
-            widen = list(range(-L, -marked_L)) + list(range(marked_L + 1, L + 1))
-            for chunk in chunks:
-                _mark(forbidden, chunk, widen)
-            marked_L = L
-        _mark(forbidden, pending, range(-L, L + 1))
-        chunks.append(pending)
+        # mark the centers the latest term x = x_n adds, then search x_{n+1}
+        first, stop = (n - 1) * (n - 2) // 2, n * (n - 1) // 2
+        np.subtract(x, terms[:n - 1], out=diffs[first:stop])
+        terms[n - 1] = x
+        if centers.size < 2 * x:
+            grown = np.zeros(max(2 * centers.size, 2 * x), dtype=bool)
+            grown[:centers.size] = centers
+            centers = grown
+        centers[x] = True
+        centers[diffs[:stop] + x] = True
 
-        x = int(np.argmin(forbidden[1:])) + 1
+        L = schedule.threshold_for(n)
+        x = _next_free(centers, x + 1, L)
         bound = growth_bound(n, L)
-        if forbidden[x]:
-            raise NumericalError("avoidance table has no free slot")
         if x > bound:
             raise NumericalError(
                 f"greedy term {x} exceeds its certified bound {bound} at step {n}"
             )
         yield (n + 1, x, L, bound)
-
-        old = np.array(lam, dtype=np.int64)
-        lam.append(x)
-        full = np.array(lam, dtype=np.int64)
-        with_x = ((x + full)[:, None] - full[None, :]).ravel()
-        minus_x = ((old[:, None] + old[None, :]) - x).ravel()
-        pending = np.concatenate([with_x, minus_x])
 
 
 def build_greedy(count: int, schedule: TailSchedule | None = None) -> Sequence:
@@ -362,7 +372,9 @@ def build_greedy(count: int, schedule: TailSchedule | None = None) -> Sequence:
     avoiding all sums a + b - c + p of earlier terms with |p| <= L, L taken
     from the schedule.  Each term is checked against the pigeonhole bound
     (2L + 1) n^3 + 1 as it is produced (see ``greedy_growth_table`` for the
-    per-step certificates).
+    per-step certificates).  Memory grows with the largest term (a boolean
+    table of two to four times its value), not with that bound, and the run
+    length has no ceiling.
     """
     if schedule is None:
         schedule = TailSchedule.constant(1)

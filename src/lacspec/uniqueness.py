@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalError
 from .sequences import Sequence
@@ -361,6 +360,17 @@ def _moment_argmax(n: int) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on first call.
+
+    scipy takes about 0.6 s to import and only the proxy integral of
+    ``carleman_denjoy_partial`` needs it, so ``import lacspec`` does not load it.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
 
 
 def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:

@@ -66,6 +66,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not used"):
             ExperimentConfig.from_dict(cfg)
 
+    def test_non_object_section_and_unhashable_kind_rejected(self):
+        cfg = nazarov_config()
+        cfg["set"] = "x"
+        with pytest.raises(ConfigError, match="section 'set' must be a JSON object"):
+            ExperimentConfig.from_dict(cfg)
+        cfg = nazarov_config()
+        cfg["kind"] = []
+        with pytest.raises(ConfigError, match="kind must be one of"):
+            ExperimentConfig.from_dict(cfg)
+
     def test_bad_measures_rejected(self):
         cfg = nazarov_config()
         cfg["set"]["measures"] = [0.5, 1.5]
@@ -277,6 +287,27 @@ class TestCliMain:
         rc = cli.main(["run", str(cfg_path), "--base-dir", str(tmp_path)])
         assert rc == 2
         assert "version" in capsys.readouterr().err
+
+    def test_non_object_config_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps([nazarov_config()]))
+        rc = cli.main(["run", str(cfg_path), "--base-dir", str(tmp_path)])
+        assert rc == 2
+        assert "top level must be a JSON object" in capsys.readouterr().err
+
+    def test_mistyped_ratio_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        bad = nazarov_config()
+        bad["sequence"]["ratio"] = "x"
+        cfg_path.write_text(json.dumps(bad))
+        rc = cli.main(["run", str(cfg_path), "--base-dir", str(tmp_path)])
+        assert rc == 2
+        assert "ratio must be a number, got 'x'" in capsys.readouterr().err
+
+    def test_unallocatable_greedy_run_exits_two(self, capsys):
+        rc = cli.main(["seq", "build", "--builder", "greedy", "--count", "10000000"])
+        assert rc == 2
+        assert "allocate" in capsys.readouterr().err
 
     def test_domain_error_exits_two(self, capsys):
         rc = cli.main(

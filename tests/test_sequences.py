@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacspec.errors import NumericalError
@@ -56,6 +57,16 @@ def greedy_oracle(count, threshold_of_n):
             x += 1
         lam.append(x)
     return lam
+
+
+@st.composite
+def schedules(draw):
+    """Tail schedules starting at M(1) = 1 with L steps of up to 5."""
+    bps = [(1, 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        L, M = bps[-1]
+        bps.append((L + draw(st.integers(1, 5)), M + draw(st.integers(0, 10))))
+    return TailSchedule(tuple(bps))
 
 
 class TestSequence:
@@ -246,6 +257,25 @@ class TestGreedy:
             return 3 if n >= 14 else (2 if n >= 6 else 1)
 
         assert list(build_greedy(25, sch)) == greedy_oracle(25, thr)
+
+    @settings(max_examples=25, deadline=None)
+    @given(count=st.integers(2, 30), schedule=schedules())
+    @example(count=30, schedule=TailSchedule(((1, 1), (2, 6), (7, 6), (12, 9))))
+    def test_matches_set_oracle_random_schedule(self, count, schedule):
+        # L may jump by 4 or more in one step; every earlier center then
+        # forbids the wider range
+        expected = greedy_oracle(count, schedule.threshold_for)
+        assert list(build_greedy(count, schedule)) == expected
+
+    def test_peak_allocation_follows_largest_term(self):
+        # a table sized by the cubic bound needs over 200 MiB here
+        tracemalloc.start()
+        try:
+            build_greedy(300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_growth_certificate_two_hundred_terms(self):
         table = greedy_growth_table(200)

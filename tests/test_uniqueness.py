@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +237,18 @@ class TestCarlemanDenjoy:
             carleman_denjoy_partial(0, 100.0)
         with pytest.raises(ValueError):
             carleman_denjoy_partial(10, 1.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only by uniqueness.quad and costs ~0.6 s to load; the
+    # benchmark's trace wraps that module attribute, so it must stay there
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, lacspec, lacspec.uniqueness as u; assert callable(u.quad); "
+        "print(any(m.startswith('scipy') for m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
