@@ -7,6 +7,9 @@ concentration constants as extremal eigenvalue problems, and checking
 quasi-analyticity hypotheses.
 """
 
+# The one version literal; experiments.TOOL_VERSION and pyproject.toml read it.
+__version__ = "0.1.0"
+
 from .errors import ConfigError, NumericalError
 from .experiments import (
     ExperimentConfig,
@@ -73,5 +76,3 @@ from .uniqueness import (
     separation_condition,
     smoothstep_bump,
 )
-
-__version__ = "0.1.0"

@@ -8,6 +8,7 @@ one operation, and print a JSON record (or write a file).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,10 +17,16 @@ import numpy as np
 from . import concentration, sequences, sets, synthesis, uniqueness
 from .errors import ConfigError, NumericalError
 from .experiments import (
+    SCHEDULE,
+    SEED,
     ExperimentConfig,
     build_sequence,
+    field_violations,
+    lemma_trials,
     run,
     schedule_from,
+    split_trials,
+    trial_blocks,
 )
 
 EXIT_OK = 0
@@ -32,11 +39,33 @@ def _print(obj) -> None:
 
 
 def _parse_schedule(text):
+    """Breakpoints L:M,L:M,... checked by the config schema's schedule entry."""
     if text is None:
         return None
-    return [
-        [int(x) for x in pair.split(":")] for pair in text.split(",") if pair
+    value = [
+        [int(x) if x.isdecimal() else x for x in pair.split(":")]
+        for pair in text.split(",") if pair
     ]
+    if field_violations(value, SCHEDULE):
+        raise ConfigError([f"--schedule must have the form L:M,L:M,... with integers "
+                           f"L, M >= 1, got {text!r}"])
+    return value
+
+
+def _pair(text, flag, form="a,b"):
+    """Two comma-separated numbers; a ConfigError naming the flag otherwise."""
+    try:
+        lo, hi = (float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError([f"{flag} must have the form {form}, got {text!r}"]) from None
+    return lo, hi
+
+
+def _seed(args) -> int:
+    """The --seed value, checked by the schema entry of an ensemble seed."""
+    if field_violations(args.seed, SEED):
+        raise ConfigError([f"--seed must be an integer in [0, 2**64), got {args.seed}"])
+    return args.seed
 
 
 def _sequence_from_args(args) -> sequences.Sequence:
@@ -52,10 +81,8 @@ def _sequence_from_args(args) -> sequences.Sequence:
         spec.update(count=args.count)
         if args.schedule:
             spec["schedule"] = _parse_schedule(args.schedule)
-    elif args.builder == "counterexample":
-        spec.update(K=args.K)
     else:
-        raise ConfigError([f"unknown builder '{args.builder}'"])
+        spec.update(K=args.K)
     return build_sequence(spec)
 
 
@@ -78,18 +105,15 @@ def _set_from_args(args) -> sets.ThickSet:
     if getattr(args, "set_file", None):
         with open(args.set_file, "r", encoding="utf-8") as fh:
             return sets.ThickSet.from_dict(json.load(fh))
-    w0, w1 = (float(x) for x in args.window.split(","))
+    w0, w1 = _pair(args.window, "--window")
     if args.pattern == "comb":
         return sets.periodic_comb(args.gamma, args.delta, (w0, w1))
     if args.pattern == "full":
         return sets.ThickSet(((w0, w1),), (w0, w1))
-    if args.pattern == "intervals":
-        pieces = tuple(
-            tuple(float(x) for x in piece.split(","))
-            for piece in args.intervals.split(";")
-        )
-        return sets.ThickSet(pieces, (w0, w1), args.periodic)
-    raise ConfigError([f"unknown set pattern '{args.pattern}'"])
+    pieces = tuple(
+        _pair(piece, "--intervals", "a,b;c,d;...") for piece in args.intervals.split(";")
+    )
+    return sets.ThickSet(pieces, (w0, w1), args.periodic)
 
 
 def _add_set_source(p: argparse.ArgumentParser, default_window="0,1") -> None:
@@ -159,12 +183,7 @@ def _cmd_set_partition(args) -> int:
 def _cmd_synth_check(args) -> int:
     seq = _sequence_from_args(args)
     grid = synthesis.Grid(args.period, args.samples)
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    width = int(args.period) + 1
-    blocks = [
-        rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        for _ in range(len(seq))
-    ]
+    (blocks,) = trial_blocks(seq, grid, _seed(args), 1)
     f = synthesis.synthesize(blocks, seq, grid)
     support = synthesis.spectral_support(f, args.tol)
     declared = f.declared_support.intervals()
@@ -216,8 +235,7 @@ def _cmd_conc_ls(args) -> int:
         seq = sequences.Sequence.from_text(open(args.freq_sequence).read())
         profile = synthesis.SpectralProfile(seq, 1.0)
     else:
-        lo, hi = (float(x) for x in args.band.split(","))
-        profile = (lo, hi)
+        profile = _pair(args.band, "--band")
     _print(concentration.ls_constant(E, profile, grid).to_dict())
     return EXIT_OK
 
@@ -226,10 +244,7 @@ def _cmd_conc_lemma(args) -> int:
     seq = _sequence_from_args(args)
     grid = synthesis.Grid(args.period, args.samples)
     E = _set_from_args(args)
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    f_list = [synthesis.random_band_function(grid, rng) for _ in range(len(seq))]
-    interval = (0.0, 1.0 / args.L)
-    rec = concentration.lemma_main_report(f_list, seq, E, interval, args.L)
+    (rec,) = lemma_trials(seq, E, grid, args.L, _seed(args), 1)
     _print(rec.to_dict())
     return EXIT_OK
 
@@ -239,13 +254,7 @@ def _cmd_conc_theorem(args) -> int:
     grid = synthesis.Grid(args.period, args.samples)
     E = _set_from_args(args)
     schedule = schedule_from(_parse_schedule(args.schedule))
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    width = int(args.period) + 1
-    blocks = [
-        rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        for _ in range(len(seq))
-    ]
-    rec = concentration.theorem_split_check(blocks, seq, schedule, args.L, E, grid)
+    (rec,) = split_trials(seq, E, grid, args.L, schedule, _seed(args), 1)
     _print(rec.to_dict())
     return EXIT_OK
 
@@ -278,6 +287,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lacspec",

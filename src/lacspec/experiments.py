@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import tempfile
 import time
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .concentration import (
     lemma_main_report,
     ls_constant,
@@ -51,39 +53,14 @@ __all__ = [
     "emit_plot_data",
     "build_sequence",
     "schedule_from",
+    "field_violations",
+    "trial_blocks",
+    "lemma_trials",
+    "split_trials",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 GENERATOR_NAME = "philox4x64"
-
-_TOP_KEYS = {
-    "version",
-    "kind",
-    "output_dir",
-    "sequence",
-    "set",
-    "grid",
-    "ensemble",
-    "params",
-}
-
-_REQUIRED = {
-    "nazarov_sweep": {"sequence", "set"},
-    "greedy_growth": {"params"},
-    "ls_gamma_sweep": {"grid", "set", "params"},
-    "lemma_margins": {"sequence", "grid", "set", "params", "ensemble"},
-    "theorem_split": {"sequence", "grid", "set", "params", "ensemble"},
-    "carleman_denjoy": {"params"},
-}
-
-_PARAM_KEYS = {
-    "nazarov_sweep": set(),
-    "greedy_growth": {"count", "schedule"},
-    "ls_gamma_sweep": {"profile"},
-    "lemma_margins": {"L", "c2_candidates"},
-    "theorem_split": {"L", "schedule"},
-    "carleman_denjoy": {"N", "T_max"},
-}
 
 # CSV header annotations: what each column measures and in which units.
 _COLUMN_LABELS = {
@@ -112,32 +89,192 @@ _COLUMN_LABELS = {
 }
 
 
-def _check_keys(name: str, d: dict, allowed: set, errors: list) -> None:
-    for k in d:
-        if k not in allowed:
-            errors.append(f"{name}: unknown key '{k}'")
+# The config schema.  A field is (required, type, bounds).  A type is int,
+# float (any finite number), str (non-empty), a tuple of allowed literal
+# values, a list pattern ([t]: a non-empty list of t; [t, u]: the pair t, u)
+# or an _Object.  Bounds are an interval such as "(0, 1]" that every number
+# in the value must lie in.  A bool is neither an integer nor a number.
 
 
-def _require(name: str, d: dict, keys: set, errors: list) -> None:
-    for k in keys:
-        if k not in d:
-            errors.append(f"{name}: missing key '{k}'")
+@dataclass(frozen=True)
+class _Object:
+    """A JSON object: ``fields`` plus the fields of one of the ``variants``.
+
+    With ``tag`` set, the value of that key names the variant; without it,
+    the first variant name that is a key of the object does.
+    """
+
+    fields: dict
+    tag: str | None = None
+    variants: dict | None = None
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_SCALARS = {
+    int: ("an integer", lambda v: isinstance(v, int)),
+    float: ("a number", lambda v: isinstance(v, int) or isinstance(v, float)
+            and math.isfinite(v)),
+    str: ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+}
+
+_NUMBER = (True, float, None)
+_POSITIVE_INT = (True, int, "[1, inf)")
+SCHEDULE = (False, [[int, int]], "[1, inf)")
+SEED = (True, int, "[0, 18446744073709551616)")  # a Philox key word: below 2**64
+
+_SEQUENCE = _Object({}, None, {
+    "file": _Object({"file": (True, str, None)}),
+    "builder": _Object({}, "builder", {
+        "geometric": _Object(
+            {"start": _NUMBER, "ratio": (True, float, "(1, inf)"), "count": _POSITIVE_INT}),
+        "arithmetic": _Object(
+            {"start": _NUMBER, "step": (True, float, "(0, inf)"), "count": _POSITIVE_INT}),
+        "greedy": _Object({"count": _POSITIVE_INT, "schedule": SCHEDULE}),
+        "counterexample": _Object({"K": _POSITIVE_INT}),
+    }),
+})
 
 
-def _check_number(
-    name: str, d: dict, key: str, errors: list, ok=None, requirement: str = ""
-) -> None:
-    """Report ``d[key]``, when present, unless it is a number satisfying ``ok``."""
-    if key not in d:
-        return
-    if not _is_number(d[key]):
-        errors.append(f"{name}: {key} must be a number, got {d[key]!r}")
-    elif ok is not None and not ok(d[key]):
-        errors.append(f"{name}: {requirement}")
+def _section(fields: dict, tag=None, variants=None) -> tuple:
+    return (True, _Object(fields, tag, variants), None)
+
+
+def _comb(gamma_key: str, gamma_type) -> tuple:
+    return _section({}, "pattern", {"comb": _Object(
+        {gamma_key: (True, gamma_type, "(0, 1]"), "delta": (True, float, "(0, inf)")})})
+
+
+_GRID = _section({"period": (True, float, "(0, inf)"), "samples": (True, int, "[2, inf)")})
+_ENSEMBLE = _section({"trials": _POSITIVE_INT, "seed": SEED})
+_PROFILE = _section({}, None, {
+    "band": _Object({"band": (True, [float, float], None)}),
+    "sequence": _Object({"sequence": (True, _SEQUENCE, None)}),
+})
+
+_PREFIX = _section({}, "pattern", {
+    "prefix": _Object({"measures": (True, [float], "(0, 1]")}),
+})
+
+_COMMON = {"version": (True, (1,), None), "output_dir": (True, str, None)}
+_CONFIG = _Object(_COMMON, "kind", {
+    "nazarov_sweep": _Object({"sequence": (True, _SEQUENCE, None), "set": _PREFIX}),
+    "greedy_growth": _Object({
+        "params": _section({"count": _POSITIVE_INT, "schedule": SCHEDULE}),
+    }),
+    "ls_gamma_sweep": _Object({
+        "grid": _GRID,
+        "set": _comb("gammas", [float]),
+        "params": _section({"profile": _PROFILE}),
+    }),
+    "lemma_margins": _Object({
+        "sequence": (True, _SEQUENCE, None),
+        "grid": _GRID,
+        "set": _comb("gamma", float),
+        "ensemble": _ENSEMBLE,
+        "params": _section({"L": _POSITIVE_INT, "c2_candidates": (True, [float], None)}),
+    }),
+    "theorem_split": _Object({
+        "sequence": (True, _SEQUENCE, None),
+        "grid": _GRID,
+        "set": _comb("gamma", float),
+        "ensemble": _ENSEMBLE,
+        "params": _section({"L": _POSITIVE_INT, "schedule": SCHEDULE}),
+    }),
+    "carleman_denjoy": _Object({
+        "params": _section({"N": _POSITIVE_INT, "T_max": (True, float, "(1, inf)")}),
+    }),
+})
+
+
+def _keys(obj: _Object) -> set:
+    """Every key that some variant of ``obj`` accepts."""
+    keys = set(obj.fields) | {obj.tag}
+    for variant in (obj.variants or {}).values():
+        keys |= _keys(variant)
+    return keys
+
+
+def _shape(type_) -> str:
+    if isinstance(type_, list):
+        return "[" + ", ".join(map(_shape, type_)) + (", ...]" if len(type_) == 1 else "]")
+    return {int: "integer", float: "number", str: "string"}[type_]
+
+
+def _within(value, bounds: str) -> bool:
+    lo, hi = (float(x) for x in bounds[1:-1].split(","))
+    return (lo < value if bounds[0] == "(" else lo <= value) and (
+        value < hi if bounds[-1] == ")" else value <= hi
+    )
+
+
+def _check(value, type_, bounds, where: str, key, errors: list) -> None:
+    """Append to ``errors`` every way in which ``value`` breaks the schema.
+
+    ``where`` names the enclosing object and ``key`` the value within it
+    (None for the whole config).
+    """
+
+    def fail(requirement: str, label=key) -> None:
+        errors.append(f"{where}: {label} must {requirement}, got {reprlib.repr(value)}")
+
+    if isinstance(type_, _Object):
+        if not isinstance(value, dict):
+            fail("be a JSON object", "top level" if key is None else f"section '{key}'")
+            return
+        name = where if key is None else key if where == "config" else f"{where}.{key}"
+        # key -> (the variant that brought it in, required, type, bounds)
+        fields = {k: (None, *f) for k, f in type_.fields.items()}
+        node, chosen, tags = type_, None, {type_.tag}
+        while node.variants:
+            tag, variants = node.tag, node.variants
+            present = (k for k in variants if k in value)
+            pick = value.get(tag) if tag else next(present, None)
+            if not (isinstance(pick, str) and pick in variants):
+                wanted = (f"{tag} must be one of {sorted(variants)}, "
+                          f"got {reprlib.repr(pick)}" if tag
+                          else f"needs one of the keys {list(variants)}")
+                errors.append(f"{name}: {wanted}")
+                break
+            chosen = f"{tag} '{pick}'" if tag else f"key '{pick}'"
+            node = variants[pick]
+            fields.update({k: (chosen, *f) for k, f in node.fields.items()})
+            tags.add(node.tag)
+        for k in value:
+            if k in fields or k in tags:
+                continue
+            if k not in _keys(type_):
+                errors.append(f"{name}: unknown key '{k}'")
+            elif not node.variants:
+                errors.append(f"{name}: key '{k}' is not used with {chosen}")
+        for k, (owner, required, sub_type, sub_bounds) in fields.items():
+            if k in value:
+                _check(value[k], sub_type, sub_bounds, name, k, errors)
+            elif required:
+                noun = "section" if isinstance(sub_type, _Object) else "key"
+                errors.append(f"{name}: {owner} requires {noun} '{k}'" if owner
+                              else f"{name}: missing {noun} '{k}'")
+    elif isinstance(type_, list):
+        if not isinstance(value, list) or not (
+            len(value) == len(type_) if len(type_) > 1 else value
+        ):
+            fail(f"be a list {_shape(type_)}")
+            return
+        for i, item in enumerate(value):
+            item_type = type_[min(i, len(type_) - 1)]
+            _check(item, item_type, bounds, where, f"{key}[{i}]", errors)
+    elif isinstance(type_, tuple):
+        if not any(type(value) is type(v) and value == v for v in type_):
+            fail(f"be one of {list(type_)}")
+    elif isinstance(value, bool) or not _SCALARS[type_][1](value):
+        fail(f"be {_SCALARS[type_][0]}")
+    elif bounds is not None and not _within(value, bounds):
+        fail(f"lie in {bounds}")
+
+
+def field_violations(value, field: tuple) -> list[str]:
+    """What keeps ``value`` from satisfying one schema field, such as SCHEDULE."""
+    errors: list[str] = []
+    _check(value, field[1], field[2], "value", "value", errors)
+    return errors
 
 
 @dataclass(frozen=True)
@@ -159,52 +296,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(
-                [f"config: top level must be a JSON object, got {type(d).__name__}"]
-            )
         errors: list[str] = []
-        _check_keys("config", d, _TOP_KEYS, errors)
-        if d.get("version") != 1:
-            errors.append(f"config: version must be 1, got {d.get('version')!r}")
-        kind = d.get("kind")
-        if not isinstance(kind, str) or kind not in _REQUIRED:
-            errors.append(
-                f"config: kind must be one of {sorted(_REQUIRED)}, got {kind!r}"
-            )
-        if not isinstance(d.get("output_dir"), str) or not d.get("output_dir"):
-            errors.append("config: output_dir must be a non-empty string")
-        if isinstance(kind, str) and kind in _REQUIRED:
-            present = {k for k in ("sequence", "set", "grid", "ensemble", "params") if k in d}
-            for section in sorted(present):
-                if not isinstance(d[section], dict):
-                    errors.append(f"config: section '{section}' must be a JSON object")
-            for missing in _REQUIRED[kind] - present:
-                errors.append(f"config: kind '{kind}' requires section '{missing}'")
-            for extra in present - _REQUIRED[kind]:
-                errors.append(f"config: section '{extra}' is not used by kind '{kind}'")
-            if "sequence" in d and isinstance(d["sequence"], dict):
-                _validate_sequence_spec("sequence", d["sequence"], errors)
-            if "set" in d and isinstance(d["set"], dict):
-                _validate_set_spec("set", d["set"], kind, errors)
-            if "grid" in d and isinstance(d["grid"], dict):
-                _validate_grid_spec(d["grid"], errors)
-            if "ensemble" in d and isinstance(d["ensemble"], dict):
-                _validate_ensemble_spec(d["ensemble"], errors)
-            if "params" in d and isinstance(d["params"], dict):
-                _validate_params("params", d["params"], kind, errors)
+        _check(d, _CONFIG, None, "config", None, errors)
         if errors:
             raise ConfigError(errors)
-        return cls(
-            version=1,
-            kind=kind,
-            output_dir=d["output_dir"],
-            sequence=d.get("sequence"),
-            set_spec=d.get("set"),
-            grid=d.get("grid"),
-            ensemble=d.get("ensemble"),
-            params=d.get("params"),
-        )
+        sections = ("sequence", "set", "grid", "ensemble", "params")
+        return cls(1, d["kind"], d["output_dir"], *(d.get(k) for k in sections))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -236,143 +333,11 @@ class ExperimentConfig:
         return None if self.ensemble is None else self.ensemble.get("seed")
 
 
-def _validate_sequence_spec(name: str, spec: dict, errors: list) -> None:
-    if "file" in spec:
-        _check_keys(name, spec, {"file"}, errors)
-        return
-    builder = spec.get("builder")
-    allowed = {
-        "geometric": {"builder", "start", "ratio", "count"},
-        "arithmetic": {"builder", "start", "step", "count"},
-        "greedy": {"builder", "count", "schedule"},
-        "counterexample": {"builder", "K"},
-    }
-    if not isinstance(builder, str) or builder not in allowed:
-        errors.append(
-            f"{name}: builder must be one of {sorted(allowed)}, got {builder!r}"
-        )
-        return
-    _check_keys(name, spec, allowed[builder], errors)
-    if builder == "geometric":
-        _require(name, spec, {"start", "ratio", "count"}, errors)
-        _check_number(name, spec, "ratio", errors, lambda r: r > 1,
-                      "geometric ratio must exceed 1")
-    elif builder == "arithmetic":
-        _require(name, spec, {"start", "step", "count"}, errors)
-        _check_number(name, spec, "step", errors, lambda h: h > 0,
-                      "arithmetic step must be positive")
-    elif builder == "greedy":
-        _require(name, spec, {"count"}, errors)
-    elif builder == "counterexample":
-        _require(name, spec, {"K"}, errors)
-    _check_number(name, spec, "start", errors)
-    if "count" in spec and (not isinstance(spec["count"], int) or spec["count"] < 1):
-        errors.append(f"{name}: count must be a positive integer")
-    if "K" in spec and (not isinstance(spec["K"], int) or spec["K"] < 1):
-        errors.append(f"{name}: K must be a positive integer")
-
-
-def _validate_set_spec(name: str, spec: dict, kind: str, errors: list) -> None:
-    if "file" in spec:
-        _check_keys(name, spec, {"file"}, errors)
-        return
-    pattern = spec.get("pattern")
-    if pattern == "prefix":
-        _check_keys(name, spec, {"pattern", "measures"}, errors)
-        measures = spec.get("measures")
-        if not isinstance(measures, list) or not measures:
-            errors.append(f"{name}: prefix pattern needs a non-empty 'measures' list")
-        else:
-            for m in measures:
-                if not (_is_number(m) and 0 < m <= 1):
-                    errors.append(f"{name}: prefix measure {m} must lie in (0, 1]")
-    elif pattern == "comb":
-        gamma_key = "gammas" if kind == "ls_gamma_sweep" else "gamma"
-        _check_keys(name, spec, {"pattern", gamma_key, "delta"}, errors)
-        _require(name, spec, {gamma_key, "delta"}, errors)
-        gammas = spec.get(gamma_key)
-        if gamma_key == "gamma":
-            gammas = [gammas] if gammas is not None else []
-        for g in gammas or []:
-            if not (_is_number(g) and 0 < g <= 1):
-                errors.append(f"{name}: comb gamma {g} must lie in (0, 1]")
-        _check_number(name, spec, "delta", errors, lambda dl: dl > 0,
-                      "comb delta must be positive")
-    elif pattern == "full":
-        _check_keys(name, spec, {"pattern"}, errors)
-    else:
-        errors.append(
-            f"{name}: pattern must be one of ['comb', 'full', 'prefix'], "
-            f"got {pattern!r}"
-        )
-
-
-def _validate_grid_spec(spec: dict, errors: list) -> None:
-    _check_keys("grid", spec, {"period", "samples"}, errors)
-    _require("grid", spec, {"period", "samples"}, errors)
-    _check_number("grid", spec, "period", errors, lambda p: p > 0,
-                  "period must be positive")
-    if "samples" in spec and (
-        not isinstance(spec["samples"], int) or spec["samples"] < 2
-    ):
-        errors.append("grid: samples must be an integer >= 2")
-
-
-def _validate_ensemble_spec(spec: dict, errors: list) -> None:
-    _check_keys("ensemble", spec, {"trials", "seed"}, errors)
-    _require("ensemble", spec, {"trials", "seed"}, errors)
-    if "trials" in spec and (not isinstance(spec["trials"], int) or spec["trials"] < 1):
-        errors.append("ensemble: trials must be a positive integer")
-    if "seed" in spec and not isinstance(spec["seed"], int):
-        errors.append("ensemble: seed must be an integer")
-
-
-def _validate_params(name: str, spec: dict, kind: str, errors: list) -> None:
-    _check_keys(name, spec, _PARAM_KEYS[kind], errors)
-    if kind == "greedy_growth":
-        _require(name, spec, {"count"}, errors)
-        if "count" in spec and (
-            not isinstance(spec["count"], int) or spec["count"] < 1
-        ):
-            errors.append(f"{name}: count must be a positive integer")
-    elif kind == "ls_gamma_sweep":
-        _require(name, spec, {"profile"}, errors)
-        profile = spec.get("profile")
-        if isinstance(profile, dict):
-            if "band" in profile:
-                _check_keys(f"{name}.profile", profile, {"band"}, errors)
-            elif "sequence" in profile:
-                _check_keys(f"{name}.profile", profile, {"sequence"}, errors)
-                _validate_sequence_spec(
-                    f"{name}.profile.sequence", profile["sequence"], errors
-                )
-            else:
-                errors.append(f"{name}: profile needs 'band' or 'sequence'")
-        else:
-            errors.append(f"{name}: profile must be an object")
-    elif kind in ("lemma_margins", "theorem_split"):
-        _require(name, spec, {"L"}, errors)
-        if "L" in spec and (not isinstance(spec["L"], int) or spec["L"] < 1):
-            errors.append(f"{name}: L must be a positive integer")
-        if kind == "lemma_margins":
-            _require(name, spec, {"c2_candidates"}, errors)
-            if not isinstance(spec.get("c2_candidates"), list) or not spec.get(
-                "c2_candidates"
-            ):
-                errors.append(f"{name}: c2_candidates must be a non-empty list")
-    elif kind == "carleman_denjoy":
-        _require(name, spec, {"N", "T_max"}, errors)
-        if "N" in spec and (not isinstance(spec["N"], int) or spec["N"] < 1):
-            errors.append(f"{name}: N must be a positive integer")
-        _check_number(name, spec, "T_max", errors, lambda t: t > 1,
-                      "T_max must exceed 1")
-
-
 def schedule_from(spec) -> TailSchedule:
     """Schedule from a [[L, M], ...] breakpoint list (default: constant 1)."""
     if spec is None:
         return TailSchedule.constant(1)
-    return TailSchedule(tuple((int(l), int(m)) for l, m in spec))
+    return TailSchedule(tuple(map(tuple, spec)))
 
 
 def build_sequence(spec: dict, base_dir=".") -> Sequence:
@@ -388,13 +353,7 @@ def build_sequence(spec: dict, base_dir=".") -> Sequence:
         return Sequence(tuple(start + step * k for k in range(count)))
     if builder == "greedy":
         return build_greedy(spec["count"], schedule_from(spec.get("schedule")))
-    if builder == "counterexample":
-        return build_counterexample(spec["K"])
-    raise ConfigError([f"sequence: unknown builder '{builder}'"])
-
-
-def _build_comb(spec: dict, gamma, window) -> ThickSet:
-    return periodic_comb(gamma, spec["delta"], window)
+    return build_counterexample(spec["K"])
 
 
 @dataclass(frozen=True)
@@ -485,8 +444,62 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
+def _fits_grid(profile, grid: Grid):
+    """``profile`` (a band (lo, hi) or a SpectralProfile) once its top
+    frequency passes the grid's Nyquist check; ConfigError if it does not."""
+    top = (profile.max_abs_frequency if isinstance(profile, SpectralProfile)
+           else max(abs(profile[0]), abs(profile[1])))
+    try:
+        grid.check_nyquist(top)
+    except ValueError as exc:
+        raise ConfigError([f"grid: {exc}"]) from None
+    return profile
+
+
+def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
+    """Coefficient blocks of trials 0..trials-1: trial t draws from
+    ``Philox(key=[seed, t])`` one standard complex Gaussian block per
+    frequency, with one entry per grid bin of the unit band [0, 1]."""
+    _fits_grid(SpectralProfile(seq, 1.0), grid)
+    width = grid.unit_band_bins
+    blocks = []
+    for trial in range(trials):
+        rng = _trial_rng(seed, trial)
+        blocks.append([rng.standard_normal(width) + 1j * rng.standard_normal(width)
+                       for _ in range(len(seq))])
+    return blocks
+
+
+def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
+    """Local-lemma terms on [0, 1/L] of trials 0..trials-1: trial t draws
+    from ``Philox(key=[seed, t])`` one random unit-band function per frequency."""
+    _fits_grid(SpectralProfile(seq, 1.0), grid)
+    out = []
+    for trial in range(trials):
+        rng = _trial_rng(seed, trial)
+        f_list = [random_band_function(grid, rng) for _ in range(len(seq))]
+        out.append(lemma_main_report(f_list, seq, E, (0.0, 1.0 / L), L))
+    return out
+
+
+def split_trials(seq, E, grid: Grid, L: int, schedule, seed: int, trials: int) -> list:
+    """Head/tail split checks of trials 0..trials-1 (blocks from trial_blocks)."""
+    return [
+        theorem_split_check(blocks, seq, schedule, L, E, grid)
+        for blocks in trial_blocks(seq, grid, seed, trials)
+    ]
+
+
 def _grid(config: ExperimentConfig) -> Grid:
     return Grid(float(config.grid["period"]), int(config.grid["samples"]))
+
+
+def _ensemble_inputs(config: ExperimentConfig, base_dir) -> tuple:
+    """Sequence, comb set and grid of a lemma_margins or theorem_split run."""
+    grid = _grid(config)
+    seq = build_sequence(config.sequence, base_dir)
+    spec = config.set_spec
+    return seq, periodic_comb(spec["gamma"], spec["delta"], (0.0, grid.period)), grid
 
 
 def _run_nazarov_sweep(config, base_dir):
@@ -530,26 +543,17 @@ def _profile_from(params: dict, base_dir):
     profile = params["profile"]
     if "band" in profile:
         lo, hi = profile["band"]
-        return (float(lo), float(hi)), max(abs(float(lo)), abs(float(hi)))
-    seq = build_sequence(profile["sequence"], base_dir)
-    prof = SpectralProfile(seq, 1.0)
-    return prof, prof.max_abs_frequency
+        return (float(lo), float(hi))
+    return SpectralProfile(build_sequence(profile["sequence"], base_dir), 1.0)
 
 
 def _run_ls_gamma_sweep(config, base_dir):
     grid = _grid(config)
-    profile, max_freq = _profile_from(config.params, base_dir)
-    if 2 * max_freq >= grid.samples / grid.period:
-        raise ConfigError(
-            [
-                f"grid: Nyquist violation, S/T = {grid.samples / grid.period} "
-                f"does not exceed twice the top profile frequency {max_freq}"
-            ]
-        )
+    profile = _fits_grid(_profile_from(config.params, base_dir), grid)
     window = (0.0, grid.period)
     rows = []
     for gamma in config.set_spec["gammas"]:
-        E = _build_comb(config.set_spec, gamma, window)
+        E = periodic_comb(gamma, config.set_spec["delta"], window)
         est = ls_constant(E, profile, grid)
         rows.append(
             {
@@ -568,22 +572,12 @@ def _run_ls_gamma_sweep(config, base_dir):
 
 
 def _run_lemma_margins(config, base_dir):
-    grid = _grid(config)
-    seq = build_sequence(config.sequence, base_dir)
-    prof = SpectralProfile(seq, 1.0)
-    if 2 * prof.max_abs_frequency >= grid.samples / grid.period:
-        raise ConfigError(["grid: Nyquist violation for the sequence profile"])
-    E = _build_comb(config.set_spec, config.set_spec["gamma"], (0.0, grid.period))
+    seq, E, grid = _ensemble_inputs(config, base_dir)
     L = config.params["L"]
     c2s = [float(c) for c in config.params["c2_candidates"]]
-    interval = (0.0, 1.0 / L)
+    records = lemma_trials(seq, E, grid, L, config.seed, config.ensemble["trials"])
     rows = []
-    for trial in range(config.ensemble["trials"]):
-        rng = _trial_rng(config.seed, trial)
-        f_list = [
-            random_band_function(grid, rng) for _ in range(len(seq))
-        ]
-        rec = lemma_main_report(f_list, seq, E, interval, L)
+    for trial, rec in enumerate(records):
         row = {
             "trial": trial,
             "lhs": rec.lhs,
@@ -613,31 +607,20 @@ def _run_lemma_margins(config, base_dir):
 
 
 def _run_theorem_split(config, base_dir):
-    grid = _grid(config)
-    seq = build_sequence(config.sequence, base_dir)
-    prof = SpectralProfile(seq, 1.0)
-    if 2 * prof.max_abs_frequency >= grid.samples / grid.period:
-        raise ConfigError(["grid: Nyquist violation for the sequence profile"])
-    E = _build_comb(config.set_spec, config.set_spec["gamma"], (0.0, grid.period))
-    L = config.params["L"]
+    seq, E, grid = _ensemble_inputs(config, base_dir)
     schedule = schedule_from(config.params.get("schedule"))
-    width = math.floor(grid.period + 1e-9) + 1
-    rows = []
-    for trial in range(config.ensemble["trials"]):
-        rng = _trial_rng(config.seed, trial)
-        blocks = [
-            rng.standard_normal(width) + 1j * rng.standard_normal(width)
-            for _ in range(len(seq))
-        ]
-        rec = theorem_split_check(blocks, seq, schedule, L, E, grid)
-        rows.append(
-            {
-                "trial": trial,
-                "ratio": rec.ratio,
-                "ratio_head": rec.ratio_head,
-                "ratio_tail": rec.ratio_tail,
-            }
-        )
+    records = split_trials(
+        seq, E, grid, config.params["L"], schedule, config.seed, config.ensemble["trials"]
+    )
+    rows = [
+        {
+            "trial": trial,
+            "ratio": rec.ratio,
+            "ratio_head": rec.ratio_head,
+            "ratio_tail": rec.ratio_tail,
+        }
+        for trial, rec in enumerate(records)
+    ]
     return {"theorem_split.csv": rows}, {
         "ratio_per_trial.dat": (
             "theorem_split.csv",

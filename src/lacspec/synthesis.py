@@ -49,6 +49,11 @@ class Grid:
     def spacing(self) -> float:
         return self.period / self.samples
 
+    @property
+    def unit_band_bins(self) -> int:
+        """Number of grid frequencies j/T in [0, 1]: the width of one block."""
+        return math.floor(self.period + FREQ_SNAP_TOL) + 1
+
     def points(self) -> np.ndarray:
         return np.arange(self.samples) * self.spacing
 
@@ -215,7 +220,7 @@ def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
     profile = SpectralProfile(seq, 1.0)
     grid.check_nyquist(profile.max_abs_frequency)
     T, S = grid.period, grid.samples
-    max_len = math.floor(T + FREQ_SNAP_TOL) + 1
+    max_len = grid.unit_band_bins
     c = np.zeros(S, dtype=complex)
     for lam, block in zip(seq.values, blocks):
         if block.ndim != 1:

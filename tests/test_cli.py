@@ -1,8 +1,12 @@
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import lacspec
 from lacspec import cli
 from lacspec.errors import ConfigError, NumericalError
 from lacspec.experiments import (
@@ -34,6 +38,75 @@ def theorem_config(outdir="out"):
         "ensemble": {"trials": 3, "seed": 7},
         "params": {"L": 1, "schedule": [[1, 2]]},
     }
+
+
+def small_configs():
+    """One small valid config per kind (two for ls_gamma_sweep's profiles)."""
+    geo = {"builder": "geometric", "start": 4, "ratio": 4, "count": 2}
+    grid = {"period": 2.0, "samples": 128}
+    comb = {"pattern": "comb", "gamma": 0.5, "delta": 1.0}
+    ensemble = {"trials": 2, "seed": 3}
+    ls = {
+        "version": 1, "kind": "ls_gamma_sweep", "output_dir": "o",
+        "grid": {"period": 2.0, "samples": 32},
+        "set": {"pattern": "comb", "gammas": [0.5], "delta": 1.0},
+        "params": {"profile": {"band": [0, 1]}},
+    }
+    ls_sequence = copy.deepcopy(ls)
+    ls_sequence["params"]["profile"] = {
+        "sequence": {"builder": "geometric", "start": 2, "ratio": 3, "count": 2}
+    }
+    return {
+        "nazarov_sweep": nazarov_config("o"),
+        "greedy_growth": {
+            "version": 1, "kind": "greedy_growth", "output_dir": "o",
+            "params": {"count": 5, "schedule": [[1, 1], [2, 3]]},
+        },
+        "ls_gamma_sweep": ls,
+        "ls_gamma_sweep_sequence": ls_sequence,
+        "lemma_margins": {
+            "version": 1, "kind": "lemma_margins", "output_dir": "o",
+            "sequence": geo, "grid": grid, "set": comb, "ensemble": ensemble,
+            "params": {"L": 2, "c2_candidates": [1.0]},
+        },
+        "theorem_split": {
+            "version": 1, "kind": "theorem_split", "output_dir": "o",
+            "sequence": geo, "grid": grid, "set": comb, "ensemble": ensemble,
+            "params": {"L": 1, "schedule": [[1, 2]]},
+        },
+        "carleman_denjoy": {
+            "version": 1, "kind": "carleman_denjoy", "output_dir": "o",
+            "params": {"N": 5, "T_max": 10.0},
+        },
+    }
+
+
+def paths(value, prefix=()):
+    """Every key path into nested objects and lists."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def substituted(config, path, value):
+    out = copy.deepcopy(config)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def run_cli(config, base_dir):
+    cfg_path = Path(base_dir, "cfg.json")
+    cfg_path.write_text(json.dumps(config))
+    return cli.main(["run", str(cfg_path), "--base-dir", str(base_dir)])
 
 
 class TestConfigValidation:
@@ -81,6 +154,78 @@ class TestConfigValidation:
         cfg["set"]["measures"] = [0.5, 1.5]
         with pytest.raises(ConfigError, match="1.5"):
             ExperimentConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "kind, path, value, message",
+        [
+            ("theorem_split", ("set", "gamma"), None, "set: gamma must be a number"),
+            ("theorem_split", ("params", "schedule"), True, "params: schedule must be a list"),
+            ("greedy_growth", ("params", "count"), True, "params: count must be an integer"),
+            ("ls_gamma_sweep_sequence", ("params", "profile", "sequence"), 5,
+             "params.profile: section 'sequence' must be a JSON object"),
+            ("theorem_split", ("ensemble", "trials"), True, "ensemble: trials must be an integer"),
+            ("theorem_split", ("params", "L"), True, "params: L must be an integer"),
+            ("ls_gamma_sweep", ("params", "profile", "band"), "x",
+             "params.profile: band must be a list [number, number]"),
+            ("lemma_margins", ("params", "c2_candidates"), ["x"],
+             "params: c2_candidates[0] must be a number"),
+        ],
+    )
+    def test_mistyped_value_exits_two_naming_section_and_key(
+        self, tmp_path, capsys, kind, path, value, message
+    ):
+        config = substituted(small_configs()[kind], path, value)
+        assert run_cli(config, tmp_path) == 2
+        assert message in capsys.readouterr().err
+
+    def test_all_violations_reported_at_once_in_nested_sections(self):
+        cfg = small_configs()["theorem_split"]
+        cfg["sequence"] = {"builder": "arithmetic", "start": 1, "ratio": 2, "count": 0}
+        cfg["ensemble"]["seed"] = -1
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(cfg)
+        assert exc.value.violations == [
+            "sequence: key 'ratio' is not used with builder 'arithmetic'",
+            "sequence: builder 'arithmetic' requires key 'step'",
+            "sequence: count must lie in [1, inf), got 0",
+            "ensemble: seed must lie in [0, 18446744073709551616), got -1",
+        ]
+
+    def test_set_pattern_must_suit_the_kind(self):
+        cfg = small_configs()["theorem_split"]
+        cfg["set"] = {"pattern": "full"}
+        with pytest.raises(ConfigError, match=r"set: pattern must be one of \['comb'\]"):
+            ExperimentConfig.from_dict(cfg)
+
+
+SUBSTITUTES = ["x", [], {}, None, True, 0, -1, 5, 1.5]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestConfigFuzz:
+    """Whatever the config, `lacspec run` exits 0, 2 or 3 and never raises."""
+
+    @pytest.mark.parametrize("kind", sorted(small_configs()))
+    def test_every_key_takes_every_substitute(self, tmp_path, capsys, kind):
+        config = small_configs()[kind]
+        assert run_cli(config, tmp_path) == 0
+        for path in paths(config):
+            for value in SUBSTITUTES:
+                rc = run_cli(substituted(config, path, value), tmp_path)
+                assert rc in (0, 2, 3), (path, value)
+        capsys.readouterr()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=json_values)
+    def test_any_json_value_as_the_whole_config(self, tmp_path, config):
+        assert run_cli(config, tmp_path) in (0, 2, 3)
 
 
 class TestRun:
@@ -303,6 +448,83 @@ class TestCliMain:
         rc = cli.main(["run", str(cfg_path), "--base-dir", str(tmp_path)])
         assert rc == 2
         assert "ratio must be a number, got 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["conc", "theorem", "--schedule", "1"],
+             "--schedule must have the form L:M,L:M,..."),
+            (["seq", "check", "--kind", "strong", "--schedule", "1:x"],
+             "--schedule must have the form L:M,L:M,..."),
+            (["conc", "nazarov", "--pattern", "intervals", "--intervals", "0,0.5;0.7"],
+             "--intervals must have the form a,b;c,d;..."),
+            (["set", "gamma", "--window", "0"], "--window must have the form a,b"),
+            (["conc", "ls", "--band", "0"], "--band must have the form a,b"),
+            (["conc", "lemma", "--seed", "-1"], "--seed must be an integer in [0, 2**64)"),
+        ],
+    )
+    def test_malformed_flag_exits_two_naming_it(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_lemma_profile_is_checked_like_the_runner(self, capsys):
+        rc = cli.main(["conc", "lemma", "--count", "2", "--period", "16", "--samples", "540"])
+        assert rc == 2
+        assert "profile intervals overlap" in capsys.readouterr().err
+
+    def test_cli_nyquist_violation_reported_like_the_runner(self, capsys):
+        rc = cli.main(
+            ["conc", "theorem", "--builder", "geometric", "--start", "4",
+             "--ratio", "4", "--count", "3", "--samples", "16"]
+        )
+        assert rc == 2
+        assert "error: grid: Nyquist violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_conc_theorem_prints_trial_zero_of_the_runner(self, tmp_path, capsys, seed):
+        cfg = theorem_config("t")
+        cfg["ensemble"]["seed"] = seed
+        run(ExperimentConfig.from_dict(cfg), tmp_path)
+        row = (tmp_path / "t" / "theorem_split.csv").read_text().splitlines()[1]
+        rc = cli.main(
+            ["conc", "theorem", "--builder", "geometric", "--start", "4",
+             "--ratio", "4", "--count", "3", "--period", "8", "--samples", "2048",
+             "--pattern", "comb", "--gamma", "0.5", "--delta", "1",
+             "--window", "0,8", "--L", "1", "--schedule", "1:2", "--seed", str(seed)]
+        )
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        printed = [repr(out[k]) for k in ("ratio", "ratio_head", "ratio_tail")]
+        assert row.split(",") == ["0"] + printed
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_conc_lemma_prints_trial_zero_of_the_runner(self, tmp_path, capsys, seed):
+        cfg = {
+            "version": 1, "kind": "lemma_margins", "output_dir": "m",
+            "sequence": {"builder": "geometric", "start": 4, "ratio": 4, "count": 3},
+            "grid": {"period": 8.0, "samples": 2048},
+            "set": {"pattern": "comb", "gamma": 0.5, "delta": 1.0},
+            "ensemble": {"trials": 2, "seed": seed},
+            "params": {"L": 4, "c2_candidates": [1.0]},
+        }
+        run(ExperimentConfig.from_dict(cfg), tmp_path)
+        row = (tmp_path / "m" / "lemma_margins.csv").read_text().splitlines()[1]
+        rc = cli.main(
+            ["conc", "lemma", "--builder", "geometric", "--start", "4",
+             "--ratio", "4", "--count", "3", "--period", "8", "--samples", "2048",
+             "--pattern", "comb", "--gamma", "0.5", "--delta", "1",
+             "--window", "0,8", "--L", "4", "--seed", str(seed)]
+        )
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        printed = [repr(out[k]) for k in ("lhs", "term_density", "term_sobolev")]
+        assert row.split(",")[:4] == ["0"] + printed
+
+    def test_version_is_the_manifest_tool_version(self, tmp_path):
+        manifest = run(ExperimentConfig.from_dict(nazarov_config()), tmp_path)
+        assert lacspec.__version__ == manifest.tool_version == "0.1.0"
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert 'version = {attr = "lacspec.__version__"}' in pyproject
 
     def test_unallocatable_greedy_run_exits_two(self, capsys):
         rc = cli.main(["seq", "build", "--builder", "greedy", "--count", "10000000"])
