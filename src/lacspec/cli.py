@@ -21,6 +21,7 @@ from .experiments import (
     SEED,
     ExperimentConfig,
     build_sequence,
+    comb_on_grid,
     field_violations,
     lemma_trials,
     run,
@@ -101,12 +102,16 @@ def _add_sequence_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule", help="breakpoints L:M,L:M,... (greedy builder)")
 
 
-def _set_from_args(args) -> sets.ThickSet:
+def _set_from_args(args, grid=None) -> sets.ThickSet:
+    """The set the flags describe; a comb for a command with a grid is
+    built by comb_on_grid, which refuses a comb finer than the grid."""
     if getattr(args, "set_file", None):
         with open(args.set_file, "r", encoding="utf-8") as fh:
             return sets.ThickSet.from_dict(json.load(fh))
     w0, w1 = _pair(args.window, "--window")
     if args.pattern == "comb":
+        if grid is not None:
+            return comb_on_grid(args.gamma, args.delta, grid, (w0, w1))
         return sets.periodic_comb(args.gamma, args.delta, (w0, w1))
     if args.pattern == "full":
         return sets.ThickSet(((w0, w1),), (w0, w1))
@@ -230,9 +235,10 @@ def _cmd_conc_nazarov(args) -> int:
 
 def _cmd_conc_ls(args) -> int:
     grid = synthesis.Grid(args.period, args.samples)
-    E = _set_from_args(args)
+    E = _set_from_args(args, grid)
     if args.freq_sequence:
-        seq = sequences.Sequence.from_text(open(args.freq_sequence).read())
+        with open(args.freq_sequence, "r", encoding="utf-8") as fh:
+            seq = sequences.Sequence.from_text(fh.read())
         profile = synthesis.SpectralProfile(seq, 1.0)
     else:
         profile = _pair(args.band, "--band")
@@ -243,7 +249,7 @@ def _cmd_conc_ls(args) -> int:
 def _cmd_conc_lemma(args) -> int:
     seq = _sequence_from_args(args)
     grid = synthesis.Grid(args.period, args.samples)
-    E = _set_from_args(args)
+    E = _set_from_args(args, grid)
     (rec,) = lemma_trials(seq, E, grid, args.L, _seed(args), 1)
     _print(rec.to_dict())
     return EXIT_OK
@@ -252,7 +258,7 @@ def _cmd_conc_lemma(args) -> int:
 def _cmd_conc_theorem(args) -> int:
     seq = _sequence_from_args(args)
     grid = synthesis.Grid(args.period, args.samples)
-    E = _set_from_args(args)
+    E = _set_from_args(args, grid)
     schedule = schedule_from(_parse_schedule(args.schedule))
     (rec,) = split_trials(seq, E, grid, args.L, schedule, _seed(args), 1)
     _print(rec.to_dict())

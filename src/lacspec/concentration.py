@@ -11,6 +11,7 @@ the constant of the norm inequality it certifies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .synthesis import BandFunction, Grid, SpectralProfile, synthesize
 __all__ = [
     "HermitianForm",
     "ConcentrationEstimate",
+    "CellQuadrature",
     "LemmaTerms",
     "SplitCheck",
     "interval_phase_integral",
@@ -157,13 +159,27 @@ def hermitian_eigensystem(form: HermitianForm):
     return vals, vecs, residual
 
 
-def _torus_intervals(E: ThickSet) -> tuple:
-    for a, b in E.intervals:
-        if a < -1e-12 or b > 1 + 1e-12:
-            raise ValueError("set must lie inside the unit torus [0, 1]")
+def _set_intervals(E: ThickSet, grid: Grid | None = None) -> tuple:
+    """The intervals of E once E passes the checks of its window.
+
+    Without a grid E must lie inside the unit torus [0, 1], and its
+    endpoints are returned as given (exact types stay exact).  With a grid
+    E's window must be the grid window [0, T], and the endpoints are
+    returned as floats.  Either way E must have positive measure.
+    """
+    if grid is None:
+        for a, b in E.intervals:
+            if a < -1e-12 or b > 1 + 1e-12:
+                raise ValueError("set must lie inside the unit torus [0, 1]")
+        intervals = E.intervals
+    else:
+        w0, w1 = float(E.window[0]), float(E.window[1])
+        if abs(w0) > 1e-9 or abs(w1 - grid.period) > 1e-9 * max(1.0, grid.period):
+            raise ValueError("set window must coincide with the grid window [0, T]")
+        intervals = tuple((float(a), float(b)) for a, b in E.intervals)
     if E.measure <= 0:
         raise ValueError("set must have positive measure")
-    return E.intervals
+    return intervals
 
 
 def _gram_entries(freqs, intervals, period) -> np.ndarray:
@@ -192,7 +208,7 @@ def gram_matrix(E: ThickSet, seq: Sequence) -> HermitianForm:
     Entry (n, m) is the integral of e^{2 pi i (lambda_n - lambda_m) x} over
     E inside the unit torus, assembled from the per-interval closed form.
     """
-    intervals = _torus_intervals(E)
+    intervals = _set_intervals(E)
     if len(seq) == 0:
         raise ValueError("need at least one frequency")
     return HermitianForm(
@@ -259,10 +275,8 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     the identity.  Returns the smallest eigenvalue and C = 1/lambda_min, the
     best constant of the norm inequality on the truncated model space.
     """
-    intervals = _window_trace(E, grid)
+    intervals = _set_intervals(E, grid)
     T = grid.period
-    if E.measure <= 0:
-        raise ValueError("set must have positive measure")
     bins = _profile_bins(profile, grid)
     grid.check_nyquist(float(np.max(np.abs(bins))) / T)
     n = bins.size
@@ -290,12 +304,19 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
 
 
 def _cell_weights(grid: Grid, intervals) -> np.ndarray:
-    """Lebesgue measure of each grid cell [x_j, x_{j+1}) inside the intervals."""
+    """Lebesgue measure of each grid cell [x_j, x_{j+1}) inside the intervals.
+
+    Each interval adds only to the cells it meets (it adds 0 to the others),
+    so a run of n intervals costs O(S + n) cell updates, not O(S n).
+    """
     edges = np.arange(grid.samples + 1) * grid.spacing
     w = np.zeros(grid.samples)
     for a, b in intervals:
-        w += np.clip(
-            np.minimum(float(b), edges[1:]) - np.maximum(float(a), edges[:-1]),
+        a, b = float(a), float(b)
+        lo = max(int(np.searchsorted(edges, a, "right")) - 1, 0)
+        hi = min(int(np.searchsorted(edges, b, "left")), grid.samples)
+        w[lo:hi] += np.clip(
+            np.minimum(b, edges[lo + 1: hi + 1]) - np.maximum(a, edges[lo:hi]),
             0.0,
             None,
         )
@@ -311,11 +332,49 @@ def _clip_intervals(intervals, lo, hi):
     return out
 
 
-def _window_trace(E: ThickSet, grid: Grid):
-    w0, w1 = float(E.window[0]), float(E.window[1])
-    if abs(w0) > 1e-9 or abs(w1 - grid.period) > 1e-9 * max(1.0, grid.period):
-        raise ValueError("set window must coincide with the grid window [0, T]")
-    return [(float(a), float(b)) for a, b in E.intervals]
+class CellQuadrature:
+    """The trial-independent part of the sampled quadratures over I and I ∩ E.
+
+    An integral over a window I, or over I ∩ E, is a sum of grid samples
+    times the Lebesgue measure of each cell [x_j, x_{j+1}) inside it (exact
+    for integrands constant on each cell).  These cell weights, and the
+    multiplier 2 pi i xi of a derivative over the grid's bins, depend only on
+    E, the grid and I, never on the functions integrated; so a trial loop
+    builds one CellQuadrature per run and passes it to every trial.  I
+    defaults to the whole period [0, T].  Construction checks E against the
+    grid; each array is built on first use.
+    """
+
+    def __init__(self, E: ThickSet, grid: Grid, interval=None):
+        self.trace = _set_intervals(E, grid)
+        self.E, self.grid = E, grid
+        self.interval = self._window(grid, interval)
+
+    @staticmethod
+    def _window(grid: Grid, interval) -> tuple:
+        lo, hi = (0.0, grid.period) if interval is None else interval
+        return float(lo), float(hi)
+
+    @functools.cached_property
+    def window_weights(self) -> np.ndarray:
+        return _cell_weights(self.grid, [self.interval])
+
+    @functools.cached_property
+    def set_weights(self) -> np.ndarray:
+        return _cell_weights(self.grid, _clip_intervals(self.trace, *self.interval))
+
+    @functools.cached_property
+    def derivative_multiplier(self) -> np.ndarray:
+        return 2j * np.pi * self.grid.frequencies()
+
+    @classmethod
+    def reuse(cls, cells, E: ThickSet, grid: Grid, interval=None) -> "CellQuadrature":
+        """``cells`` if it was built for E, the grid and I; a new one if it is None."""
+        if cells is None:
+            return cls(E, grid, interval)
+        if (cells.E, cells.grid, cells.interval) != (E, grid, cls._window(grid, interval)):
+            raise ValueError("cell quadrature was built for another set, grid or interval")
+        return cells
 
 
 @dataclass(frozen=True)
@@ -335,7 +394,7 @@ class LemmaTerms:
 
 
 def lemma_main_report(
-    f_list, seq_tail: Sequence, E: ThickSet, interval, L: int
+    f_list, seq_tail: Sequence, E: ThickSet, interval, L: int, *, cells=None
 ) -> LemmaTerms:
     """Measure the three terms of the local concentration inequality.
 
@@ -343,8 +402,16 @@ def lemma_main_report(
     term_density  integral over I of sum |f_n|^2
     term_sobolev  integral over I of sum (|f_n|^2 + |f_n'|^2)
 
-    The interval I must have length exactly 1/L.  Integrals use cell-measure
-    weights on the sampling grid (exact for integrands constant on I).
+    The interval I must have length exactly 1/L.  Each lambda_n must lie on
+    the grid (1/T)Z, as bin k_n = lambda_n T: on the sampling grid,
+    multiplying f_n by e^{2 pi i lambda_n x} shifts its spectrum circularly
+    by k_n bins, so the sum F is one inverse FFT of the shifted spectra, and
+    the same spectra give the derivatives f_n'.  A lambda_n that misses k_n/T
+    by less than the snap tolerance is modulated sample by sample instead,
+    so it is never rounded to its bin.  Integrals use cell-measure
+    weights on the sampling grid (exact for integrands constant on I);
+    ``cells``, a CellQuadrature of E, the grid and I, shares them between
+    the trials of an ensemble.
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
@@ -359,21 +426,32 @@ def lemma_main_report(
     for f in f_list:
         if f.grid != grid:
             raise ValueError("band functions must share one grid")
-    e_trace = _window_trace(E, grid)
-    x = grid.points()
-    F = np.zeros(grid.samples, dtype=complex)
-    sq = np.zeros(grid.samples)
-    sob = np.zeros(grid.samples)
+    cells = CellQuadrature.reuse(cells, E, grid, (i0, i1))
+    S = grid.samples
+    shifted = np.zeros(S, dtype=complex)
+    snapped = []
+    sq = np.zeros(S)
+    sob = np.zeros(S)
     for f, lam in zip(f_list, seq_tail.values):
-        grid.bin_of(lam)  # refuse off-grid modulation
-        fv = f.values
-        F += fv * np.exp(2j * np.pi * float(lam) * x)
-        sq += np.abs(fv) ** 2
-        sob += np.abs(f.derivative().values) ** 2
-    w_i = _cell_weights(grid, [(i0, i1)])
-    w_ie = _cell_weights(grid, _clip_intervals(e_trace, i0, i1))
+        k = grid.bin_of(lam)  # refuses off-grid modulation
+        c = f.spectrum()
+        if k / grid.period == float(lam):
+            k %= S
+            shifted[k:] += c[: S - k]
+            shifted[:k] += c[S - k:]
+        else:
+            snapped.append((f, lam))
+        sq += np.abs(f.values) ** 2
+        df = np.fft.ifft(c * cells.derivative_multiplier)
+        df *= S
+        sob += np.abs(df) ** 2
+    F = np.fft.ifft(shifted)
+    F *= S
+    for f, lam in snapped:  # off bin k within the snap tolerance: keep lambda exact
+        F += f.values * np.exp(2j * np.pi * float(lam) * grid.points())
+    w_i = cells.window_weights
     return LemmaTerms(
-        float(np.sum(w_ie * np.abs(F) ** 2)),
+        float(np.sum(cells.set_weights * np.abs(F) ** 2)),
         float(np.sum(w_i * sq)),
         float(np.sum(w_i * (sq + sob))),
     )
@@ -402,27 +480,33 @@ def theorem_split_check(
     L: int,
     E: ThickSet,
     grid: Grid,
+    *,
+    cells=None,
 ) -> SplitCheck:
     """Synthesize, split at the scheduled tail start, and measure concentration.
 
     Requires strictly positive frequencies.  Returns the ratio of the norm of
-    the synthesized function restricted to E over its full norm, along with
-    the head and tail norm fractions (their squares sum to one since the
-    spectra are disjoint).
+    the synthesized function F restricted to E over its full norm, along
+    with the head and tail norm fractions.  Only F is synthesized: head and
+    tail hold disjoint blocks of F's spectrum, so by Parseval the squared
+    norm of each is T times the sum of |c|^2 over its blocks, and the
+    squares of the two fractions sum to one.  ``cells``, a CellQuadrature
+    of E and the grid, shares the cell weights of E between the trials of an
+    ensemble.
     """
     if not seq.positive:
         raise ValueError("hypothesis violation: frequencies must be positive")
     M = schedule.value(L)
     blocks = list(coefficient_blocks)
     F = synthesize(blocks, seq, grid)
-    if F.norm_sq == 0:
+    norm_sq = F.norm_sq
+    if norm_sq == 0:
         raise ValueError("concentration ratio undefined for the zero function")
-    head = synthesize(blocks[: M - 1], seq[: M - 1], grid)
-    tail = synthesize(blocks[M - 1:], seq[M - 1:], grid)
-    w_e = _cell_weights(grid, _window_trace(E, grid))
-    restricted = float(np.sum(w_e * np.abs(F.values) ** 2))
+    cells = CellQuadrature.reuse(cells, E, grid)
+    energy = [float(np.sum(np.abs(np.asarray(b, dtype=complex)) ** 2)) for b in blocks]
+    restricted = float(np.sum(cells.set_weights * np.abs(F.values) ** 2))
     return SplitCheck(
-        math.sqrt(restricted / F.norm_sq),
-        math.sqrt(head.norm_sq / F.norm_sq),
-        math.sqrt(tail.norm_sq / F.norm_sq),
+        math.sqrt(restricted / norm_sq),
+        math.sqrt(grid.period * sum(energy[: M - 1]) / norm_sq),
+        math.sqrt(grid.period * sum(energy[M - 1:]) / norm_sq),
     )

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .concentration import (
+    CellQuadrature,
     lemma_main_report,
     ls_constant,
     nazarov_constant,
@@ -53,6 +54,7 @@ __all__ = [
     "emit_plot_data",
     "build_sequence",
     "schedule_from",
+    "comb_on_grid",
     "field_violations",
     "trial_blocks",
     "lemma_trials",
@@ -456,6 +458,23 @@ def _fits_grid(profile, grid: Grid):
     return profile
 
 
+def comb_on_grid(gamma, delta, grid: Grid, window=None) -> ThickSet:
+    """``periodic_comb(gamma, delta, window)`` of a set that meets ``grid``.
+
+    The window defaults to the grid window [0, T].  A comb with more blocks
+    than the grid has samples is refused with a ConfigError before any
+    block is built: the grid cannot resolve it, and its block list alone
+    can exhaust memory.
+    """
+    w0, w1 = (0.0, grid.period) if window is None else window
+    if delta > 0 and (w1 - w0) / delta > grid.samples:
+        raise ConfigError([
+            f"set: delta {delta!r} makes {(w1 - w0) / delta:.6g} comb blocks over "
+            f"[{w0}, {w1}], more than the {grid.samples} grid samples"
+        ])
+    return periodic_comb(gamma, delta, (w0, w1))
+
+
 def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
     """Coefficient blocks of trials 0..trials-1: trial t draws from
     ``Philox(key=[seed, t])`` one standard complex Gaussian block per
@@ -474,20 +493,22 @@ def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
     """Local-lemma terms on [0, 1/L] of trials 0..trials-1: trial t draws
     from ``Philox(key=[seed, t])`` one random unit-band function per frequency."""
     _fits_grid(SpectralProfile(seq, 1.0), grid)
+    interval = (0.0, 1.0 / L)
+    cells = CellQuadrature(E, grid, interval)
     out = []
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         f_list = [random_band_function(grid, rng) for _ in range(len(seq))]
-        out.append(lemma_main_report(f_list, seq, E, (0.0, 1.0 / L), L))
+        out.append(lemma_main_report(f_list, seq, E, interval, L, cells=cells))
+        del f_list  # so the next trial's functions do not join this trial's in memory
     return out
 
 
 def split_trials(seq, E, grid: Grid, L: int, schedule, seed: int, trials: int) -> list:
     """Head/tail split checks of trials 0..trials-1 (blocks from trial_blocks)."""
-    return [
-        theorem_split_check(blocks, seq, schedule, L, E, grid)
-        for blocks in trial_blocks(seq, grid, seed, trials)
-    ]
+    blocks = trial_blocks(seq, grid, seed, trials)
+    cells = CellQuadrature(E, grid)
+    return [theorem_split_check(b, seq, schedule, L, E, grid, cells=cells) for b in blocks]
 
 
 def _grid(config: ExperimentConfig) -> Grid:
@@ -499,7 +520,7 @@ def _ensemble_inputs(config: ExperimentConfig, base_dir) -> tuple:
     grid = _grid(config)
     seq = build_sequence(config.sequence, base_dir)
     spec = config.set_spec
-    return seq, periodic_comb(spec["gamma"], spec["delta"], (0.0, grid.period)), grid
+    return seq, comb_on_grid(spec["gamma"], spec["delta"], grid), grid
 
 
 def _run_nazarov_sweep(config, base_dir):
@@ -550,10 +571,9 @@ def _profile_from(params: dict, base_dir):
 def _run_ls_gamma_sweep(config, base_dir):
     grid = _grid(config)
     profile = _fits_grid(_profile_from(config.params, base_dir), grid)
-    window = (0.0, grid.period)
     rows = []
     for gamma in config.set_spec["gammas"]:
-        E = periodic_comb(gamma, config.set_spec["delta"], window)
+        E = comb_on_grid(gamma, config.set_spec["delta"], grid)
         est = ls_constant(E, profile, grid)
         rows.append(
             {

@@ -258,6 +258,8 @@ def periodic_comb(gamma, delta, window=(0, 1), periodic=True) -> ThickSet:
     """Model thick set: the left gamma-fraction of every length-delta block."""
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     w0, w1 = window
     nb = _as_integer(_ratio(w1 - w0, delta))
     if nb is None or nb < 1:

@@ -1,5 +1,7 @@
 import copy
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lacspec
-from lacspec import cli
+from lacspec import cli, experiments, sets
 from lacspec.errors import ConfigError, NumericalError
 from lacspec.experiments import (
     ExperimentConfig,
@@ -519,6 +521,37 @@ class TestCliMain:
         out = json.loads(capsys.readouterr().out)
         printed = [repr(out[k]) for k in ("lhs", "term_density", "term_sobolev")]
         assert row.split(",")[:4] == ["0"] + printed
+
+    @pytest.mark.parametrize("argv", [
+        ["conc", "theorem", "--delta", "1e-9"],
+        ["conc", "lemma", "--delta", "1e-300"],
+        ["conc", "ls", "--delta", "1e-9"],
+        ["run", "CONFIG"],
+    ])
+    def test_comb_finer_than_the_grid_exits_two_unbuilt(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            pytest.fail("the comb was built")
+
+        monkeypatch.setattr(sets, "periodic_comb", refuse)
+        monkeypatch.setattr(experiments, "periodic_comb", refuse)
+        cfg = theorem_config()
+        cfg["set"]["delta"] = 1e-9
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = [str(tmp_path / "cfg.json") if a == "CONFIG" else a for a in argv]
+        assert cli.main(argv + (["--base-dir", str(tmp_path)] if argv[0] == "run" else [])) == 2
+        err = capsys.readouterr().err
+        assert "error: set: delta" in err and "more than the" in err
+
+    def test_conc_ls_closes_the_sequence_file(self, tmp_path, capsys):
+        path = tmp_path / "fs.txt"
+        path.write_text("1\n4\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["conc", "ls", "--freq-sequence", str(path), "--period", "8",
+                           "--samples", "256", "--window", "0,8"])
+            gc.collect()
+        assert rc == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_version_is_the_manifest_tool_version(self, tmp_path):
         manifest = run(ExperimentConfig.from_dict(nazarov_config()), tmp_path)

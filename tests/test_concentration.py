@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lacspec.concentration import (
+    CellQuadrature,
     HermitianForm,
     LemmaTerms,
     gram_matrix,
@@ -20,7 +21,13 @@ from lacspec.concentration import (
 from lacspec.errors import NumericalError
 from lacspec.sequences import Sequence, TailSchedule, build_counterexample
 from lacspec.sets import ThickSet, periodic_comb
-from lacspec.synthesis import BandFunction, Grid, SpectralProfile, random_band_function
+from lacspec.synthesis import (
+    BandFunction,
+    Grid,
+    SpectralProfile,
+    random_band_function,
+    synthesize,
+)
 
 
 def quad_phase_integral(a, b, d):
@@ -248,7 +255,86 @@ class TestEigensystem:
         assert list(vals) == sorted(vals)
 
 
+def cell_weights_oracle(grid, intervals):
+    """Measure of each cell [x_j, x_{j+1}) inside the intervals, cell by cell."""
+    h = grid.spacing
+    return np.array([
+        sum(max(0.0, min(b, (j + 1) * h) - max(a, j * h)) for a, b in intervals)
+        for j in range(grid.samples)
+    ])
+
+
+def lemma_oracle(f_list, seq, E, interval, grid):
+    """The three lemma terms with F modulated sample by sample by np.exp and
+    each f_n' synthesized separately."""
+    x = grid.points()
+    F = sum(f.values * np.exp(2j * np.pi * float(lam) * x) for f, lam in zip(f_list, seq.values))
+    sq = sum(np.abs(f.values) ** 2 for f in f_list)
+    sob = sum(np.abs(f.derivative().values) ** 2 for f in f_list)
+    i0, i1 = interval
+    inside = [(max(a, i0), min(b, i1)) for a, b in E.intervals if min(b, i1) > max(a, i0)]
+    w_i = cell_weights_oracle(grid, [interval])
+    w_ie = cell_weights_oracle(grid, inside)
+    return (np.sum(w_ie * np.abs(F) ** 2), np.sum(w_i * sq), np.sum(w_i * (sq + sob)))
+
+
 class TestLemmaReport:
+    @pytest.mark.parametrize("period, samples, freqs, L", [
+        (16.0, 4096, (4, 16, 64), 16),
+        (8.0, 2048, (-3, 0, 2.5), 4),
+        (16.0, 1024, (1.25, 7), 2),
+        (15.9999999999, 4096, (4, 16), 16),  # frequencies within the snap tolerance of a bin
+    ])
+    def test_terms_match_sample_modulation_oracle(self, period, samples, freqs, L):
+        grid = Grid(period, samples)
+        E = periodic_comb(0.5, 0.5, (0.0, period))
+        seq = Sequence(freqs)
+        rng = np.random.Generator(np.random.Philox(21))
+        for _ in range(3):
+            fs = [random_band_function(grid, rng) for _ in freqs]
+            rec = lemma_main_report(fs, seq, E, (0.0, 1 / L), L)
+            got = (rec.lhs, rec.term_density, rec.term_sobolev)
+            for value, oracle in zip(got, lemma_oracle(fs, seq, E, (0.0, 1 / L), grid)):
+                assert value == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    def test_cell_weights_match_cell_by_cell_oracle(self):
+        grid = Grid(4.0, 64)
+        E = ThickSet(((0.1, 0.73), (1.0, 1.0625), (2.5, 4.0)), (0.0, 4.0))
+        cells = CellQuadrature(E, grid, (0.0, 2.75))
+        inside = [(0.1, 0.73), (1.0, 1.0625), (2.5, 2.75)]
+        np.testing.assert_allclose(cells.set_weights, cell_weights_oracle(grid, inside),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cells.window_weights,
+                                   cell_weights_oracle(grid, [(0.0, 2.75)]), rtol=0, atol=1e-15)
+        rng = np.random.default_rng(4)
+        for period, samples in ((7.9999999999, 100), (3.0, 7)):
+            grid = Grid(period, samples)
+            for _ in range(20):
+                cuts = np.sort(np.concatenate([rng.uniform(0, period, 4),
+                                               grid.spacing * rng.integers(0, samples + 1, 2)]))
+                E = ThickSet(tuple(zip(cuts[::2], cuts[1::2])), (0.0, period))
+                if E.measure > 0:
+                    np.testing.assert_allclose(CellQuadrature(E, grid).set_weights,
+                                               cell_weights_oracle(grid, E.intervals),
+                                               rtol=0, atol=1e-14)
+
+    def test_cells_of_another_set_or_interval_rejected(self):
+        grid = Grid(16.0, 1024)
+        E = periodic_comb(0.5, 1.0, (0.0, 16.0))
+        fs = [random_band_function(grid, np.random.default_rng(0))]
+        other = CellQuadrature(periodic_comb(0.25, 1.0, (0.0, 16.0)), grid, (0.0, 1 / 16))
+        with pytest.raises(ValueError, match="another set"):
+            lemma_main_report(fs, Sequence((4,)), E, (0.0, 1 / 16), 16, cells=other)
+        wide = CellQuadrature(E, grid, (0.0, 1 / 8))
+        with pytest.raises(ValueError, match="another set"):
+            lemma_main_report(fs, Sequence((4,)), E, (0.0, 1 / 16), 16, cells=wide)
+
+    def test_null_set_rejected(self):
+        grid = Grid(16.0, 1024)
+        fs = [random_band_function(grid, np.random.default_rng(0))]
+        with pytest.raises(ValueError, match="positive measure"):
+            lemma_main_report(fs, Sequence((4,)), ThickSet((), (0.0, 16.0)), (0.0, 1 / 16), 16)
+
     def test_zero_functions(self):
         grid = Grid(16.0, 1024)
         E = periodic_comb(0.5, 1.0, (0.0, 16.0))
@@ -311,6 +397,31 @@ class TestTheoremSplit:
         rec = theorem_split_check(blocks, seq, schedule, 1, E, grid)
         assert rec.ratio_head**2 + rec.ratio_tail**2 == pytest.approx(1.0, abs=1e-12)
         assert rec.ratio > 0
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 9])
+    def test_head_tail_fractions_match_separate_synthesis(self, M):
+        # M = 1 leaves the head empty, M > 4 the tail
+        grid = Grid(8.0, 4096)
+        E = periodic_comb(0.5, 1.0, (0.0, 8.0))
+        rng = np.random.Generator(np.random.Philox(13))
+        seq = Sequence((3, 9, 27, 81))
+        blocks = [rng.standard_normal(9) + 1j * rng.standard_normal(9) for _ in range(4)]
+        rec = theorem_split_check(blocks, seq, TailSchedule(((1, M),)), 1, E, grid)
+        F = synthesize(blocks, seq, grid)
+        head = synthesize(blocks[: M - 1], seq[: M - 1], grid)
+        tail = synthesize(blocks[M - 1:], seq[M - 1:], grid)
+        assert rec.ratio_head == pytest.approx(math.sqrt(head.norm_sq / F.norm_sq), abs=1e-12)
+        assert rec.ratio_tail == pytest.approx(math.sqrt(tail.norm_sq / F.norm_sq), abs=1e-12)
+        if M == 1:
+            assert rec.ratio_head == 0.0
+        if M > 4:
+            assert rec.ratio_tail == 0.0
+
+    def test_null_set_rejected(self):
+        grid = Grid(8.0, 2048)
+        with pytest.raises(ValueError, match="positive measure"):
+            theorem_split_check([[1.0]], Sequence((4,)), TailSchedule.constant(1), 1,
+                                ThickSet((), (0.0, 8.0)), grid)
 
     def test_positive_frequency_hypothesis(self):
         grid = Grid(8.0, 2048)

@@ -34,6 +34,11 @@ class TestThickSet:
         assert E.measure_in(Fraction(1, 4), Fraction(3, 4)) == Fraction(1, 4)
         assert E.measure_in(-1, 0) == Fraction(1, 2)
 
+    @pytest.mark.parametrize("delta", [0, 0.0, -1.0])
+    def test_comb_needs_positive_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            periodic_comb(0.5, delta, (0.0, 4.0))
+
     def test_dict_roundtrip(self):
         E = ThickSet(((0.0, 0.25), (0.5, 0.6)), (0.0, 1.0), periodic=True)
         assert ThickSet.from_dict(E.to_dict()) == E
