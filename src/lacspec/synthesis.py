@@ -120,33 +120,11 @@ def _support_intervals(support) -> tuple:
 
 
 def _inside_mask(grid: Grid, support) -> np.ndarray:
-    """Bins whose frequency in ``grid.frequencies()`` lies in a support
-    interval widened by the snap tolerance.
-
-    Bin k (signed) has the frequency k * step with fftfreq's step, which
-    rises with k, so the bins of one interval form one run; each run is
-    found from its ends, so an interval costs O(1) comparisons, not O(S).
-    """
-    S = grid.samples
-    step = 1.0 / (S * grid.spacing)
-    k_min, k_max = -(S // 2), (S - 1) // 2
-    mask = np.zeros(S, dtype=bool)
+    freqs = grid.frequencies()
+    mask = np.zeros(grid.samples, dtype=bool)
     for lo, hi in _support_intervals(support):
         pad = FREQ_SNAP_TOL * max(1.0, abs(lo), abs(hi))
-        a, b = lo - pad, hi + pad
-        first = math.ceil(min(max(a / step, k_min), k_max + 1))
-        while first > k_min and (first - 1) * step >= a:
-            first -= 1
-        while first <= k_max and first * step < a:
-            first += 1
-        last = math.floor(min(max(b / step, k_min - 1), k_max))
-        while last < k_max and (last + 1) * step <= b:
-            last += 1
-        while last >= k_min and last * step > b:
-            last -= 1
-        if first <= last:
-            mask[max(first, 0): max(last + 1, 0)] = True  # bins 0..k_max
-            mask[S + first: S + min(last, -1) + 1] = True  # negative bins, stored from S + k_min
+        mask |= (freqs >= lo - pad) & (freqs <= hi + pad)
     return mask
 
 

@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lacspec.sequences import Sequence, build_counterexample, difference_set
 from lacspec.synthesis import (
     BandFunction,
     Grid,
     SpectralProfile,
-    _inside_mask,
     bernstein_ratio,
     plancherel_polya_ratio,
     poisson_transform,
@@ -152,31 +149,6 @@ class TestBandFunction:
         assert f.spectrum() is c
         with pytest.raises(ValueError):
             c[0] = 0
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        period=st.sampled_from([1.0, 3.0, 7.9999999999, 8.0, 0.3, 16.5]),
-        samples=st.integers(2, 300),
-        pieces=st.lists(
-            st.tuples(
-                st.integers(-200, 200),
-                st.integers(0, 30),
-                st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 1e-12, 0.37]),
-            ),
-            min_size=1, max_size=3,
-        ),
-    )
-    def test_inside_mask_matches_comparing_every_frequency(self, period, samples, pieces):
-        grid = Grid(period, samples)
-        freqs = grid.frequencies()
-        for k, width, eps in pieces:
-            lo = k / period + eps * max(1.0, abs(k / period))
-            hi = (k + width) / period - eps * max(1.0, abs(k / period))
-            if hi < lo:
-                continue
-            pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-            oracle = (freqs >= lo - pad) & (freqs <= hi + pad)
-            np.testing.assert_array_equal(_inside_mask(grid, (lo, hi)), oracle)
 
     def test_values_are_frozen(self, grid):
         f = pure_frequency(grid, 1.0)
