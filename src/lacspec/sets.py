@@ -2,17 +2,20 @@
 
 Endpoint arithmetic stays in whatever number type the caller supplies, so
 integer or ``fractions.Fraction`` inputs are handled exactly; float inputs
-fall back to the documented 1e-12 tolerance on measure comparisons.  The
-density infimum of a finite interval union is attained where a window edge
-meets a set edge, so it is computed over that finite critical set rather
-than by scanning.
+fall back to the documented 1e-12 tolerance on measure comparisons.  Window
+measures are differences of one cumulative measure.  Density infima are
+attained where a window edge meets a set edge, so they are computed over
+that finite critical set rather than by scanning.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import NumericalError
 
@@ -27,6 +30,7 @@ __all__ = [
 ]
 
 MEASURE_TOL = 1e-12
+MAX_COMB_BLOCKS = 10**6
 
 
 def _is_exact(*xs) -> bool:
@@ -45,7 +49,9 @@ class ThickSet:
 
     Intervals are normalized on construction: sorted, overlapping or touching
     pieces merged, zero-length pieces dropped.  With ``periodic`` set, the
-    pattern tiles the line with period equal to the window length.
+    pattern tiles the line with period equal to the window length.  The
+    prefix measures behind ``measure`` and ``measure_in`` are built on first
+    use and kept on the instance, outside ==, hash and repr.
     """
 
     intervals: tuple
@@ -76,30 +82,31 @@ class ThickSet:
 
     @property
     def measure(self):
-        return sum((b - a for a, b in self.intervals), 0)
+        return self._prefix[-1]
 
     @property
     def period(self):
         return self.window[1] - self.window[0]
 
+    @cached_property
+    def _prefix(self) -> list:
+        """_prefix[i] is the measure of the first i intervals, summed exactly."""
+        return list(accumulate((b - a for a, b in self.intervals), initial=0))
+
+    def _cumulative(self, x):
+        """F(x) = measure in [w0, x], negative left of w0 for a periodic set:
+        k = floor((x - w0)/P) whole periods plus the rest, folded into [w0, w1)."""
+        k = 0
+        if self.periodic:
+            k = math.floor(_ratio(x - self.window[0], self.period))
+            x -= k * self.period
+        i = bisect_right(self.intervals, x, key=lambda iv: iv[0])
+        b = self.intervals[i - 1][1] if i else x
+        return k * self.measure + self._prefix[i] - max(0, b - x)
+
     def measure_in(self, lo, hi):
-        """Measure of the (periodized, if applicable) set inside [lo, hi]."""
-        if hi <= lo:
-            return 0
-        total = 0
-        if not self.periodic:
-            for a, b in self.intervals:
-                total += max(0, min(b, hi) - max(a, lo))
-            return total
-        w0 = self.window[0]
-        P = self.period
-        k0 = math.floor(_ratio(lo - w0, P))
-        k1 = math.floor(_ratio(hi - w0, P))
-        for k in range(k0, k1 + 1):
-            off = k * P
-            for a, b in self.intervals:
-                total += max(0, min(b + off, hi) - max(a + off, lo))
-        return total
+        """Measure of the (periodized, if applicable) set in [lo, hi], F(hi) - F(lo)."""
+        return 0 if hi <= lo else self._cumulative(hi) - self._cumulative(lo)
 
     def to_dict(self) -> dict:
         return {
@@ -128,25 +135,17 @@ def thickness(E: ThickSet, Delta):
     if Delta <= 0:
         raise ValueError("window length Delta must be positive")
     w0, w1 = E.window
+    edges = [t for a, b in E.intervals for t in (a, b, a - Delta, b - Delta)]
     if E.periodic:
         P = E.period
         if Delta > P:
             raise ValueError("window length Delta must not exceed the period")
-        candidates = {w0}
-        for a, b in E.intervals:
-            for edge in (a, b):
-                for t in (edge, edge - Delta):
-                    candidates.add(w0 + (t - w0) % P)
-        best = min(E.measure_in(t, t + Delta) for t in candidates)
+        candidates = {w0} | {w0 + (t - w0) % P for t in edges}
     else:
         if Delta > w1 - w0:
             raise ValueError("window length Delta must fit inside the window")
-        candidates = {w0, w1 - Delta}
-        for a, b in E.intervals:
-            for t in (a, b, a - Delta, b - Delta):
-                if w0 <= t <= w1 - Delta:
-                    candidates.add(t)
-        best = min(E.measure_in(t, t + Delta) for t in candidates)
+        candidates = {w0, w1 - Delta} | {t for t in edges if w0 <= t <= w1 - Delta}
+    best = min(E.measure_in(t, t + Delta) for t in candidates)
     return _ratio(best, Delta)
 
 
@@ -255,13 +254,23 @@ def good_union(E: ThickSet, report: PartitionReport) -> ThickSet:
 
 
 def periodic_comb(gamma, delta, window=(0, 1), periodic=True) -> ThickSet:
-    """Model thick set: the left gamma-fraction of every length-delta block."""
+    """Model thick set: the left gamma-fraction of every length-delta block.
+
+    A comb of more than MAX_COMB_BLOCKS blocks is refused before any block
+    is built, so that a tiny delta fails at once instead of filling memory.
+    """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
     if not delta > 0:
         raise ValueError("delta must be positive")
     w0, w1 = window
-    nb = _as_integer(_ratio(w1 - w0, delta))
+    blocks = _ratio(w1 - w0, delta)
+    if blocks > MAX_COMB_BLOCKS:
+        raise ValueError(
+            f"delta {delta!r} makes more than {MAX_COMB_BLOCKS} comb blocks "
+            f"over [{w0}, {w1}]"
+        )
+    nb = _as_integer(blocks)
     if nb is None or nb < 1:
         raise ValueError("window must hold an integer number of blocks")
     fill = gamma * delta

@@ -522,6 +522,14 @@ class TestCliMain:
         printed = [repr(out[k]) for k in ("lhs", "term_density", "term_sobolev")]
         assert row.split(",")[:4] == ["0"] + printed
 
+    @pytest.mark.parametrize("argv", [["set", "gamma"], ["set", "partition", "--L", "4"]])
+    def test_comb_over_the_block_cap_exits_two(self, capsys, deadline, argv):
+        with deadline(2.0):
+            rc = cli.main(argv + ["--pattern", "comb", "--delta", "1e-300", "--window", "0,4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: delta 1e-300 makes more than" in err and "comb blocks" in err
+
     @pytest.mark.parametrize("argv", [
         ["conc", "theorem", "--delta", "1e-9"],
         ["conc", "lemma", "--delta", "1e-300"],

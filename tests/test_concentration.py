@@ -31,8 +31,10 @@ from lacspec.synthesis import (
 
 
 def quad_phase_integral(a, b, d):
-    re, _ = quad(lambda x: math.cos(2 * math.pi * d * x), a, b, limit=200)
-    im, _ = quad(lambda x: math.sin(2 * math.pi * d * x), a, b, limit=200)
+    # quad's default epsabs (1.5e-8) is looser than the 1e-9 the tests ask
+    tol = dict(limit=200, epsabs=1e-13, epsrel=1e-13)
+    re, _ = quad(lambda x: math.cos(2 * math.pi * d * x), a, b, **tol)
+    im, _ = quad(lambda x: math.sin(2 * math.pi * d * x), a, b, **tol)
     return complex(re, im)
 
 

@@ -1,11 +1,17 @@
+import dataclasses
+import math
+import pickle
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacspec import sets
 from lacspec.sets import (
+    MAX_COMB_BLOCKS,
     PartitionReport,
     ThickSet,
     good_fraction_bound,
@@ -14,6 +20,62 @@ from lacspec.sets import (
     periodic_comb,
     thickness,
 )
+
+
+def loop_measure_in(E, lo, hi):
+    """Oracle: sum the overlap of [lo, hi] with every interval, and for a
+    periodic set with every translate of it by a period that meets [lo, hi]."""
+    if hi <= lo:
+        return 0
+    total = 0
+    if not E.periodic:
+        for a, b in E.intervals:
+            total += max(0, min(b, hi) - max(a, lo))
+        return total
+    w0, P = E.window[0], E.period
+    k0 = math.floor(Fraction(lo - w0) / Fraction(P))
+    k1 = math.floor(Fraction(hi - w0) / Fraction(P))
+    for k in range(k0, k1 + 1):
+        off = k * P
+        for a, b in E.intervals:
+            total += max(0, min(b + off, hi) - max(a + off, lo))
+    return total
+
+
+def _is_exact(*xs):
+    return all(isinstance(x, (int, Fraction)) for x in xs)
+
+
+@st.composite
+def sets_on_a_grid(draw, kinds=("int", "fraction", "float")):
+    """A set on the grid of step 1/den: nonzero w0, period P up to 6, and up
+    to five intervals that often overlap or touch; periodic or not."""
+    kind = draw(st.sampled_from(kinds))
+    den = 1 if kind == "int" else draw(st.integers(1, 12))
+    num = {"int": int, "fraction": lambda n: Fraction(n, den),
+           "float": lambda n: n / den}[kind]
+    w0 = draw(st.integers(-40, 40).filter(bool))
+    P = draw(st.integers(1, 6 * den))
+    cuts = st.integers(w0, w0 + P)
+    pieces = draw(st.lists(st.tuples(cuts, cuts).map(sorted), max_size=5))
+    E = ThickSet(
+        tuple((num(a), num(b)) for a, b in pieces),
+        (num(w0), num(w0 + P)),
+        draw(st.booleans()),
+    )
+    return E, num, w0, P
+
+
+@st.composite
+def sets_and_windows(draw):
+    """A set and a window [lo, hi] anywhere on the line: exact ends up to a
+    million periods away and negative, float ends up to 50 periods away
+    (where float rounding of the ends stays far inside the tolerance)."""
+    E, num, w0, P = draw(sets_on_a_grid())
+    far = 50 if isinstance(E.window[0], float) else 10**6
+    lo = w0 + draw(st.integers(-far, far)) * P + draw(st.integers(-P, P))
+    hi = lo + draw(st.integers(-P, 30 * P))
+    return E, num(lo), num(hi)
 
 
 class TestThickSet:
@@ -39,9 +101,60 @@ class TestThickSet:
         with pytest.raises(ValueError, match="delta must be positive"):
             periodic_comb(0.5, delta, (0.0, 4.0))
 
+    @pytest.mark.parametrize("delta, window", [
+        (1e-300, (0.0, 4.0)), (5e-324, (0.0, 4.0)), (Fraction(1, 10**400), (0, 4)),
+    ])
+    def test_comb_over_the_block_cap_is_refused_unbuilt(self, delta, window):
+        class Unbuildable(type(delta)):
+            """A delta whose multiples, the comb's blocks, must not be taken."""
+
+            def __mul__(self, other):
+                pytest.fail("a comb block was built")
+
+            __rmul__ = __mul__
+
+        with pytest.raises(ValueError, match=f"delta .* more than {MAX_COMB_BLOCKS} comb"):
+            periodic_comb(0.5, Unbuildable(delta), window)
+
+    def test_comb_block_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sets, "MAX_COMB_BLOCKS", 8)
+        assert len(periodic_comb(0.5, 0.5, (0.0, 4.0)).intervals) == 8
+        with pytest.raises(ValueError, match="more than 8 comb blocks"):
+            periodic_comb(0.5, 0.25, (0.0, 4.0))
+
     def test_dict_roundtrip(self):
         E = ThickSet(((0.0, 0.25), (0.5, 0.6)), (0.0, 1.0), periodic=True)
         assert ThickSet.from_dict(E.to_dict()) == E
+
+    @given(sets_and_windows())
+    @settings(max_examples=400, deadline=None)
+    def test_measure_in_matches_the_interval_loop(self, case):
+        E, lo, hi = case
+        got, want = E.measure_in(lo, hi), loop_measure_in(E, lo, hi)
+        if _is_exact(lo, hi, *E.window):
+            assert got == want and not isinstance(got, float)
+        else:
+            assert abs(got - want) <= 1e-12 * max(1, hi - lo)
+
+    def test_long_span_is_one_lookup(self, deadline):
+        E = periodic_comb(Fraction(1, 2), 1, (0, 1))
+        with deadline(1.0):
+            assert E.measure_in(-10**9, 10**9) == 10**9
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_measure_table_is_invisible(self, periodic):
+        E = ThickSet(((Fraction(1, 3), 1), (2, Fraction(5, 2))), (0, 3), periodic)
+
+        def looks():
+            return (hash(E), repr(E), E.to_dict(), ThickSet.from_dict(E.to_dict()),
+                    dataclasses.replace(E), pickle.loads(pickle.dumps(E)))
+
+        before = looks()
+        assert E.measure_in(-4, 7) == loop_measure_in(E, -4, 7)
+        after = looks()
+        assert after == before
+        assert after[4] == after[5] == E
+        assert pickle.loads(pickle.dumps(E)).measure_in(-4, 7) == E.measure_in(-4, 7)
 
 
 class TestThickness:
@@ -107,6 +220,34 @@ class TestThickness:
         E = periodic_comb(0.3, 1.0, (0.0, 4.0))
         g = thickness(E, 2.0)
         assert 0 <= g <= 1
+
+    @given(sets_on_a_grid(), st.integers(1, 3), st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_thickness_and_partition_match_the_loop(self, drawn, blocks, j):
+        # Delta = P/blocks tiles the window; for exact P, L*Delta = j * (P's
+        # numerator) cells, for float P the partition may refuse L*Delta
+        E = drawn[0]
+        P = E.period
+        exact = _is_exact(P)
+        Delta = Fraction(P) / blocks if exact else P / blocks
+        L = blocks * j * (Fraction(P).denominator if exact else 1)
+
+        def outcomes():
+            g = thickness(E, Delta)
+            if not g:
+                return g, None
+            try:
+                return g, partition_good_bad(E, Delta, L, g)
+            except ValueError as exc:
+                return g, str(exc)
+
+        got = outcomes()
+        with mock.patch.object(ThickSet, "measure_in", loop_measure_in):
+            want = outcomes()
+        if exact:
+            assert repr(got) == repr(want)
+        else:
+            assert abs(got[0] - want[0]) <= 1e-12
 
 
 class TestPartition:
