@@ -191,10 +191,8 @@ def _cmd_synth_check(args) -> int:
     (blocks,) = trial_blocks(seq, grid, _seed(args), 1)
     f = synthesis.synthesize(blocks, seq, grid)
     support = synthesis.spectral_support(f, args.tol)
-    declared = f.declared_support.intervals()
-    inside = all(
-        any(lo - 1e-9 <= s <= hi + 1e-9 for lo, hi in declared) for s in support
-    )
+    active = {round(s * grid.period) for s in support}
+    inside = active <= set(grid.band_bins(f.declared_support).tolist())
     plancherel = abs(
         f.norm_sq - grid.period * float(np.sum(np.abs(f.spectrum()) ** 2))
     )

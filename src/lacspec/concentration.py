@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalError
 from .sequences import Sequence, TailSchedule
 from .sets import ThickSet
-from .synthesis import BandFunction, Grid, SpectralProfile, synthesize
+from .synthesis import BandFunction, Grid, synthesize
 
 __all__ = [
     "HermitianForm",
@@ -249,23 +249,6 @@ def nazarov_constant(E: ThickSet, seq: Sequence) -> ConcentrationEstimate:
     )
 
 
-def _profile_bins(profile, grid: Grid) -> np.ndarray:
-    T = grid.period
-    bins: list[int] = []
-    if isinstance(profile, SpectralProfile):
-        pieces = profile.intervals()
-    else:
-        pieces = (tuple(profile),)
-    for lo, hi in pieces:
-        k_lo = math.ceil(lo * T - 1e-9)
-        k_hi = math.floor(hi * T + 1e-9)
-        bins.extend(range(k_lo, k_hi + 1))
-    out = np.array(sorted(set(bins)), dtype=np.int64)
-    if out.size == 0:
-        raise ValueError("profile holds no grid frequencies")
-    return out
-
-
 def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     """Concentration constant of a thick set against a spectral profile.
 
@@ -273,12 +256,13 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     span of grid exponentials with frequencies in the profile; entries are
     the closed-form Gram integrals over E, normalized so a full window gives
     the identity.  Returns the smallest eigenvalue and C = 1/lambda_min, the
-    best constant of the norm inequality on the truncated model space.
+    best constant of the norm inequality on the truncated model space.  The
+    span is over ``grid.band_bins(profile)``, the one band rule, for a band
+    (lo, hi) or a SpectralProfile; it refuses bins with 2*max|k| >= S.
     """
     intervals = _set_intervals(E, grid)
     T = grid.period
-    bins = _profile_bins(profile, grid)
-    grid.check_nyquist(float(np.max(np.abs(bins))) / T)
+    bins = grid.band_bins(profile)
     n = bins.size
     if n > MAX_DENSE_DIM:
         raise ValueError(f"profile spans {n} bins, above the dense solver cap")

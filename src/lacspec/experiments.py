@@ -447,12 +447,10 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _fits_grid(profile, grid: Grid):
-    """``profile`` (a band (lo, hi) or a SpectralProfile) once its top
-    frequency passes the grid's Nyquist check; ConfigError if it does not."""
-    top = (profile.max_abs_frequency if isinstance(profile, SpectralProfile)
-           else max(abs(profile[0]), abs(profile[1])))
+    """``profile`` (a band (lo, hi) or a SpectralProfile) once
+    ``grid.band_bins`` accepts it; ConfigError if it does not."""
     try:
-        grid.check_nyquist(top)
+        grid.band_bins(profile)
     except ValueError as exc:
         raise ConfigError([f"grid: {exc}"]) from None
     return profile
@@ -478,14 +476,14 @@ def comb_on_grid(gamma, delta, grid: Grid, window=None) -> ThickSet:
 def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
     """Coefficient blocks of trials 0..trials-1: trial t draws from
     ``Philox(key=[seed, t])`` one standard complex Gaussian block per
-    frequency, with one entry per grid bin of the unit band [0, 1]."""
+    frequency lambda, with one entry per bin of its band [lambda, lambda + 1]
+    (``Grid.band_bins``), as many as ``synthesize`` takes."""
     _fits_grid(SpectralProfile(seq, 1.0), grid)
-    width = grid.unit_band_bins
+    widths = [grid.band_bins((lam, lam + 1)).size for lam in seq.values]
     blocks = []
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        blocks.append([rng.standard_normal(width) + 1j * rng.standard_normal(width)
-                       for _ in range(len(seq))])
+        blocks.append([rng.standard_normal(w) + 1j * rng.standard_normal(w) for w in widths])
     return blocks
 
 

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 MEASURE_TOL = 1e-12
-MAX_COMB_BLOCKS = 10**6
+MAX_COMB_BLOCKS = 10**6  # also caps the cells of partition_good_bad
 
 
 def _is_exact(*xs) -> bool:
@@ -194,7 +194,8 @@ def partition_good_bad(E: ThickSet, Delta, L: int, gamma) -> PartitionReport:
     Requires L*Delta to be an integer and E to actually be (Delta, gamma)-
     thick; the certified bound good_count >= good_fraction_bound(gamma)*L*Delta
     is re-checked on every block.  Subintervals with E-measure exactly at the
-    gamma/2 boundary are classified bad.
+    gamma/2 boundary are classified bad.  More than MAX_COMB_BLOCKS cells
+    are refused before the first is classified.
     """
     if L < 1:
         raise ValueError("subdivision L must be a positive integer")
@@ -218,6 +219,8 @@ def partition_good_bad(E: ThickSet, Delta, L: int, gamma) -> PartitionReport:
         nb = math.floor(_ratio(w1 - w0, Delta) + MEASURE_TOL)
         if nb < 1:
             raise ValueError("window shorter than one block")
+    if nb * S > MAX_COMB_BLOCKS:
+        raise ValueError(f"{nb} blocks of {S} cells: over {MAX_COMB_BLOCKS} cells to classify")
     sub = _ratio(Delta, S)
     threshold = _ratio(gamma, 2) * sub
     good_all, bad_all = [], []
@@ -264,7 +267,10 @@ def periodic_comb(gamma, delta, window=(0, 1), periodic=True) -> ThickSet:
     if not delta > 0:
         raise ValueError("delta must be positive")
     w0, w1 = window
-    blocks = _ratio(w1 - w0, delta)
+    try:
+        blocks = _ratio(w1 - w0, delta)
+    except ZeroDivisionError:  # float ends and an exact delta that rounds to 0.0
+        blocks = math.inf
     if blocks > MAX_COMB_BLOCKS:
         raise ValueError(
             f"delta {delta!r} makes more than {MAX_COMB_BLOCKS} comb blocks "

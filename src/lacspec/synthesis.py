@@ -49,11 +49,6 @@ class Grid:
     def spacing(self) -> float:
         return self.period / self.samples
 
-    @property
-    def unit_band_bins(self) -> int:
-        """Number of grid frequencies j/T in [0, 1]: the width of one block."""
-        return math.floor(self.period + FREQ_SNAP_TOL) + 1
-
     def points(self) -> np.ndarray:
         return np.arange(self.samples) * self.spacing
 
@@ -61,22 +56,51 @@ class Grid:
         """Signed bin frequencies k/T in FFT order."""
         return np.fft.fftfreq(self.samples, d=self.spacing)
 
+    def _check_bin(self, k) -> None:
+        """The Nyquist test of every caller: the grid resolves bin k iff 2|k| < S."""
+        if 2 * abs(k) >= self.samples:
+            raise ValueError(f"Nyquist violation: bin {k} needs 2|k| < S = {self.samples} "
+                             f"on the period-{self.period} grid")
+
     def bin_of(self, freq) -> int:
         """Index of an on-grid frequency; raises if freq is off the grid."""
         k = freq * self.period
         r = round(k)
         if abs(k - r) > FREQ_SNAP_TOL * max(1.0, abs(k)):
             raise ValueError(f"frequency {freq} is not on the grid (1/T)Z")
-        if not -self.samples // 2 <= r < self.samples // 2:
-            raise ValueError(f"frequency {freq} exceeds the Nyquist range")
+        self._check_bin(r)
         return int(r)
 
     def check_nyquist(self, max_abs_freq) -> None:
-        if 2 * max_abs_freq >= self.samples / self.period:
-            raise ValueError(
-                f"Nyquist violation: S/T = {self.samples / self.period} "
-                f"must strictly exceed twice the top frequency {max_abs_freq}"
-            )
+        """Refuse a top frequency whose bin the grid does not resolve: the
+        bin k = floor(|f|*T + FREQ_SNAP_TOL) must have 2k < S."""
+        self._check_bin(math.floor(abs(max_abs_freq) * self.period + FREQ_SNAP_TOL))
+
+    def band_bins(self, support) -> np.ndarray:
+        """Sorted distinct int64 bins of a band (lo, hi) or a SpectralProfile.
+
+        The one band rule: an interval [lo, hi] holds the bins k from
+        ceil(lo*T - FREQ_SNAP_TOL) to floor(hi*T + FREQ_SNAP_TOL).  Raises
+        ValueError when no bin is inside, or, before any array is built,
+        when the grid does not resolve the bins: 2*max|k| >= S on the integer
+        end bins (the test of check_nyquist and bin_of), or an edge times T
+        overflows a float.
+        """
+        T = self.period
+        try:
+            ends = [(math.ceil(lo * T - FREQ_SNAP_TOL), math.floor(hi * T + FREQ_SNAP_TOL))
+                    for lo, hi in _support_intervals(support)]
+        except OverflowError:
+            raise ValueError("Nyquist violation: band edge times T overflows a float") from None
+        ends = [(a, b) for a, b in ends if a <= b]
+        if not ends:
+            what = "profile" if isinstance(support, SpectralProfile) else "band"
+            raise ValueError(f"{what} holds no grid frequencies")
+        self._check_bin(max(max(-a, b) for a, b in ends))
+        if len(ends) == 1:
+            return np.arange(ends[0][0], ends[0][1] + 1, dtype=np.int64)
+        # not np.unique: its first sort pages in about 1.6 MB of numpy code
+        return np.array(sorted({k for a, b in ends for k in range(a, b + 1)}), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -101,13 +125,6 @@ class SpectralProfile:
         return tuple(
             (v, v + self.interval_length) for v in self.base_sequence.values
         )
-
-    @property
-    def max_abs_frequency(self) -> float:
-        vals = self.base_sequence.values
-        if not vals:
-            return 0.0
-        return max(abs(vals[0]), abs(vals[-1] + self.interval_length))
 
 
 def _support_intervals(support) -> tuple:
@@ -218,29 +235,26 @@ class BandFunction:
 def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
     """Sum of unit-band pieces modulated to the sequence frequencies.
 
-    Block n lists coefficients for frequencies lambda_n + j/T with j/T in
-    [0, 1]; each lambda_n must lie on the grid (1/T)Z and the shifted band
-    must respect Nyquist.  The result declares the union of the unit
-    intervals as its support.
+    Each lambda_n must lie on the grid (1/T)Z.  Block n fills the first of
+    the bins ``grid.band_bins((lambda_n, lambda_n + 1))`` of its band, the
+    one band rule, so it holds at most that many coefficients and the grid
+    must resolve those bins (2*max|k| < S on the bins, not the band edges).
+    The result declares the union of the bands as its support.
     """
     blocks = [np.asarray(b, dtype=complex) for b in coefficient_blocks]
     if len(blocks) != len(seq):
         raise ValueError("need exactly one coefficient block per frequency")
     profile = SpectralProfile(seq, 1.0)
-    grid.check_nyquist(profile.max_abs_frequency)
-    T, S = grid.period, grid.samples
-    max_len = grid.unit_band_bins
-    c = np.zeros(S, dtype=complex)
+    c = np.zeros(grid.samples, dtype=complex)
     for lam, block in zip(seq.values, blocks):
         if block.ndim != 1:
             raise ValueError("coefficient blocks must be one-dimensional")
-        if len(block) > max_len:
-            raise ValueError(
-                f"block of {len(block)} coefficients addresses frequencies "
-                f"outside [0, 1] on a period-{T} grid"
-            )
-        k0 = grid.bin_of(lam)
-        c[(k0 + np.arange(len(block))) % S] += block
+        grid.bin_of(lam)  # refuses off-grid modulation
+        band = grid.band_bins((lam, lam + 1))
+        if len(block) > band.size:
+            raise ValueError(f"block of {len(block)} coefficients addresses frequencies "
+                             f"outside its band [{lam}, {lam} + 1] at T = {grid.period}")
+        c[band[: len(block)] % grid.samples] += block
     return BandFunction.from_spectrum(grid, c, profile)
 
 
@@ -344,17 +358,16 @@ def split_uniformly_discrete(values, delta) -> list[list]:
 def random_band_function(
     grid: Grid, rng, band=(0.0, 1.0), *, include_right: bool = True
 ) -> BandFunction:
-    """Standard complex Gaussian coefficients on the grid bins of a band."""
-    T = grid.period
+    """Standard complex Gaussian coefficients on the grid bins of a band:
+    ``grid.band_bins(band)``, the one band rule, which refuses a band whose
+    bins the grid does not resolve (2*max|k| >= S on the bins).  Without
+    ``include_right`` a bin on the right edge hi*T is left out."""
     lo, hi = band
-    k_lo = math.ceil(lo * T - FREQ_SNAP_TOL)
-    k_hi = math.floor(hi * T + FREQ_SNAP_TOL)
-    if not include_right and abs(k_hi - hi * T) <= FREQ_SNAP_TOL:
-        k_hi -= 1
-    if k_hi < k_lo:
-        raise ValueError("band holds no grid frequencies")
-    grid.check_nyquist(max(abs(lo), abs(hi)))
-    bins = np.arange(k_lo, k_hi + 1)
+    bins = grid.band_bins(band)
+    if not include_right and abs(bins[-1] - hi * grid.period) <= FREQ_SNAP_TOL:
+        if bins.size == 1:
+            raise ValueError("band holds no grid frequencies left of its right edge")
+        bins = bins[:-1]
     c = np.zeros(grid.samples, dtype=complex)
     c[bins % grid.samples] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(
         bins.size

@@ -530,6 +530,39 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert "error: delta 1e-300 makes more than" in err and "comb blocks" in err
 
+    def test_partition_over_the_cell_cap_exits_two(self, capsys, deadline):
+        with deadline(2.0):
+            rc = cli.main(["set", "partition", "--pattern", "full", "--window", "0,1e12",
+                           "--delta", "1", "--L", "1", "--gamma", "1"])
+        assert rc == 2
+        assert "cells to classify" in capsys.readouterr().err
+
+    def test_synth_check_support_is_judged_on_the_declared_bins(self, tmp_path, capsys):
+        # 10*T is 1e-9 short of 80: the band [10, 11] holds bins 80..87, and
+        # the block holds as many coefficients, all inside the declared bins
+        path = tmp_path / "seq.txt"
+        path.write_text("10\n")
+        rc = cli.main(["synth", "check", "--input", str(path), "--period", "7.9999999999",
+                       "--samples", "256"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["support_within_declared"] is True and out["active_bins"] == 8
+
+    def test_empty_sequence_exits_two(self, tmp_path, capsys):
+        (tmp_path / "empty.txt").write_text("")
+        cfg = {
+            "version": 1, "kind": "lemma_margins", "output_dir": "m",
+            "sequence": {"file": "empty.txt"},
+            "grid": {"period": 8.0, "samples": 2048},
+            "set": {"pattern": "comb", "gamma": 0.5, "delta": 1.0},
+            "ensemble": {"trials": 2, "seed": 0},
+            "params": {"L": 4, "c2_candidates": [1.0]},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["run", str(tmp_path / "cfg.json"), "--base-dir", str(tmp_path)]) == 2
+        assert "grid: profile holds no grid frequencies" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("argv", [
         ["conc", "theorem", "--delta", "1e-9"],
         ["conc", "lemma", "--delta", "1e-300"],

@@ -122,6 +122,11 @@ class TestThickSet:
         with pytest.raises(ValueError, match="more than 8 comb blocks"):
             periodic_comb(0.5, 0.25, (0.0, 4.0))
 
+    def test_comb_with_an_exact_delta_below_the_float_range(self):
+        # float ends and a Fraction delta: the float ratio's delta is 0.0
+        with pytest.raises(ValueError, match="delta .* more than .* comb blocks"):
+            periodic_comb(0.5, Fraction(1, 10**400), (0.0, 4.0))
+
     def test_dict_roundtrip(self):
         E = ThickSet(((0.0, 0.25), (0.5, 0.6)), (0.0, 1.0), periodic=True)
         assert ThickSet.from_dict(E.to_dict()) == E
@@ -268,6 +273,18 @@ class TestPartition:
         assert all(b == (2, 3) for b in rep.bad_indices)
         assert rep.lower_bound == Fraction(4, 3)
         assert all(len(g) >= rep.lower_bound for g in rep.good_indices)
+
+    def test_cells_over_the_cap_are_refused_unclassified(self, deadline):
+        E = ThickSet(((0.0, 1e12),), (0.0, 1e12))
+        with deadline(2.0):
+            with pytest.raises(ValueError, match=f"over {MAX_COMB_BLOCKS} cells"):
+                partition_good_bad(E, 1.0, 1, 1.0)
+
+    def test_cell_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sets, "MAX_COMB_BLOCKS", 8)
+        assert len(partition_good_bad(ThickSet(((0, 2),), (0, 2)), 1, 4, 1).good_indices) == 2
+        with pytest.raises(ValueError, match="3 blocks of 4 cells: over 8 cells"):
+            partition_good_bad(ThickSet(((0, 3),), (0, 3)), 1, 4, 1)
 
     def test_thickness_precondition_enforced(self):
         E = ThickSet(((0.0, 1.0),), (0.0, 3.0))  # a block misses E entirely

@@ -1,9 +1,15 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lacspec import experiments
+from lacspec.concentration import ls_constant
 from lacspec.sequences import Sequence, build_counterexample, difference_set
+from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
     BandFunction,
     Grid,
@@ -18,6 +24,7 @@ from lacspec.synthesis import (
 )
 
 TWO_PI = 2 * math.pi
+SNAP = 1e-9  # FREQ_SNAP_TOL, in bins
 
 
 @pytest.fixture
@@ -56,6 +63,88 @@ class TestGrid:
             g.check_nyquist(4.0)
 
 
+def scan_bins(intervals, T):
+    """Oracle: every integer k with lo*T - SNAP <= k <= hi*T + SNAP, by a scan."""
+    found = set()
+    for lo, hi in intervals:
+        a, b = lo * T - SNAP, hi * T + SNAP
+        found.update(k for k in range(math.floor(a) - 1, math.ceil(b) + 2) if a <= k <= b)
+    return sorted(found)
+
+
+edges = st.one_of(st.floats(-3, 3), st.integers(-24, 24).map(lambda k: k / 8))
+bands = st.tuples(edges, st.floats(0, 2.5)).map(lambda t: (t[0], t[0] + t[1]))
+profiles = st.tuples(edges, st.lists(st.floats(1.01, 3), max_size=2)).map(
+    lambda t: SpectralProfile(Sequence(tuple(accumulate(t[1], initial=t[0]))), 1.0))
+periods = st.one_of(
+    st.sampled_from([7.9999999999, 8.0, 8.0000000001, 3.0, 2.5, 1.0, 0.75]),
+    st.floats(0.5, 12.0),
+)
+
+
+class TestBandBins:
+    @given(periods, st.integers(2, 48), st.one_of(bands, profiles))
+    @example(8.0, 64, SpectralProfile(Sequence((0.0, 1 + 1e-10)), 1.0))  # bin 8 in both bands
+    @settings(max_examples=400, deadline=None)
+    def test_bins_match_a_scan_and_every_caller_agrees(self, T, S, support):
+        grid = Grid(T, S)
+        intervals = support.intervals() if isinstance(support, SpectralProfile) else (support,)
+        want = scan_bins(intervals, T)
+        resolved = bool(want) and 2 * max(abs(k) for k in want) < S
+        E = ThickSet(((0.0, T),), (0.0, T))
+        callers = [lambda: ls_constant(E, support, grid),
+                   lambda: experiments._fits_grid(support, grid)]
+        if not isinstance(support, SpectralProfile):
+            callers.append(lambda: random_band_function(grid, np.random.default_rng(0), support))
+        if resolved:
+            got = grid.band_bins(support)
+            assert got.dtype == np.int64 and got.tolist() == want
+            for call in callers:
+                call()
+        else:
+            message = "Nyquist" if want else "holds no grid frequencies"
+            for call in [lambda: grid.band_bins(support)] + callers:
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_band_over_the_edge_with_its_bins_inside(self, rng, tmp_path):
+        # [0, 1.07] holds bins 0..8 on T = 8, and 2*8 < 17, though 2*1.07*8 > 17
+        grid = Grid(8.0, 17)
+        E = periodic_comb(0.5, 1.0, (0.0, 8.0))
+        assert grid.band_bins((0.0, 1.07)).tolist() == list(range(9))
+        lam = ls_constant(E, (0.0, 1.07), grid).lambda_min
+        assert lam == pytest.approx(0.1817, abs=1e-4)
+        random_band_function(grid, rng, (0.0, 1.07))
+        config = experiments.ExperimentConfig.from_dict({
+            "version": 1, "kind": "ls_gamma_sweep", "output_dir": "out",
+            "grid": {"period": 8.0, "samples": 17},
+            "set": {"pattern": "comb", "gammas": [0.5], "delta": 1.0},
+            "params": {"profile": {"band": [0.0, 1.07]}},
+        })
+        experiments.run(config, tmp_path)
+        row = (tmp_path / "out" / "ls_gamma_sweep.csv").read_text().splitlines()[1]
+        assert row.split(",")[1] == repr(lam)
+
+    def test_bin_of_takes_the_same_nyquist_test(self):
+        grid = Grid(8.0, 17)
+        assert grid.bin_of(1.0) == 8  # the top of fftfreq
+        assert np.isclose(grid.frequencies(), 1.0).sum() == 1
+        with pytest.raises(ValueError, match="Nyquist"):
+            grid.bin_of(-1.125)  # bin -9 aliases onto +1.0
+        with pytest.raises(ValueError, match="Nyquist"):
+            Grid(8.0, 16).bin_of(-1.0)  # the Nyquist bin -S/2
+
+    def test_far_profile_refused_before_any_array(self, deadline):
+        grid = Grid(8.0, 64)
+        far = SpectralProfile(Sequence((4**60,)), 1.0)
+        E = ThickSet(((0.0, 8.0),), (0.0, 8.0))
+        with deadline(1.0):
+            for call in (lambda: grid.band_bins(far), lambda: ls_constant(E, far, grid),
+                         lambda: grid.band_bins((0.0, 1e308))):
+                with pytest.raises(ValueError, match="Nyquist"):
+                    call()
+
+
 class TestSpectralProfile:
     def test_disjointness_enforced(self):
         SpectralProfile(Sequence((4, 16, 64)), 1.0)
@@ -65,7 +154,7 @@ class TestSpectralProfile:
     def test_intervals(self):
         prof = SpectralProfile(Sequence((4, 16)), 1.0)
         assert prof.intervals() == ((4, 5), (16, 17))
-        assert prof.max_abs_frequency == 17
+        assert Grid(2.0, 128).band_bins(prof).tolist() == [8, 9, 10, 32, 33, 34]
 
 
 class TestSynthesize:
@@ -111,6 +200,12 @@ class TestSynthesize:
         g = Grid(8.0, 32)  # S/T = 4, top usable frequency < 2
         with pytest.raises(ValueError, match="Nyquist"):
             synthesize([[1.0]], Sequence((8,)), g)
+
+    def test_negative_anchor_needs_only_its_own_band_resolved(self):
+        # [-1/2, 1/2] holds bins -4..4: Grid(8, 16) resolves them, not [0, 1]
+        g = Grid(8.0, 16)
+        F = synthesize([np.ones(9)], Sequence((-0.5,)), g)
+        assert sorted(round(f * 8) for f in spectral_support(F)) == list(range(-4, 5))
 
     def test_block_addressing_outside_unit_band_rejected(self, grid):
         with pytest.raises(ValueError, match="outside"):
