@@ -446,11 +446,20 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-def _fits_grid(profile, grid: Grid):
-    """``profile`` (a band (lo, hi) or a SpectralProfile) once
-    ``grid.band_bins`` accepts it; ConfigError if it does not."""
+def _fits_grid(profile, grid: Grid, moved: bool = False):
+    """``profile`` (a band (lo, hi) or a SpectralProfile) once the grid
+    resolves its bins ``grid.band_bins(profile)``; ConfigError if not.  With
+    ``moved``, the bins are those the lemma path fills instead: the bins of
+    ``band_bins((0, 1))`` moved by bin_of(lambda) for each band."""
     try:
-        grid.band_bins(profile)
+        if not moved:
+            grid.band_bins(profile)
+        elif not profile.intervals():
+            raise ValueError("profile holds no grid frequencies")
+        else:
+            top = int(grid.band_bins((0.0, 1.0))[-1])
+            for lam, _ in profile.intervals():
+                grid.bin_of((grid.bin_of(lam) + top) / grid.period)  # the top bin filled
     except ValueError as exc:
         raise ConfigError([f"grid: {exc}"]) from None
     return profile
@@ -490,7 +499,7 @@ def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
 def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
     """Local-lemma terms on [0, 1/L] of trials 0..trials-1: trial t draws
     from ``Philox(key=[seed, t])`` one random unit-band function per frequency."""
-    _fits_grid(SpectralProfile(seq, 1.0), grid)
+    _fits_grid(SpectralProfile(seq, 1.0), grid, moved=True)
     interval = (0.0, 1.0 / L)
     cells = CellQuadrature(E, grid, interval)
     out = []

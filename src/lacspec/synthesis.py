@@ -72,19 +72,16 @@ class Grid:
         return int(r)
 
     def check_nyquist(self, max_abs_freq) -> None:
-        """Refuse a top frequency whose bin the grid does not resolve: the
-        bin k = floor(|f|*T + FREQ_SNAP_TOL) must have 2k < S."""
+        """Refuse |f| unless its bin k = floor(|f|*T + FREQ_SNAP_TOL) has 2k < S."""
         self._check_bin(math.floor(abs(max_abs_freq) * self.period + FREQ_SNAP_TOL))
 
     def band_bins(self, support) -> np.ndarray:
         """Sorted distinct int64 bins of a band (lo, hi) or a SpectralProfile.
 
-        The one band rule: an interval [lo, hi] holds the bins k from
-        ceil(lo*T - FREQ_SNAP_TOL) to floor(hi*T + FREQ_SNAP_TOL).  Raises
-        ValueError when no bin is inside, or, before any array is built,
-        when the grid does not resolve the bins: 2*max|k| >= S on the integer
-        end bins (the test of check_nyquist and bin_of), or an edge times T
-        overflows a float.
+        The one band rule: [lo, hi] holds the bins ceil(lo*T - FREQ_SNAP_TOL)
+        .. floor(hi*T + FREQ_SNAP_TOL).  Raises ValueError when no bin is
+        inside, or, before any array is built, unless 2*max|k| < S on the
+        integer end bins (the test of check_nyquist and bin_of).
         """
         T = self.period
         try:
@@ -97,10 +94,9 @@ class Grid:
             what = "profile" if isinstance(support, SpectralProfile) else "band"
             raise ValueError(f"{what} holds no grid frequencies")
         self._check_bin(max(max(-a, b) for a, b in ends))
-        if len(ends) == 1:
-            return np.arange(ends[0][0], ends[0][1] + 1, dtype=np.int64)
-        # not np.unique: its first sort pages in about 1.6 MB of numpy code
-        return np.array(sorted({k for a, b in ends for k in range(a, b + 1)}), dtype=np.int64)
+        starts = [ends[0][0]] + [b + 1 for _, b in ends[:-1]]  # profile intervals increase
+        return np.concatenate([np.arange(max(a, s), b + 1, dtype=np.int64)
+                               for (a, b), s in zip(ends, starts)])
 
 
 @dataclass(frozen=True)
@@ -236,10 +232,8 @@ def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
     """Sum of unit-band pieces modulated to the sequence frequencies.
 
     Each lambda_n must lie on the grid (1/T)Z.  Block n fills the first of
-    the bins ``grid.band_bins((lambda_n, lambda_n + 1))`` of its band, the
-    one band rule, so it holds at most that many coefficients and the grid
-    must resolve those bins (2*max|k| < S on the bins, not the band edges).
-    The result declares the union of the bands as its support.
+    the bins ``grid.band_bins((lambda_n, lambda_n + 1))``, which the grid
+    must resolve.  The result declares the union of the bands as its support.
     """
     blocks = [np.asarray(b, dtype=complex) for b in coefficient_blocks]
     if len(blocks) != len(seq):
@@ -358,10 +352,8 @@ def split_uniformly_discrete(values, delta) -> list[list]:
 def random_band_function(
     grid: Grid, rng, band=(0.0, 1.0), *, include_right: bool = True
 ) -> BandFunction:
-    """Standard complex Gaussian coefficients on the grid bins of a band:
-    ``grid.band_bins(band)``, the one band rule, which refuses a band whose
-    bins the grid does not resolve (2*max|k| >= S on the bins).  Without
-    ``include_right`` a bin on the right edge hi*T is left out."""
+    """Standard complex Gaussian coefficients on ``grid.band_bins(band)``;
+    without ``include_right`` a bin on the right edge hi*T is left out."""
     lo, hi = band
     bins = grid.band_bins(band)
     if not include_right and abs(bins[-1] - hi * grid.period) <= FREQ_SNAP_TOL:

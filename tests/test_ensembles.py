@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lacspec.concentration import lemma_main_report, theorem_split_check
+from lacspec.errors import ConfigError
 from lacspec.experiments import lemma_trials, schedule_from, split_trials, trial_blocks
 from lacspec.sequences import Sequence
 from lacspec.sets import periodic_comb
@@ -65,3 +66,21 @@ def test_ensemble_peak_allocations():
         Sequence((3, 9, 27)), lemma_set, lemma_grid, 8, 7, 30))
     assert split_peak < 5.0
     assert lemma_peak < 8.0
+
+
+@pytest.mark.parametrize("samples, resolved", [(1615, False), (1617, True)])
+def test_lemma_grid_check_takes_the_bins_the_trials_fill(samples, resolved):
+    # 100*T is 1e-8 short of 800: bin_of(100) is 800, and the band (0, 1)
+    # holds bins 0..8, so the trials fill bins 800..808, though the bins of
+    # [100, 101] end at 807; 2*808 = 1616 must stay below S
+    T = 7.9999999999
+    grid = Grid(T, samples)
+    E = periodic_comb(0.5, 1.0, (0.0, T))
+    seq = Sequence((100,))
+    if resolved:
+        (row,) = lemma_trials(seq, E, grid, 4, 0, 1)
+        f = random_band_function(grid, trial_rng(0, 0))
+        assert row == lemma_main_report([f], seq, E, (0.0, 0.25), 4)
+    else:
+        with pytest.raises(ConfigError, match="grid: Nyquist violation: bin 808"):
+            lemma_trials(seq, E, grid, 4, 0, 1)
