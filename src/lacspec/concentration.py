@@ -257,7 +257,7 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     the closed-form Gram integrals over E, normalized so a full window gives
     the identity.  Returns the smallest eigenvalue and C = 1/lambda_min, the
     best constant of the norm inequality on the truncated model space.  The
-    span is over ``grid.band_bins(profile)``, a band or a SpectralProfile.
+    span is over ``grid.band_bins(profile)``, refused unless 2*max|k| < S.
     """
     intervals = _set_intervals(E, grid)
     T = grid.period

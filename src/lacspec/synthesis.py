@@ -81,8 +81,7 @@ class Grid:
         The one band rule: [lo, hi] holds the bins ceil(lo*T - FREQ_SNAP_TOL)
         .. floor(hi*T + FREQ_SNAP_TOL).  Raises ValueError when no bin is
         inside, or, before any array is built, unless 2*max|k| < S on the
-        integer end bins (the test of check_nyquist and bin_of).
-        """
+        integer end bins (the test of check_nyquist and bin_of)."""
         T = self.period
         try:
             ends = [(math.ceil(lo * T - FREQ_SNAP_TOL), math.floor(hi * T + FREQ_SNAP_TOL))
@@ -232,8 +231,9 @@ def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
     """Sum of unit-band pieces modulated to the sequence frequencies.
 
     Each lambda_n must lie on the grid (1/T)Z.  Block n fills the first of
-    the bins ``grid.band_bins((lambda_n, lambda_n + 1))``, which the grid
-    must resolve.  The result declares the union of the bands as its support.
+    the bins ``grid.band_bins((lambda_n, lambda_n + 1))``, refused unless
+    2*max|k| < S on them.  The result declares the union of the bands as its
+    support.
     """
     blocks = [np.asarray(b, dtype=complex) for b in coefficient_blocks]
     if len(blocks) != len(seq):
@@ -352,11 +352,11 @@ def split_uniformly_discrete(values, delta) -> list[list]:
 def random_band_function(
     grid: Grid, rng, band=(0.0, 1.0), *, include_right: bool = True
 ) -> BandFunction:
-    """Standard complex Gaussian coefficients on ``grid.band_bins(band)``;
-    without ``include_right`` a bin on the right edge hi*T is left out."""
-    lo, hi = band
+    """Standard complex Gaussian coefficients on ``grid.band_bins(band)``,
+    refused unless 2*max|k| < S on those bins; without ``include_right`` a
+    bin on the right edge hi*T is left out."""
     bins = grid.band_bins(band)
-    if not include_right and abs(bins[-1] - hi * grid.period) <= FREQ_SNAP_TOL:
+    if not include_right and abs(bins[-1] - band[1] * grid.period) <= FREQ_SNAP_TOL:
         if bins.size == 1:
             raise ValueError("band holds no grid frequencies left of its right edge")
         bins = bins[:-1]
@@ -364,4 +364,4 @@ def random_band_function(
     c[bins % grid.samples] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(
         bins.size
     )
-    return BandFunction.from_spectrum(grid, c, (lo, hi))
+    return BandFunction.from_spectrum(grid, c, tuple(band))
