@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalError
 from .sequences import Sequence, TailSchedule
 from .sets import ThickSet
-from .synthesis import BandFunction, Grid, synthesize
+from .synthesis import LEAKAGE_TOL, BandFunction, Grid, synthesize
 
 __all__ = [
     "HermitianForm",
@@ -369,6 +369,21 @@ class LemmaTerms:
         }
 
 
+def _end_bins(f: BandFunction) -> tuple:
+    """Lowest and highest signed bin of f: those of its declared support, or,
+    with none declared, of the bins holding more than LEAKAGE_TOL of its
+    spectral mass (FFT round-off leaves no bin exactly zero).  Empty for a
+    zero function without a declared support."""
+    if f.declared_support is not None:
+        bins = f.grid.band_bins(f.declared_support)
+    else:
+        mass = np.abs(f.spectrum()) ** 2
+        bins = np.flatnonzero(mass > LEAKAGE_TOL * mass.sum())
+        S = f.grid.samples
+        bins = np.where(bins < (S + 1) // 2, bins, bins - S)  # fftfreq order
+    return (int(bins.min()), int(bins.max())) if bins.size else ()
+
+
 def lemma_main_report(
     f_list, seq_tail: Sequence, E: ThickSet, interval, L: int, *, cells=None
 ) -> LemmaTerms:
@@ -384,10 +399,12 @@ def lemma_main_report(
     by k_n bins, so the sum F is one inverse FFT of the shifted spectra, and
     the same spectra give the derivatives f_n'.  A lambda_n that misses k_n/T
     by less than the snap tolerance is modulated sample by sample instead,
-    so it is never rounded to its bin.  Integrals use cell-measure
-    weights on the sampling grid (exact for integrands constant on I);
-    ``cells``, a CellQuadrature of E, the grid and I, shares them between
-    the trials of an ensemble.
+    so it is never rounded to its bin.  A function whose bins, moved by k_n,
+    reach a bin the grid does not resolve (2|k| >= S) is refused, since its
+    shifted spectrum would alias (see ``_end_bins``).  Integrals use
+    cell-measure weights on the sampling grid (exact for integrands
+    constant on I); ``cells``, a CellQuadrature of E, the grid and I,
+    shares them between the trials of an ensemble.
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
@@ -410,6 +427,8 @@ def lemma_main_report(
     sob = np.zeros(S)
     for f, lam in zip(f_list, seq_tail.values):
         k = grid.bin_of(lam)  # refuses off-grid modulation
+        for b in _end_bins(f):
+            grid._check_bin(b + k)
         c = f.spectrum()
         if k / grid.period == float(lam):
             k %= S

@@ -3,15 +3,15 @@
 A sequence here is always a finite, strictly increasing truncation.  The
 certification routines count difference collisions exhaustively over the
 truncation, so every reported constant can be reproduced bit-for-bit by
-re-running them on the same values.  Integer sequences are kept as Python
-integers throughout, which makes the collision counts exact even for terms
+re-running them on the same values.  Integer sequences stay exact: their
+differences are int64 arrays where the range allows, and Python integers in
+object arrays otherwise, so the collision counts are exact even for terms
 far beyond the 64-bit range (e.g. 4**64).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -226,6 +226,25 @@ def _collision_threshold(seq: Sequence, L):
     return L
 
 
+def _differences(seq: Sequence, L=0) -> np.ndarray:
+    """Flat array of v[k] - v[l] over k != l, in row-major (k, l) order.
+
+    The dtype keeps every comparison exact: int64 for integer values when
+    max - min + L < 2**62 (so d +- L cannot overflow), float64 when every
+    value is a float, and otherwise an object array of Python numbers,
+    compared exactly as Python compares them.
+    """
+    vals = seq.values
+    if seq.integer_valued and isinstance(L, int) and vals[-1] - vals[0] + L < 2**62:
+        dtype = np.int64
+    elif all(isinstance(v, float) for v in vals):
+        dtype = np.float64
+    else:
+        dtype = object
+    v = np.array(vals, dtype=dtype)
+    return (v[:, None] - v[None, :])[~np.eye(v.size, dtype=bool)]
+
+
 def zygmund_constant(
     seq: Sequence, L=1, *, kind: str = "zygmund", index_offset: int = 0
 ) -> LacunarityReport:
@@ -235,8 +254,9 @@ def zygmund_constant(
     (k', l'), k' != l', whose difference lies within L of the (k, l)
     difference.  The pair itself is included, so the constant is >= 1 on any
     sequence with two or more terms.  Enumeration is exhaustive over the
-    truncation; the count per pair uses a sorted difference table, which is
-    exact for integer values and thresholds.
+    truncation: the differences are sorted once and each count is two
+    binary searches.  Integer values stay exact, in int64 where the range
+    allows and as Python integers in an object array otherwise.
     """
     if L < 1:
         raise ValueError("collision threshold L must be >= 1")
@@ -244,23 +264,13 @@ def zygmund_constant(
     if n < 2:
         return LacunarityReport(kind, L, 0, ())
     L = _collision_threshold(seq, L)
-    vals = seq.values
-    pairs = [
-        (vals[k] - vals[l], k, l)
-        for k in range(n)
-        for l in range(n)
-        if k != l
-    ]
-    table = sorted(d for d, _, _ in pairs)
-    best = 0
-    witness = []
-    for d, k, l in pairs:
-        c = bisect_right(table, d + L) - bisect_left(table, d - L)
-        if c > best:
-            best = c
-            witness = [(k + index_offset, l + index_offset)]
-        elif c == best:
-            witness.append((k + index_offset, l + index_offset))
+    d = _differences(seq, L)
+    table = np.sort(d)
+    c = np.searchsorted(table, d + L, side="right") - np.searchsorted(table, d - L)
+    best = int(c.max())
+    k, l = np.divmod(np.flatnonzero(c == best), n - 1)
+    l += l >= k  # the diagonal k == l is skipped
+    witness = zip((k + index_offset).tolist(), (l + index_offset).tolist())
     return LacunarityReport(kind, float(L), best, tuple(witness))
 
 
@@ -409,12 +419,12 @@ def build_counterexample(K: int) -> Sequence:
 
 
 def difference_set(seq: Sequence) -> list:
-    """Sorted list of the distinct nonzero pairwise differences."""
-    vals = seq.values
-    out = {
-        vals[k] - vals[l]
-        for k in range(len(vals))
-        for l in range(len(vals))
-        if k != l
-    }
-    return sorted(out)
+    """Sorted list of the distinct nonzero pairwise differences.
+
+    Of differences that compare equal (1 and 1.0), the first in (k, l)
+    order is kept.
+    """
+    if len(seq) < 2:
+        return []
+    d = _differences(seq)
+    return d[np.unique(d, return_index=True)[1]].tolist()

@@ -71,17 +71,13 @@ class Grid:
         self._check_bin(r)
         return int(r)
 
-    def check_nyquist(self, max_abs_freq) -> None:
-        """Refuse |f| unless its bin k = floor(|f|*T + FREQ_SNAP_TOL) has 2k < S."""
-        self._check_bin(math.floor(abs(max_abs_freq) * self.period + FREQ_SNAP_TOL))
-
     def band_bins(self, support) -> np.ndarray:
         """Sorted distinct int64 bins of a band (lo, hi) or a SpectralProfile.
 
         The one band rule: [lo, hi] holds the bins ceil(lo*T - FREQ_SNAP_TOL)
         .. floor(hi*T + FREQ_SNAP_TOL).  Raises ValueError when no bin is
         inside, or, before any array is built, unless 2*max|k| < S on the
-        integer end bins (the test of check_nyquist and bin_of)."""
+        integer end bins (the test of bin_of)."""
         T = self.period
         try:
             ends = [(math.ceil(lo * T - FREQ_SNAP_TOL), math.floor(hi * T + FREQ_SNAP_TOL))

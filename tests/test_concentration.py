@@ -352,6 +352,26 @@ class TestLemmaReport:
         assert rec.lhs == pytest.approx(rec.term_density, rel=1e-12)
         assert rec.term_density == pytest.approx(1 / 16, rel=1e-12)
 
+    @pytest.mark.parametrize("band, lam, resolved", [
+        ((0.0, 1.0), 2.875, True),     # bins 0..8 move to 23..31
+        ((0.0, 1.0), 3, False),        # ... to 24..32, the Nyquist bin of S = 64
+        ((-1.0, 0.0), -2.875, True),   # bins -8..0 move to -31..-23
+        ((-1.0, 0.0), -3, False),      # ... to -32..-24
+    ])
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_shift_past_nyquist_refused(self, band, lam, resolved, declared):
+        grid = Grid(8.0, 64)
+        E = periodic_comb(0.5, 1.0, (0.0, 8.0))
+        f = random_band_function(grid, np.random.default_rng(3), band)
+        if not declared:  # bins taken from where the spectral mass is
+            f = BandFunction(grid, f.values)
+        args = ([f], Sequence((lam,)), E, (0.0, 1 / 16), 16)
+        if resolved:
+            lemma_main_report(*args)
+        else:
+            with pytest.raises(ValueError, match="Nyquist violation: bin -?32 "):
+                lemma_main_report(*args)
+
     def test_interval_length_validated(self):
         grid = Grid(16.0, 1024)
         E = periodic_comb(0.5, 1.0, (0.0, 16.0))

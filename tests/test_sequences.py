@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +40,74 @@ def zygmund_brute(vals, L):
                         c += 1
             best = max(best, c)
     return best
+
+
+def bisect_zygmund(seq, L=1, *, kind="zygmund", index_offset=0):
+    """Oracle: the tuple-and-bisect count, in Python numbers throughout."""
+    if L < 1:
+        raise ValueError("collision threshold L must be >= 1")
+    n = len(seq)
+    if n < 2:
+        return LacunarityReport(kind, L, 0, ())
+    if seq.integer_valued and float(L) == int(L):
+        L = int(L)
+    vals = seq.values
+    pairs = [(vals[k] - vals[l], k, l) for k in range(n) for l in range(n) if k != l]
+    table = sorted(d for d, _, _ in pairs)
+    best = 0
+    witness = []
+    for d, k, l in pairs:
+        c = bisect_right(table, d + L) - bisect_left(table, d - L)
+        if c > best:
+            best = c
+            witness = [(k + index_offset, l + index_offset)]
+        elif c == best:
+            witness.append((k + index_offset, l + index_offset))
+    return LacunarityReport(kind, float(L), best, tuple(witness))
+
+
+def set_difference_set(seq):
+    """Oracle: the distinct nonzero differences by a set comprehension."""
+    vals = seq.values
+    return sorted({vals[k] - vals[l] for k in range(len(vals))
+                   for l in range(len(vals)) if k != l})
+
+
+def assert_same_report(got, want):
+    """Whole-report equality, witness order included, in plain Python numbers."""
+    assert got == want
+    assert type(got.constant) is int
+    assert repr(got.to_dict()) == repr(want.to_dict())
+
+
+@st.composite
+def collision_inputs(draw):
+    """A sequence and a threshold L from each regime of the difference dtype:
+    small ints, ints near +-2**62 (ranges across the int64 limit), Fractions,
+    floats, mixed ints and floats, and L = 1.5 on ints above 2**53."""
+    kind = draw(st.sampled_from(
+        ["int", "near_2_62", "fraction", "float", "mixed", "above_2_53"]))
+    small = st.integers(-60, 60)
+    L = draw(st.integers(1, 4))
+    if kind == "int":
+        elems = small
+    elif kind == "near_2_62":
+        elems = st.sampled_from([-2**62, 0, 2**62]).flatmap(
+            lambda c: st.integers(c - 8, c + 8))
+    elif kind == "fraction":
+        elems = st.builds(Fraction, small, st.integers(1, 6))
+        L = draw(st.sampled_from([L, Fraction(3, 2)]))
+    elif kind == "float":
+        elems = st.builds(lambda a, b: a / b, small, st.integers(1, 7))
+        L = draw(st.sampled_from([L, 2.5, Fraction(3, 2)]))
+    elif kind == "mixed":
+        elems = st.one_of(small, small.map(float), small.map(lambda a: a / 4))
+    else:
+        elems = st.integers(0, 40).map(lambda a: 2**54 + a)
+        L = 1.5
+    vals = draw(st.lists(elems, max_size=9))
+    # one of each value: 1 and 1.0 are the same term
+    return Sequence(tuple(sorted({v: v for v in vals}.values()))), L
 
 
 def greedy_oracle(count, threshold_of_n):
@@ -209,6 +279,54 @@ class TestZygmundConstant:
         assert zygmund_constant(Sequence(tuple(vals)), L).constant == zygmund_brute(
             vals, L
         )
+
+
+class TestCollisionKernel:
+    """The sorted-array kernel against the tuple-and-bisect oracle."""
+
+    @given(collision_inputs(), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    @example(case=(Sequence((0, 1, 2**62 - 3)), 2), offset=0)  # int64 limit minus one
+    @example(case=(Sequence((0, 1, 2**62 - 3)), 3), offset=0)  # at the limit: objects
+    @example(case=(Sequence((-2**62, 1, 2**62)), 1), offset=0)  # range past 2**63
+    def test_matches_bisect_oracle(self, case, offset):
+        seq, L = case
+        assert_same_report(
+            zygmund_constant(seq, L, kind="strong_zygmund", index_offset=offset),
+            bisect_zygmund(seq, L, kind="strong_zygmund", index_offset=offset))
+
+    @pytest.mark.parametrize("K", [32, 40, 64])
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    def test_paired_powers_past_the_word_size(self, K, L):
+        seq = build_counterexample(K)
+        assert_same_report(zygmund_constant(seq, L), bisect_zygmund(seq, L))
+
+    def test_greedy_four_hundred(self):
+        seq = build_greedy(400)
+        assert_same_report(zygmund_constant(seq, 1), bisect_zygmund(seq, 1))
+
+    def test_scheduled_greedy_tails(self):
+        sch = TailSchedule(((1, 1), (2, 87)))
+        seq = build_greedy(300, sch)
+        reports = strong_zygmund_profile(seq, sch, [1, 2])
+        for rep, L in zip(reports, (1, 2)):
+            M = sch.value(L)
+            assert_same_report(rep, bisect_zygmund(
+                seq.tail(M), L, kind="strong_zygmund", index_offset=M - 1))
+
+    @given(collision_inputs())
+    @settings(max_examples=200, deadline=None)
+    @example(case=(Sequence((0, 1, 2.0)), 1))  # 1 and 1.0: the first in (k, l) order
+    def test_difference_set_matches_set_oracle(self, case):
+        seq, _ = case
+        got, want = difference_set(seq), set_difference_set(seq)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("K", [12, 32, 64])
+    def test_difference_set_of_paired_powers(self, K):
+        seq = build_counterexample(K)
+        assert repr(difference_set(seq)) == repr(set_difference_set(seq))
 
 
 class TestStrongProfile:

@@ -57,10 +57,13 @@ class TestGrid:
             g.bin_of(0.3)
 
     def test_nyquist_check(self):
-        g = Grid(8.0, 64)  # S/T = 8
-        g.check_nyquist(3.9)
+        g = Grid(8.0, 64)  # S/T = 8: bins up to 2|k| < 64
+        assert g.bin_of(3.875) == 31
+        assert g.band_bins((0.0, 3.9))[-1] == 31
         with pytest.raises(ValueError, match="Nyquist"):
-            g.check_nyquist(4.0)
+            g.bin_of(4.0)
+        with pytest.raises(ValueError, match="Nyquist"):
+            g.band_bins((0.0, 4.0))
 
 
 def scan_bins(intervals, T):
