@@ -446,20 +446,11 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-def _fits_grid(profile, grid: Grid, moved: bool = False):
+def _fits_grid(profile, grid: Grid):
     """``profile`` (a band (lo, hi) or a SpectralProfile) once the grid
-    resolves its bins ``grid.band_bins(profile)``; ConfigError if not.  With
-    ``moved``, the bins are those the lemma path fills instead: the bins of
-    ``band_bins((0, 1))`` moved by bin_of(lambda) for each band."""
+    resolves its bins ``grid.band_bins(profile)``; ConfigError if not."""
     try:
-        if not moved:
-            grid.band_bins(profile)
-        elif not profile.intervals():
-            raise ValueError("profile holds no grid frequencies")
-        else:
-            top = int(grid.band_bins((0.0, 1.0))[-1])
-            for lam, _ in profile.intervals():
-                grid.bin_of((grid.bin_of(lam) + top) / grid.period)  # the top bin filled
+        grid.band_bins(profile)
     except ValueError as exc:
         raise ConfigError([f"grid: {exc}"]) from None
     return profile
@@ -498,15 +489,23 @@ def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
 
 def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
     """Local-lemma terms on [0, 1/L] of trials 0..trials-1: trial t draws
-    from ``Philox(key=[seed, t])`` one random unit-band function per frequency."""
-    _fits_grid(SpectralProfile(seq, 1.0), grid, moved=True)
+    from ``Philox(key=[seed, t])`` one random unit-band function per frequency.
+    A grid that does not resolve the bins the trials fill, refused by
+    ``lemma_main_report`` in trial 0, is a ConfigError."""
+    if L < 1:
+        raise ValueError("L must be a positive integer")
+    if not SpectralProfile(seq, 1.0).intervals():  # refuses overlapping bands
+        raise ConfigError(["grid: profile holds no grid frequencies"])
     interval = (0.0, 1.0 / L)
     cells = CellQuadrature(E, grid, interval)
     out = []
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         f_list = [random_band_function(grid, rng) for _ in range(len(seq))]
-        out.append(lemma_main_report(f_list, seq, E, interval, L, cells=cells))
+        try:
+            out.append(lemma_main_report(f_list, seq, E, interval, L, cells=cells))
+        except ValueError as exc:
+            raise ConfigError([f"grid: {exc}"]) from None
         del f_list  # so the next trial's functions do not join this trial's in memory
     return out
 

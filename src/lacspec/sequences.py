@@ -230,18 +230,15 @@ def _differences(seq: Sequence, L=0) -> np.ndarray:
     """Flat array of v[k] - v[l] over k != l, in row-major (k, l) order.
 
     The dtype keeps every comparison exact: int64 for integer values when
-    max - min + L < 2**62 (so d +- L cannot overflow), float64 when every
-    value is a float, and otherwise an object array of Python numbers,
-    compared exactly as Python compares them.
+    max - min + L < 2**62, the values moved by the first so that each lies in
+    [0, 2**62) and d +- L cannot overflow; otherwise an object array of
+    Python numbers, compared exactly as Python compares them.
     """
     vals = seq.values
     if seq.integer_valued and isinstance(L, int) and vals[-1] - vals[0] + L < 2**62:
-        dtype = np.int64
-    elif all(isinstance(v, float) for v in vals):
-        dtype = np.float64
+        v = np.array([x - vals[0] for x in vals], dtype=np.int64)
     else:
-        dtype = object
-    v = np.array(vals, dtype=dtype)
+        v = np.array(vals, dtype=object)
     return (v[:, None] - v[None, :])[~np.eye(v.size, dtype=bool)]
 
 

@@ -344,6 +344,18 @@ class TestCliMain:
         reports = json.loads(capsys.readouterr().out)
         assert [r["constant"] for r in reports] == [1, 1, 1]
 
+    @pytest.mark.parametrize("argv, constant", [
+        (["--kind", "zygmund", "--builder", "arithmetic",
+          "--start", str(2**63), "--count", "4"], 6),
+        (["--kind", "strong", "--builder", "counterexample", "--K", "40",
+          "--schedule", "1:79"], [1, 1, 1]),
+    ])
+    def test_seq_check_values_past_int64(self, capsys, argv, constant):
+        assert cli.main(["seq", "check", *argv]) == 0
+        out = json.loads(capsys.readouterr().out)
+        got = [r["constant"] for r in out] if isinstance(out, list) else out["constant"]
+        assert got == constant
+
     def test_set_gamma(self, capsys):
         rc = cli.main(
             ["set", "gamma", "--pattern", "comb", "--gamma", "0.5",
@@ -463,6 +475,8 @@ class TestCliMain:
             (["set", "gamma", "--window", "0"], "--window must have the form a,b"),
             (["conc", "ls", "--band", "0"], "--band must have the form a,b"),
             (["conc", "lemma", "--seed", "-1"], "--seed must be an integer in [0, 2**64)"),
+            (["conc", "lemma", "--builder", "geometric", "--start", "4", "--L", "0"],
+             "error: L must be a positive integer"),
         ],
     )
     def test_malformed_flag_exits_two_naming_it(self, capsys, argv, message):

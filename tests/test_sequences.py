@@ -83,10 +83,11 @@ def assert_same_report(got, want):
 @st.composite
 def collision_inputs(draw):
     """A sequence and a threshold L from each regime of the difference dtype:
-    small ints, ints near +-2**62 (ranges across the int64 limit), Fractions,
-    floats, mixed ints and floats, and L = 1.5 on ints above 2**53."""
+    small ints, ints near +-2**62 (ranges across the int64 limit), ints past
+    the int64 values with a small range, Fractions, floats, mixed ints and
+    floats, and L = 1.5 on ints above 2**53."""
     kind = draw(st.sampled_from(
-        ["int", "near_2_62", "fraction", "float", "mixed", "above_2_53"]))
+        ["int", "near_2_62", "past_int64", "fraction", "float", "mixed", "above_2_53"]))
     small = st.integers(-60, 60)
     L = draw(st.integers(1, 4))
     if kind == "int":
@@ -94,6 +95,9 @@ def collision_inputs(draw):
     elif kind == "near_2_62":
         elems = st.sampled_from([-2**62, 0, 2**62]).flatmap(
             lambda c: st.integers(c - 8, c + 8))
+    elif kind == "past_int64":
+        elems = st.sampled_from([-2**64, -2**63 - 9, 2**63, 2**64, 4**40]).flatmap(
+            lambda c: st.integers(c, c + 40))
     elif kind == "fraction":
         elems = st.builds(Fraction, small, st.integers(1, 6))
         L = draw(st.sampled_from([L, Fraction(3, 2)]))
@@ -289,6 +293,7 @@ class TestCollisionKernel:
     @example(case=(Sequence((0, 1, 2**62 - 3)), 2), offset=0)  # int64 limit minus one
     @example(case=(Sequence((0, 1, 2**62 - 3)), 3), offset=0)  # at the limit: objects
     @example(case=(Sequence((-2**62, 1, 2**62)), 1), offset=0)  # range past 2**63
+    @example(case=(Sequence((2**64, 2**64 + 1)), 1), offset=0)  # values past int64
     def test_matches_bisect_oracle(self, case, offset):
         seq, L = case
         assert_same_report(
@@ -300,6 +305,18 @@ class TestCollisionKernel:
     def test_paired_powers_past_the_word_size(self, K, L):
         seq = build_counterexample(K)
         assert_same_report(zygmund_constant(seq, L), bisect_zygmund(seq, L))
+
+    def test_values_past_int64_with_a_small_range(self):
+        sch = TailSchedule(((1, 79),))
+        seq = build_counterexample(40)
+        (rep,) = strong_zygmund_profile(seq, sch, [1])
+        tail = seq.tail(79)
+        assert tail.values == (4**40, 4**40 + 40)
+        assert_same_report(rep, bisect_zygmund(
+            tail, 1, kind="strong_zygmund", index_offset=78))
+        for far in (tail, Sequence((2**64, 2**64 + 1)), Sequence((-2**64, -2**64 + 3))):
+            assert_same_report(zygmund_constant(far, 2), bisect_zygmund(far, 2))
+            assert repr(difference_set(far)) == repr(set_difference_set(far))
 
     def test_greedy_four_hundred(self):
         seq = build_greedy(400)
