@@ -372,15 +372,14 @@ class LemmaTerms:
 def _end_bins(f: BandFunction) -> tuple:
     """Lowest and highest signed bin of f: those of its declared support, or,
     with none declared, of the bins holding more than LEAKAGE_TOL of its
-    spectral mass (FFT round-off leaves no bin exactly zero).  Empty for a
-    zero function without a declared support."""
+    spectral mass (FFT round-off leaves no bin of a function built from its
+    values exactly zero).  Empty for a zero function without a declared
+    support."""
     if f.declared_support is not None:
         bins = f.grid.band_bins(f.declared_support)
     else:
         mass = np.abs(f.spectrum()) ** 2
-        bins = np.flatnonzero(mass > LEAKAGE_TOL * mass.sum())
-        S = f.grid.samples
-        bins = np.where(bins < (S + 1) // 2, bins, bins - S)  # fftfreq order
+        bins = f.grid.signed_bins(np.flatnonzero(mass > LEAKAGE_TOL * mass.sum()))
     return (int(bins.min()), int(bins.max())) if bins.size else ()
 
 
@@ -494,12 +493,13 @@ def theorem_split_check(
     M = schedule.value(L)
     blocks = list(coefficient_blocks)
     F = synthesize(blocks, seq, grid)
-    norm_sq = F.norm_sq
+    power = np.abs(F.values) ** 2
+    norm_sq = float(np.sum(power) * grid.spacing)  # F.norm_sq, from the same squares
     if norm_sq == 0:
         raise ValueError("concentration ratio undefined for the zero function")
     cells = CellQuadrature.reuse(cells, E, grid)
     energy = [float(np.sum(np.abs(np.asarray(b, dtype=complex)) ** 2)) for b in blocks]
-    restricted = float(np.sum(cells.set_weights * np.abs(F.values) ** 2))
+    restricted = float(np.sum(cells.set_weights * power))
     return SplitCheck(
         math.sqrt(restricted / norm_sq),
         math.sqrt(grid.period * sum(energy[: M - 1]) / norm_sq),

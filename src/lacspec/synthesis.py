@@ -52,9 +52,17 @@ class Grid:
     def points(self) -> np.ndarray:
         return np.arange(self.samples) * self.spacing
 
-    def frequencies(self) -> np.ndarray:
-        """Signed bin frequencies k/T in FFT order."""
-        return np.fft.fftfreq(self.samples, d=self.spacing)
+    def frequencies(self, bins=None) -> np.ndarray:
+        """Signed bin frequencies k/T of the FFT-order indices ``bins``, by
+        default every bin: bit for bit the entries of np.fft.fftfreq."""
+        if bins is None:
+            bins = np.arange(self.samples)
+        return self.signed_bins(bins) * (1.0 / (self.samples * self.spacing))
+
+    def signed_bins(self, bins) -> np.ndarray:
+        """Signed bins k, |k| <= S/2, of FFT-order indices in [0, S)."""
+        S = self.samples
+        return np.where(bins < (S + 1) // 2, bins, bins - S)
 
     def _check_bin(self, k) -> None:
         """The Nyquist test of every caller: the grid resolves bin k iff 2|k| < S."""
@@ -127,9 +135,9 @@ def _support_intervals(support) -> tuple:
     return ((lo, hi),)
 
 
-def _inside_mask(grid: Grid, support) -> np.ndarray:
-    freqs = grid.frequencies()
-    mask = np.zeros(grid.samples, dtype=bool)
+def _inside(support, freqs: np.ndarray) -> np.ndarray:
+    """Which of the frequencies freqs lie in the declared support."""
+    mask = np.zeros(freqs.shape, dtype=bool)
     for lo, hi in _support_intervals(support):
         pad = FREQ_SNAP_TOL * max(1.0, abs(lo), abs(hi))
         mask |= (freqs >= lo - pad) & (freqs <= hi + pad)
@@ -141,7 +149,10 @@ class BandFunction:
     """Complex samples over one period plus a declared spectral support.
 
     Construction verifies the declared support: relative spectral mass in
-    bins outside it must stay below LEAKAGE_TOL.
+    bins outside it must stay below LEAKAGE_TOL.  A function built by
+    ``from_spectrum`` keeps the coefficients it was built from as its
+    spectrum and checks them; one built from its values checks the forward
+    FFT of the values.
     """
 
     grid: Grid
@@ -165,16 +176,29 @@ class BandFunction:
 
     @classmethod
     def from_spectrum(cls, grid: Grid, coeffs: np.ndarray, support=None):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (grid.samples,):
+        """The function sum c_k e^{2 pi i k x / T} of the coefficients coeffs.
+
+        The values are one inverse FFT of coeffs.  The function keeps its own
+        read-only copy of coeffs as its ``spectrum()``, and the support check
+        of construction runs on those exact coefficients, with no forward FFT.
+        """
+        c = np.array(coeffs, dtype=complex)
+        if c.shape != (grid.samples,):
             raise ValueError("need one coefficient per bin")
-        return cls(grid, np.fft.ifft(coeffs) * grid.samples, support)
+        c.setflags(write=False)
+        f = cls.__new__(cls)
+        object.__setattr__(f, "_spectrum", c)  # in place before __post_init__ checks it
+        f.__init__(grid, np.fft.ifft(c) * grid.samples, support)
+        return f
 
     def spectrum(self) -> np.ndarray:
         """Discrete Fourier coefficients c_k with f = sum c_k e^{2 pi i k x / T}.
 
-        Computed on first use (the support check of construction is one)
-        and kept with the function, read-only like its values.
+        Read-only, like the values.  A function built by ``from_spectrum``
+        returns the coefficients it was built from, bit for bit; its values
+        agree with them up to the rounding of one inverse FFT.  Otherwise the
+        spectrum is the forward FFT of the values, computed on first use (the
+        support check of construction is one) and kept with the function.
         """
         c = self.__dict__.get("_spectrum")
         if c is None:
@@ -184,13 +208,17 @@ class BandFunction:
         return c
 
     def leakage(self) -> float:
-        c = self.spectrum()
-        mass = np.abs(c) ** 2
+        """Share of the spectral mass in bins outside the declared support.
+
+        Only the bins of nonzero mass are tested: a zero bin adds exactly
+        nothing to the mass outside."""
+        mass = np.abs(self.spectrum()) ** 2
         total = mass.sum()
         if total == 0:
             return 0.0
-        outside = mass[~_inside_mask(self.grid, self.declared_support)].sum()
-        return float(outside / total)
+        bins = np.flatnonzero(mass)
+        outside = bins[~_inside(self.declared_support, self.grid.frequencies(bins))]
+        return float(mass[outside].sum() / total)
 
     @property
     def norm_sq(self) -> float:
@@ -267,9 +295,10 @@ def poisson_transform(g: BandFunction) -> BandFunction:
     the total mass; they are zeroed so the output satisfies the same
     support declaration it inherits.
     """
-    c = g.spectrum() * np.exp(-np.abs(g.grid.frequencies()))
+    freqs = g.grid.frequencies()
+    c = g.spectrum() * np.exp(-np.abs(freqs))
     if g.declared_support is not None:
-        c = np.where(_inside_mask(g.grid, g.declared_support), c, 0)
+        c = np.where(_inside(g.declared_support, freqs), c, 0)
     return BandFunction.from_spectrum(g.grid, c, g.declared_support)
 
 

@@ -11,6 +11,7 @@ from lacspec.concentration import ls_constant
 from lacspec.sequences import Sequence, build_counterexample, difference_set
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
+    LEAKAGE_TOL,
     BandFunction,
     Grid,
     SpectralProfile,
@@ -109,6 +110,15 @@ class TestBandBins:
             for call in [lambda: grid.band_bins(support)] + callers:
                 with pytest.raises(ValueError, match=message):
                     call()
+
+    @given(periods, st.integers(2, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_frequencies_are_those_of_fftfreq(self, T, S):
+        grid = Grid(T, S)
+        want = np.fft.fftfreq(S, d=grid.spacing)
+        assert grid.frequencies().tobytes() == want.tobytes()
+        some = np.arange(S)[::3]
+        assert grid.frequencies(some).tobytes() == want[some].tobytes()
 
     def test_band_over_the_edge_with_its_bins_inside(self, rng, tmp_path):
         # [0, 1.07] holds bins 0..8 on T = 8, and 2*8 < 17, though 2*1.07*8 > 17
@@ -241,12 +251,60 @@ class TestBandFunction:
             BandFunction(grid, vals, (0.0, 1.0))
 
     def test_spectrum_is_kept_read_only(self, grid, rng):
-        f = random_band_function(grid, rng)
+        c = np.zeros(grid.samples, dtype=complex)
+        c[:17] = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+        built_from = c.tobytes()
+        f = BandFunction.from_spectrum(grid, c, (0.0, 1.0))
+        kept = f.spectrum()
+        assert kept.tobytes() == built_from
+        assert f.spectrum() is kept
+        with pytest.raises(ValueError):
+            kept[0] = 0
+        c[:] = 1.0  # the caller's array is not the function's
+        assert f.spectrum().tobytes() == built_from
+
+    def test_values_agree_with_the_kept_spectrum(self, grid, rng):
+        blocks = [rng.standard_normal(17) + 1j * rng.standard_normal(17) for _ in range(2)]
+        for f in (random_band_function(grid, rng), synthesize(blocks, Sequence((4, 16)), grid)):
+            np.testing.assert_allclose(np.fft.fft(f.values) / grid.samples, f.spectrum(),
+                                       rtol=0, atol=1e-12)
+
+    def test_directly_built_spectrum_is_the_fft_of_its_values(self, grid, rng):
+        vals = random_band_function(grid, rng).values
+        f = BandFunction(grid, vals, (0.0, 1.0))
         c = f.spectrum()
         np.testing.assert_array_equal(c, np.fft.fft(f.values) / grid.samples)
         assert f.spectrum() is c
         with pytest.raises(ValueError):
             c[0] = 0
+
+    def test_construction_from_coefficients_runs_no_forward_fft(self, grid, rng, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("forward FFT called")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        c = np.zeros(grid.samples, dtype=complex)
+        c[:17] = 1.0
+        f = BandFunction.from_spectrum(grid, c, (0.0, 1.0))
+        assert f.leakage() == 0.0
+        random_band_function(grid, rng)
+        synthesize([np.ones(17), np.ones(17)], Sequence((4, 16)), grid)
+
+    @pytest.mark.parametrize("share, refused", [(1e-6, True), (0.999 * LEAKAGE_TOL, False)])
+    def test_leakage_tolerance_on_both_construction_paths(self, grid, share, refused):
+        # 17 unit coefficients on [0, 1] and one at frequency 2.5 carrying `share` of the mass
+        c = np.zeros(grid.samples, dtype=complex)
+        c[:17] = 1.0
+        c[40] = math.sqrt(17 * share / (1 - share))
+        message = (rf"^spectral mass {share:.3e} outside the declared support "
+                   rf"exceeds the tolerance {LEAKAGE_TOL}$")
+        for build in (lambda: BandFunction.from_spectrum(grid, c, (0.0, 1.0)),
+                      lambda: BandFunction(grid, np.fft.ifft(c) * grid.samples, (0.0, 1.0))):
+            if refused:
+                with pytest.raises(ValueError, match=message):
+                    build()
+            else:
+                assert build().leakage() == pytest.approx(share, rel=1e-9)
 
     def test_values_are_frozen(self, grid):
         f = pure_frequency(grid, 1.0)
@@ -260,6 +318,51 @@ class TestBandFunction:
         g = BandFunction.from_csv(path, (0.0, 1.0))
         assert g.grid == f.grid
         np.testing.assert_allclose(g.values, f.values, atol=0)
+
+
+def inside_mask(grid, support):
+    """Oracle: the support mask of every bin, as leakage() built it before it
+    tested only the nonzero bins."""
+    freqs = grid.frequencies()
+    mask = np.zeros(grid.samples, dtype=bool)
+    intervals = support.intervals() if isinstance(support, SpectralProfile) else (support,)
+    for lo, hi in intervals:
+        pad = SNAP * max(1.0, abs(lo), abs(hi))
+        mask |= (freqs >= lo - pad) & (freqs <= hi + pad)
+    return mask
+
+
+def mask_leakage(f):
+    mass = np.abs(f.spectrum()) ** 2
+    total = mass.sum()
+    if total == 0:
+        return 0.0
+    return float(mass[~inside_mask(f.grid, f.declared_support)].sum() / total)
+
+
+class TestLeakage:
+    @given(periods, st.integers(2, 256), st.one_of(bands, profiles),
+           st.sampled_from(["dense", "sparse", "inside"]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @example(7.9999999999, 256, (10.0, 11.0), "inside", True, 0)  # bin 88 counts as inside
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_mask(self, T, S, support, spread, from_spectrum, seed):
+        grid = Grid(T, S)
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(S) + 1j * rng.standard_normal(S)
+        if spread == "sparse":
+            c[rng.random(S) > 0.1] = 0
+        elif spread == "inside":
+            c[~inside_mask(grid, support)] = 0
+        if from_spectrum:
+            f = BandFunction.from_spectrum(grid, c)
+        else:
+            f = BandFunction(grid, np.fft.ifft(c) * S)
+        object.__setattr__(f, "declared_support", support)  # declared after the check: any leakage
+        want = mask_leakage(f)
+        assert f.leakage() == pytest.approx(want, rel=1e-15, abs=0)
+        if spread == "inside" and from_spectrum:
+            assert f.leakage() == 0.0 and want == 0.0
 
 
 class TestPoisson:
