@@ -166,6 +166,10 @@ class BandFunction:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        self._check_support()
+
+    def _check_support(self) -> None:
+        """The leakage refusal of both construction paths."""
         if self.declared_support is not None:
             leak = self.leakage()
             if leak > LEAKAGE_TOL:
@@ -186,9 +190,14 @@ class BandFunction:
         if c.shape != (grid.samples,):
             raise ValueError("need one coefficient per bin")
         c.setflags(write=False)
-        f = cls.__new__(cls)
-        object.__setattr__(f, "_spectrum", c)  # in place before __post_init__ checks it
-        f.__init__(grid, np.fft.ifft(c) * grid.samples, support)
+        v = np.fft.ifft(c)
+        v *= grid.samples
+        v.setflags(write=False)
+        f = cls.__new__(cls)  # the fresh values need no copy by __post_init__
+        for name, value in (("grid", grid), ("values", v), ("declared_support", support),
+                            ("_spectrum", c)):
+            object.__setattr__(f, name, value)
+        f._check_support()
         return f
 
     def spectrum(self) -> np.ndarray:

@@ -323,7 +323,7 @@ class TestBandFunction:
 def inside_mask(grid, support):
     """Oracle: the support mask of every bin, as leakage() built it before it
     tested only the nonzero bins."""
-    freqs = grid.frequencies()
+    freqs = np.fft.fftfreq(grid.samples, d=grid.spacing)
     mask = np.zeros(grid.samples, dtype=bool)
     intervals = support.intervals() if isinstance(support, SpectralProfile) else (support,)
     for lo, hi in intervals:
