@@ -135,6 +135,12 @@ class ConcentrationEstimate:
         }
 
 
+def _require_dense(dimension: int) -> None:
+    """The dense solver cap, tested before a form is assembled or solved."""
+    if dimension > MAX_DENSE_DIM:
+        raise ValueError(f"dimension {dimension} exceeds the dense solver cap {MAX_DENSE_DIM}")
+
+
 def hermitian_eigensystem(form: HermitianForm):
     """Full dense Hermitian decomposition with a residual contract.
 
@@ -142,11 +148,7 @@ def hermitian_eigensystem(form: HermitianForm):
     pair).  Raises NumericalError when the residual exceeds
     EIG_RESIDUAL_TOL times the spectral norm.
     """
-    if form.dimension > MAX_DENSE_DIM:
-        raise ValueError(
-            f"dimension {form.dimension} exceeds the dense solver cap "
-            f"{MAX_DENSE_DIM}"
-        )
+    _require_dense(form.dimension)
     vals, vecs = np.linalg.eigh(form.entries)
     v0 = vecs[:, 0]
     residual = float(np.linalg.norm(form.entries @ v0 - vals[0] * v0))
@@ -238,6 +240,7 @@ def _estimate(form: HermitianForm, discretization: dict) -> ConcentrationEstimat
 def nazarov_constant(E: ThickSet, seq: Sequence) -> ConcentrationEstimate:
     """Best constant of the torus concentration inequality for a finite
     frequency list: the smallest Gram eigenvalue and its reciprocal."""
+    _require_dense(len(seq))
     form = gram_matrix(E, seq)
     return _estimate(
         form,
@@ -263,8 +266,7 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     T = grid.period
     bins = grid.band_bins(profile)
     n = bins.size
-    if n > MAX_DENSE_DIM:
-        raise ValueError(f"profile spans {n} bins, above the dense solver cap")
+    _require_dense(n)
     form = HermitianForm(
         n,
         _gram_entries(bins, intervals, T),

@@ -40,8 +40,8 @@ class Grid:
     samples: int
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < math.inf:
+            raise ValueError("period must be positive and finite")
         if self.samples < 2:
             raise ValueError("need at least two samples")
 
@@ -86,16 +86,15 @@ class Grid:
         .. floor(hi*T + FREQ_SNAP_TOL).  Raises ValueError when no bin is
         inside, or, before any array is built, unless 2*max|k| < S on the
         integer end bins (the test of bin_of)."""
-        T = self.period
+        T, profile = self.period, isinstance(support, SpectralProfile)
         try:
             ends = [(math.ceil(lo * T - FREQ_SNAP_TOL), math.floor(hi * T + FREQ_SNAP_TOL))
-                    for lo, hi in _support_intervals(support)]
+                    for lo, hi in (support.intervals() if profile else (support,))]
         except OverflowError:
             raise ValueError("Nyquist violation: band edge times T overflows a float") from None
         ends = [(a, b) for a, b in ends if a <= b]
         if not ends:
-            what = "profile" if isinstance(support, SpectralProfile) else "band"
-            raise ValueError(f"{what} holds no grid frequencies")
+            raise ValueError(f"{'profile' if profile else 'band'} holds no grid frequencies")
         self._check_bin(max(max(-a, b) for a, b in ends))
         starts = [ends[0][0]] + [b + 1 for _, b in ends[:-1]]  # profile intervals increase
         return np.concatenate([np.arange(max(a, s), b + 1, dtype=np.int64)
@@ -126,33 +125,15 @@ class SpectralProfile:
         )
 
 
-def _support_intervals(support) -> tuple:
-    if support is None:
-        return ()
-    if isinstance(support, SpectralProfile):
-        return support.intervals()
-    lo, hi = support
-    return ((lo, hi),)
-
-
-def _inside(support, freqs: np.ndarray) -> np.ndarray:
-    """Which of the frequencies freqs lie in the declared support."""
-    mask = np.zeros(freqs.shape, dtype=bool)
-    for lo, hi in _support_intervals(support):
-        pad = FREQ_SNAP_TOL * max(1.0, abs(lo), abs(hi))
-        mask |= (freqs >= lo - pad) & (freqs <= hi + pad)
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class BandFunction:
     """Complex samples over one period plus a declared spectral support.
 
-    Construction verifies the declared support: relative spectral mass in
-    bins outside it must stay below LEAKAGE_TOL.  A function built by
-    ``from_spectrum`` keeps the coefficients it was built from as its
-    spectrum and checks them; one built from its values checks the forward
-    FFT of the values.
+    The declared support means its bins ``grid.band_bins``, and construction
+    verifies it: relative spectral mass outside them must stay below
+    LEAKAGE_TOL.  A function built by ``from_spectrum`` keeps the
+    coefficients it was built from as its spectrum and checks them; one
+    built from its values checks the forward FFT of the values.
     """
 
     grid: Grid
@@ -217,17 +198,19 @@ class BandFunction:
         return c
 
     def leakage(self) -> float:
-        """Share of the spectral mass in bins outside the declared support.
-
-        Only the bins of nonzero mass are tested: a zero bin adds exactly
-        nothing to the mass outside."""
+        """Share of the spectral mass outside the declared bins (all of it when
+        none are declared).  Only the bins of nonzero mass are tested: a zero
+        bin adds exactly nothing to the mass outside."""
         mass = np.abs(self.spectrum()) ** 2
         total = mass.sum()
         if total == 0:
             return 0.0
+        support = self.declared_support
+        band = self.grid.band_bins(support) if support is not None else np.empty(0, np.int64)
         bins = np.flatnonzero(mass)
-        outside = bins[~_inside(self.declared_support, self.grid.frequencies(bins))]
-        return float(mass[outside].sum() / total)
+        signed = self.grid.signed_bins(bins)
+        inside = np.searchsorted(band, signed, "right") > np.searchsorted(band, signed)
+        return float(mass[bins[~inside]].sum() / total)
 
     @property
     def norm_sq(self) -> float:
@@ -299,24 +282,29 @@ def spectral_support(f: BandFunction, tol: float = LEAKAGE_TOL) -> set:
 def poisson_transform(g: BandFunction) -> BandFunction:
     """Fourier multiplier e^{-|xi|}: the harmonic extension to height one.
 
-    The declared support is unchanged.  Bins outside it carry only float
-    noise on a valid input, but the multiplier can amplify their share of
-    the total mass; they are zeroed so the output satisfies the same
-    support declaration it inherits.
+    The declared support is unchanged.  Bins outside ``grid.band_bins`` of
+    it carry only float noise on a valid input, but the multiplier can
+    amplify their share of the total mass; they are zeroed so the output
+    satisfies the same support declaration it inherits.
     """
-    freqs = g.grid.frequencies()
-    c = g.spectrum() * np.exp(-np.abs(freqs))
+    c = g.spectrum() * np.exp(-np.abs(g.grid.frequencies()))
     if g.declared_support is not None:
-        c = np.where(_inside(g.declared_support, freqs), c, 0)
+        outside = np.ones(g.grid.samples, dtype=bool)
+        outside[g.grid.band_bins(g.declared_support) % g.grid.samples] = False
+        c[outside] = 0
     return BandFunction.from_spectrum(g.grid, c, g.declared_support)
 
 
 def _require_unit_band(f: BandFunction) -> None:
-    for lo, hi in _support_intervals(f.declared_support):
-        if lo < -FREQ_SNAP_TOL or hi > 1 + FREQ_SNAP_TOL:
-            raise ValueError(
-                f"declared support interval ({lo}, {hi}) leaves [0, 1]"
-            )
+    """Refuse f unless its declared bins lie among the bins of [0, 1]."""
+    if f.declared_support is not None:
+        bins = f.grid.band_bins(f.declared_support)
+        try:
+            top = f.grid.band_bins((0.0, 1.0))[-1]
+        except ValueError:  # [0, 1] passes the Nyquist bin, so every declared bin
+            top = math.inf
+        if bins[0] < 0 or bins[-1] > top:
+            raise ValueError(f"declared support (bins {bins[0]}..{bins[-1]}) leaves [0, 1]")
 
 
 def bernstein_ratio(f: BandFunction) -> float:

@@ -266,7 +266,7 @@ def omega_diagnostics(
     [lambda_n, lambda_n + 1] clipped to [0, T]; with no frequencies at all,
     the scan covers [0, T] and the constant is the sup of x/log(e+x) there.
     """
-    if T <= 1:
+    if not T > 1:
         raise ValueError("T must exceed 1")
     if len(seq) == 0:
         xs = np.linspace(0.0, T, 4097)
@@ -383,8 +383,8 @@ def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if T_max <= 1:
-        raise ValueError("T_max must exceed 1")
+    if not 1 < T_max < math.inf:
+        raise ValueError("T_max must be finite and exceed 1")
     log_M = []
     for n in range(N + 1):
         xi = _moment_argmax(n)
@@ -420,7 +420,10 @@ def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:
     ts.append(float(T_max))
     proxy = []
     for t in ts:
-        val, _ = quad(lambda u: log_weight(u) / u**2, 1.0, t, limit=200)
+        try:
+            val, _ = quad(lambda u: log_weight(u) / u**2, 1.0, t, limit=200)
+        except OverflowError:
+            raise ValueError(f"T_max {T_max} overflows the proxy integrand") from None
         proxy.append((t, float(val)))
     return QuasiAnalyticityReport(
         tuple(log_M), tuple(m_vals), tuple(mu), tuple(partial), tuple(proxy)

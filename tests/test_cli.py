@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lacspec
-from lacspec import cli, experiments, sets
+from lacspec import cli, concentration, experiments, sets
 from lacspec.errors import ConfigError, NumericalError
 from lacspec.experiments import (
     ExperimentConfig,
@@ -482,6 +482,40 @@ class TestCliMain:
     def test_malformed_flag_exits_two_naming_it(self, capsys, argv, message):
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["conc", "ls", "--period", "nan"], "error: period must be positive and finite"),
+        (["conc", "theorem", "--period", "inf"], "error: period must be positive and finite"),
+        (["uniq", "omega", "--builder", "geometric", "--start", "16", "--ratio", "8",
+          "--count", "4", "--T", "nan"], "error: T must exceed 1"),
+        (["uniq", "cd", "--N", "5", "--T-max", "nan"], "error: T_max must be finite and exceed 1"),
+        (["uniq", "cd", "--N", "5", "--T-max", "inf"], "error: T_max must be finite and exceed 1"),
+    ])
+    def test_non_finite_input_exits_two_naming_it(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # divergent proxy
+    def test_overflowing_T_max_exits_two_naming_it(self, capsys):
+        assert cli.main(["uniq", "cd", "--N", "5", "--T-max", "1e300"]) == 2
+        assert "error: T_max 1e+300 overflows the proxy integrand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, dimension", [
+        (["conc", "nazarov", "--builder", "arithmetic", "--count", "2500", "--pattern", "full"],
+         2500),
+        (["conc", "ls", "--period", "8", "--samples", "8192", "--band", "0,300"], 2401),
+    ])
+    def test_form_over_the_dense_cap_exits_two_unassembled(
+        self, capsys, deadline, monkeypatch, argv, dimension
+    ):
+        def refuse(*args, **kwargs):
+            pytest.fail("the form was assembled")
+
+        monkeypatch.setattr(concentration, "_gram_entries", refuse)
+        with deadline(1.0):
+            assert cli.main(argv) == 2
+        assert (f"error: dimension {dimension} exceeds the dense solver cap 2000"
+                in capsys.readouterr().err)
 
     def test_lemma_profile_is_checked_like_the_runner(self, capsys):
         rc = cli.main(["conc", "lemma", "--count", "2", "--period", "16", "--samples", "540"])

@@ -250,6 +250,23 @@ class TestEigensystem:
         with pytest.raises(ValueError, match="cap"):
             hermitian_eigensystem(HermitianForm(2001, m, {}))
 
+    def test_one_cap_before_assembly(self, monkeypatch):
+        import lacspec.concentration as conc
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the form was assembled")
+
+        monkeypatch.setattr(conc, "MAX_DENSE_DIM", 2)
+        form = HermitianForm(3, np.eye(3), {})  # as read from a file
+        monkeypatch.setattr(conc, "_gram_entries", refuse)
+        E = ThickSet(((0.0, 4.0),), (0.0, 4.0))
+        for call in (lambda: nazarov_constant(ThickSet(((0.0, 0.5),), (0.0, 1.0)),
+                                              Sequence((0, 1, 2))),
+                     lambda: ls_constant(E, (0.0, 0.5), Grid(4.0, 64)),
+                     lambda: hermitian_eigensystem(form)):
+            with pytest.raises(ValueError, match="^dimension 3 exceeds the dense solver cap 2$"):
+                call()
+
     def test_residual_reported(self):
         G = gram_matrix(ThickSet(((0.0, 0.5),), (0.0, 1.0)), Sequence((0, 1, 2)))
         vals, vecs, residual = hermitian_eigensystem(G)

@@ -3,7 +3,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lacspec import experiments
@@ -50,6 +50,9 @@ class TestGrid:
             Grid(0.0, 64)
         with pytest.raises(ValueError):
             Grid(1.0, 1)
+        for period in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="period must be positive and finite"):
+                Grid(period, 64)
 
     def test_off_grid_frequency_refused(self):
         g = Grid(8.0, 64)
@@ -65,6 +68,15 @@ class TestGrid:
             g.bin_of(4.0)
         with pytest.raises(ValueError, match="Nyquist"):
             g.band_bins((0.0, 4.0))
+
+
+def support_intervals(support):
+    return support.intervals() if isinstance(support, SpectralProfile) else (support,)
+
+
+def signed_bins(S):
+    """The signed bin k of each FFT index, from np.fft.fftfreq."""
+    return np.rint(np.fft.fftfreq(S) * S).astype(np.int64)
 
 
 def scan_bins(intervals, T):
@@ -92,12 +104,18 @@ class TestBandBins:
     @settings(max_examples=400, deadline=None)
     def test_bins_match_a_scan_and_every_caller_agrees(self, T, S, support):
         grid = Grid(T, S)
-        intervals = support.intervals() if isinstance(support, SpectralProfile) else (support,)
-        want = scan_bins(intervals, T)
+        want = scan_bins(support_intervals(support), T)
         resolved = bool(want) and 2 * max(abs(k) for k in want) < S
         E = ThickSet(((0.0, T),), (0.0, T))
+        c = (np.isin(signed_bins(S), want) if resolved else np.ones(S)).astype(complex)
+        undeclared = BandFunction.from_spectrum(grid, np.ones(S, dtype=complex))
+        object.__setattr__(undeclared, "declared_support", support)  # declared after the check
         callers = [lambda: ls_constant(E, support, grid),
-                   lambda: experiments._fits_grid(support, grid)]
+                   lambda: experiments._fits_grid(support, grid),
+                   lambda: BandFunction.from_spectrum(grid, c, support),
+                   lambda: BandFunction(grid, np.fft.ifft(c) * S, support),
+                   undeclared.leakage,
+                   lambda: poisson_transform(undeclared)]
         if not isinstance(support, SpectralProfile):
             callers.append(lambda: random_band_function(grid, np.random.default_rng(0), support))
         if resolved:
@@ -105,6 +123,9 @@ class TestBandBins:
             assert got.dtype == np.int64 and got.tolist() == want
             for call in callers:
                 call()
+            assert undeclared.leakage() == (S - len(want)) / S
+            kept = np.flatnonzero(poisson_transform(undeclared).spectrum())
+            assert sorted(signed_bins(S)[kept].tolist()) == want
         else:
             message = "Nyquist" if want else "holds no grid frequencies"
             for call in [lambda: grid.band_bins(support)] + callers:
@@ -127,7 +148,8 @@ class TestBandBins:
         assert grid.band_bins((0.0, 1.07)).tolist() == list(range(9))
         lam = ls_constant(E, (0.0, 1.07), grid).lambda_min
         assert lam == pytest.approx(0.1817, abs=1e-4)
-        random_band_function(grid, rng, (0.0, 1.07))
+        f = random_band_function(grid, rng, (0.0, 1.07))
+        assert bernstein_ratio(f) <= TWO_PI  # the bins of [0, 1]: a unit band
         config = experiments.ExperimentConfig.from_dict({
             "version": 1, "kind": "ls_gamma_sweep", "output_dir": "out",
             "grid": {"period": 8.0, "samples": 17},
@@ -306,6 +328,25 @@ class TestBandFunction:
             else:
                 assert build().leakage() == pytest.approx(share, rel=1e-9)
 
+    def test_declared_support_past_nyquist_is_refused(self):
+        # [0, 100] holds bins 0..100, which a 64-sample grid does not resolve
+        grid = Grid(1.0, 64)
+        for build in (lambda: BandFunction(grid, np.ones(64), (0.0, 100.0)),
+                      lambda: BandFunction.from_spectrum(grid, np.ones(64), (0.0, 100.0))):
+            with pytest.raises(ValueError, match=r"^Nyquist violation: bin 100 needs 2\|k\| < S = 64 "):
+                build()
+
+    def test_bin_past_the_band_leaks(self):
+        # 10*T is 1e-9 short of 80: [10, 11] holds bins 80..87, so bin 88 is outside
+        grid = Grid(7.9999999999, 256)
+        assert grid.band_bins((10.0, 11.0)).tolist() == list(range(80, 88))
+        c = np.zeros(256, dtype=complex)
+        c[80:89] = 1.0
+        for build in (lambda: BandFunction.from_spectrum(grid, c, (10.0, 11.0)),
+                      lambda: BandFunction(grid, np.fft.ifft(c) * 256, (10.0, 11.0))):
+            with pytest.raises(ValueError, match="^spectral mass 1.111e-01 outside"):
+                build()
+
     def test_values_are_frozen(self, grid):
         f = pure_frequency(grid, 1.0)
         with pytest.raises(ValueError):
@@ -320,16 +361,9 @@ class TestBandFunction:
         np.testing.assert_allclose(g.values, f.values, atol=0)
 
 
-def inside_mask(grid, support):
-    """Oracle: the support mask of every bin, as leakage() built it before it
-    tested only the nonzero bins."""
-    freqs = np.fft.fftfreq(grid.samples, d=grid.spacing)
-    mask = np.zeros(grid.samples, dtype=bool)
-    intervals = support.intervals() if isinstance(support, SpectralProfile) else (support,)
-    for lo, hi in intervals:
-        pad = SNAP * max(1.0, abs(lo), abs(hi))
-        mask |= (freqs >= lo - pad) & (freqs <= hi + pad)
-    return mask
+def scan_mask(grid, support):
+    """Oracle: whether each FFT index holds a bin of the support, by scan_bins."""
+    return np.isin(signed_bins(grid.samples), scan_bins(support_intervals(support), grid.period))
 
 
 def mask_leakage(f):
@@ -337,23 +371,27 @@ def mask_leakage(f):
     total = mass.sum()
     if total == 0:
         return 0.0
-    return float(mass[~inside_mask(f.grid, f.declared_support)].sum() / total)
+    return float(mass[~scan_mask(f.grid, f.declared_support)].sum() / total)
 
 
 class TestLeakage:
     @given(periods, st.integers(2, 256), st.one_of(bands, profiles),
-           st.sampled_from(["dense", "sparse", "inside"]), st.booleans(),
+           st.sampled_from(["dense", "sparse", "inside", "edges"]), st.booleans(),
            st.integers(0, 2**32 - 1))
-    @example(7.9999999999, 256, (10.0, 11.0), "inside", True, 0)  # bin 88 counts as inside
+    @example(7.9999999999, 256, (10.0, 11.0), "edges", True, 0)  # bins 79 and 88 leak
     @settings(max_examples=300, deadline=None)
     def test_matches_the_full_mask(self, T, S, support, spread, from_spectrum, seed):
         grid = Grid(T, S)
+        declared = scan_bins(support_intervals(support), T)
+        assume(declared and 2 * max(abs(k) for k in declared) < S)  # refusals: TestBandBins
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(S) + 1j * rng.standard_normal(S)
         if spread == "sparse":
             c[rng.random(S) > 0.1] = 0
         elif spread == "inside":
-            c[~inside_mask(grid, support)] = 0
+            c[~scan_mask(grid, support)] = 0
+        elif spread == "edges":  # the declared bins and the two bins just past them
+            c[~np.isin(signed_bins(S), declared + [declared[0] - 1, declared[-1] + 1])] = 0
         if from_spectrum:
             f = BandFunction.from_spectrum(grid, c)
         else:
@@ -431,6 +469,25 @@ class TestBernstein:
         f = pure_frequency(grid, 4.0, (4.0, 5.0))
         with pytest.raises(ValueError, match="leaves"):
             bernstein_ratio(f)
+
+    @pytest.mark.parametrize("T, S, band, accepted", [
+        (8.0, 17, (0.0, 1.07), True),       # bins 0..8: those of [0, 1]
+        (8.0, 64, (0.0, 1.2), False),       # bin 9 is past them
+        (8.0, 64, (-0.1, 1.0), True),       # bin -0.8 is no bin
+        (8.0, 64, (-0.125, 1.0), False),    # bin -1
+        (8.0, 16, (0.0, 0.5), True),        # [0, 1] itself reaches the Nyquist bin 8
+        (7.9999999999, 64, (0.0, 1.0), True),
+    ])
+    def test_unit_band_is_judged_on_the_bins(self, T, S, band, accepted):
+        grid = Grid(T, S)
+        f = random_band_function(grid, np.random.default_rng(0), band)
+        points = np.arange(int(T))
+        for ratio in (lambda: bernstein_ratio(f), lambda: plancherel_polya_ratio(f, points, 1.0)):
+            if accepted:
+                assert math.isfinite(ratio())
+            else:
+                with pytest.raises(ValueError, match=r"\(bins -?\d+\.\.\d+\) leaves \[0, 1\]$"):
+                    ratio()
 
 
 class TestPlancherelPolya:
