@@ -58,7 +58,7 @@ for gamma in (0.2, 0.5, 0.8):
     print(f"  {gamma:.1f}    {est.constant_C:9.4f}")
 E = periodic_comb(0.5, 1.0, window)
 unit = ls_constant(E, (0.0, 1.0), grid)
-sparse = ls_constant(E, SpectralProfile(Sequence((4, 16, 64, 256)), 1.0), grid)
+sparse = ls_constant(E, SpectralProfile(Sequence((4, 16, 64, 256))), grid)
 print(f"same set, profile union of [4^k, 4^k + 1]: C = {sparse.constant_C:.4f}")
 print(f"(unit band alone gave C = {unit.constant_C:.4f}; a larger model")
 print("space can only raise the constant)")

@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .errors import ConfigError, NumericalError
 from .experiments import (
     ExperimentConfig,
-    PlotSpec,
     RunManifest,
     emit_plot_data,
     run,

@@ -22,8 +22,10 @@ from .experiments import (
     ExperimentConfig,
     build_sequence,
     comb_on_grid,
+    csv_text,
     field_violations,
     lemma_trials,
+    moment_rows,
     run,
     schedule_from,
     split_trials,
@@ -103,32 +105,36 @@ def _add_sequence_source(p: argparse.ArgumentParser) -> None:
 
 
 def _set_from_args(args, grid=None) -> sets.ThickSet:
-    """The set the flags describe; a comb for a command with a grid is
-    built by comb_on_grid, which refuses a comb finer than the grid."""
+    """The set the flags describe: on --window, or for a command with a grid
+    on the grid window [0, T] as in the runner, where a comb is built by
+    comb_on_grid, which refuses a comb finer than the grid.  A --set-file
+    keeps its own window."""
     if getattr(args, "set_file", None):
         with open(args.set_file, "r", encoding="utf-8") as fh:
             return sets.ThickSet.from_dict(json.load(fh))
-    w0, w1 = _pair(args.window, "--window")
+    window = _pair(args.window, "--window") if grid is None else (0.0, grid.period)
     if args.pattern == "comb":
         if grid is not None:
-            return comb_on_grid(args.gamma, args.delta, grid, (w0, w1))
-        return sets.periodic_comb(args.gamma, args.delta, (w0, w1))
+            return comb_on_grid(args.gamma, args.delta, grid)
+        return sets.periodic_comb(args.gamma, args.delta, window)
     if args.pattern == "full":
-        return sets.ThickSet(((w0, w1),), (w0, w1))
+        return sets.ThickSet((window,), window)
     pieces = tuple(
         _pair(piece, "--intervals", "a,b;c,d;...") for piece in args.intervals.split(";")
     )
-    return sets.ThickSet(pieces, (w0, w1), args.periodic)
+    return sets.ThickSet(pieces, window, args.periodic)
 
 
-def _add_set_source(p: argparse.ArgumentParser, default_window="0,1") -> None:
+def _add_set_source(p: argparse.ArgumentParser, default_window=None) -> None:
+    """The set flags; --window only for a command without a grid."""
     p.add_argument("--set-file", help="thick set as a JSON record")
     p.add_argument(
         "--pattern", choices=["comb", "full", "intervals"], default="comb"
     )
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--window", default=default_window)
+    if default_window is not None:
+        p.add_argument("--window", default=default_window)
     p.add_argument("--intervals", default="", help="a,b;c,d;... interval list")
     p.add_argument("--periodic", action="store_true")
 
@@ -237,7 +243,7 @@ def _cmd_conc_ls(args) -> int:
     if args.freq_sequence:
         with open(args.freq_sequence, "r", encoding="utf-8") as fh:
             seq = sequences.Sequence.from_text(fh.read())
-        profile = synthesis.SpectralProfile(seq, 1.0)
+        profile = synthesis.SpectralProfile(seq)
     else:
         profile = _pair(args.band, "--band")
     _print(concentration.ls_constant(E, profile, grid).to_dict())
@@ -279,7 +285,8 @@ def _cmd_uniq_omega(args) -> int:
 def _cmd_uniq_cd(args) -> int:
     report = uniqueness.carleman_denjoy_partial(args.N, args.T_max)
     if args.output:
-        report.to_csv(args.output)
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(csv_text(moment_rows(report)))
     _print(report.to_dict())
     return EXIT_OK
 
@@ -316,10 +323,10 @@ def _build_parser() -> argparse.ArgumentParser:
     st = top.add_parser("set", help="thick sets: density and partition")
     st_sub = st.add_subparsers(dest="command", required=True)
     p = st_sub.add_parser("gamma")
-    _add_set_source(p)
+    _add_set_source(p, "0,1")
     p.set_defaults(func=_cmd_set_gamma)
     p = st_sub.add_parser("partition")
-    _add_set_source(p, default_window="0,4")
+    _add_set_source(p, "0,4")
     p.add_argument("--L", type=int, default=4)
     p.set_defaults(func=_cmd_set_partition)
 
@@ -337,15 +344,15 @@ def _build_parser() -> argparse.ArgumentParser:
     co_sub = co.add_subparsers(dest="command", required=True)
     p = co_sub.add_parser("gram")
     _add_sequence_source(p)
-    _add_set_source(p)
+    _add_set_source(p, "0,1")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_conc_gram)
     p = co_sub.add_parser("nazarov")
     _add_sequence_source(p)
-    _add_set_source(p)
+    _add_set_source(p, "0,1")
     p.set_defaults(func=_cmd_conc_nazarov)
     p = co_sub.add_parser("ls")
-    _add_set_source(p, default_window="0,8")
+    _add_set_source(p)
     p.add_argument("--period", type=float, default=8.0)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--band", default="0,1")
@@ -353,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conc_ls)
     p = co_sub.add_parser("lemma")
     _add_sequence_source(p)
-    _add_set_source(p, default_window="0,16")
+    _add_set_source(p)
     p.add_argument("--period", type=float, default=16.0)
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--L", type=int, default=16)
@@ -361,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conc_lemma)
     p = co_sub.add_parser("theorem")
     _add_sequence_source(p)
-    _add_set_source(p, default_window="0,8")
+    _add_set_source(p)
     p.add_argument("--period", type=float, default=8.0)
     p.add_argument("--samples", type=int, default=8192)
     p.add_argument("--L", type=int, default=1)

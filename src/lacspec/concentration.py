@@ -49,16 +49,18 @@ def _phase_integrals(a, b, d: np.ndarray) -> np.ndarray:
     Written as e^{i pi d (a+b)} * sin(pi d (b-a)) / (pi d) with both phases
     range-reduced, so the result is exactly zero wherever d*(b-a) is an
     integer (full-period oscillations), which keeps full-window compressions
-    exactly diagonal.
+    exactly diagonal.  Where d*(b-a) is zero or subnormal, the sine has lost
+    its digits and the d -> 0 limit b - a is returned instead.
     """
     width, center = float(b - a), float(a + b)
-    k = np.round(d * width)
-    s = np.sin(np.pi * (d * width - k)) * (1 - 2 * (k % 2))
+    dw = d * width
+    k = np.round(dw)
+    s = np.sin(np.pi * (dw - k)) * (1 - 2 * (k % 2))
     phase = d * center
     phase -= 2 * np.round(phase / 2)
     with np.errstate(invalid="ignore"):
         z = np.exp(1j * np.pi * phase) * (s / (np.pi * d))
-    return np.where(d == 0, width, z)
+    return np.where(np.abs(dw) < np.finfo(float).tiny, width, z)
 
 
 def interval_phase_integral(a, b, d) -> complex:

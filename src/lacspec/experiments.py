@@ -49,12 +49,13 @@ __all__ = [
     "GENERATOR_NAME",
     "ExperimentConfig",
     "RunManifest",
-    "PlotSpec",
     "run",
     "emit_plot_data",
     "build_sequence",
     "schedule_from",
     "comb_on_grid",
+    "moment_rows",
+    "csv_text",
     "field_violations",
     "trial_blocks",
     "lemma_trials",
@@ -380,14 +381,6 @@ class RunManifest:
         }
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    """Columns (two or three) to extract into a plot-data file."""
-
-    columns: tuple
-    sort_by: str | None = None
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(float(v))
@@ -408,7 +401,8 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(rows: list[dict]) -> str:
+def csv_text(rows: list[dict]) -> str:
+    """The runner's CSV table: a header of labelled columns, then one line per row."""
     cols = list(rows[0].keys())
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -418,23 +412,19 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def emit_plot_data(rows: list[dict], spec: PlotSpec, path) -> Path:
-    """Write a two-or-three-column whitespace-separated data file."""
+def emit_plot_data(rows: list[dict], columns: tuple, path) -> Path:
+    """Write two or three columns of ``rows``, sorted by the first, as a
+    whitespace-separated data file."""
     if not rows:
         raise ValueError("empty result table")
-    if len(spec.columns) not in (2, 3):
-        raise ValueError("plot spec needs two or three columns")
-    for col in spec.columns:
+    if len(columns) not in (2, 3):
+        raise ValueError("a plot needs two or three columns")
+    for col in columns:
         if col not in rows[0]:
             raise ValueError(f"missing column '{col}'")
-    ordered = rows
-    if spec.sort_by is not None:
-        if spec.sort_by not in rows[0]:
-            raise ValueError(f"missing column '{spec.sort_by}'")
-        ordered = sorted(rows, key=lambda r: r[spec.sort_by])
-    lines = ["# " + " ".join(spec.columns)]
-    for row in ordered:
-        lines.append(" ".join(_fmt(row[c]) for c in spec.columns))
+    lines = ["# " + " ".join(columns)]
+    for row in sorted(rows, key=lambda r: r[columns[0]]):
+        lines.append(" ".join(_fmt(row[c]) for c in columns))
     path = Path(path)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
@@ -456,21 +446,20 @@ def _fits_grid(profile, grid: Grid):
     return profile
 
 
-def comb_on_grid(gamma, delta, grid: Grid, window=None) -> ThickSet:
-    """``periodic_comb(gamma, delta, window)`` of a set that meets ``grid``.
+def comb_on_grid(gamma, delta, grid: Grid) -> ThickSet:
+    """``periodic_comb(gamma, delta, (0, T))`` on the grid window [0, T].
 
-    The window defaults to the grid window [0, T].  A comb with more blocks
-    than the grid has samples is refused with a ConfigError before any
-    block is built: the grid cannot resolve it, and its block list alone
-    can exhaust memory.
+    A comb with more blocks than the grid has samples is refused with a
+    ConfigError before any block is built: the grid cannot resolve it, and
+    its block list alone can exhaust memory.
     """
-    w0, w1 = (0.0, grid.period) if window is None else window
-    if delta > 0 and (w1 - w0) / delta > grid.samples:
+    T = grid.period
+    if delta > 0 and T / delta > grid.samples:
         raise ConfigError([
-            f"set: delta {delta!r} makes {(w1 - w0) / delta:.6g} comb blocks over "
-            f"[{w0}, {w1}], more than the {grid.samples} grid samples"
+            f"set: delta {delta!r} makes {T / delta:.6g} comb blocks over "
+            f"[0.0, {T}], more than the {grid.samples} grid samples"
         ])
-    return periodic_comb(gamma, delta, (w0, w1))
+    return periodic_comb(gamma, delta, (0.0, T))
 
 
 def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
@@ -478,7 +467,7 @@ def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
     ``Philox(key=[seed, t])`` one standard complex Gaussian block per
     frequency lambda, with one entry per bin of its band [lambda, lambda + 1]
     (``Grid.band_bins``), as many as ``synthesize`` takes."""
-    _fits_grid(SpectralProfile(seq, 1.0), grid)
+    _fits_grid(SpectralProfile(seq), grid)
     widths = [grid.band_bins((lam, lam + 1)).size for lam in seq.values]
     blocks = []
     for trial in range(trials):
@@ -494,7 +483,7 @@ def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
     ``lemma_main_report`` in trial 0, is a ConfigError."""
     if L < 1:
         raise ValueError("L must be a positive integer")
-    if not SpectralProfile(seq, 1.0).intervals():  # refuses overlapping bands
+    if not SpectralProfile(seq).intervals():  # refuses overlapping bands
         raise ConfigError(["grid: profile holds no grid frequencies"])
     interval = (0.0, 1.0 / L)
     cells = CellQuadrature(E, grid, interval)
@@ -544,10 +533,7 @@ def _run_nazarov_sweep(config, base_dir):
             }
         )
     return {"nazarov_sweep.csv": rows}, {
-        "lambda_min_vs_measure.dat": (
-            "nazarov_sweep.csv",
-            PlotSpec(("set_measure", "lambda_min"), "set_measure"),
-        )
+        "lambda_min_vs_measure.dat": ("nazarov_sweep.csv", ("set_measure", "lambda_min"))
     }
 
 
@@ -559,10 +545,7 @@ def _run_greedy_growth(config, base_dir):
         for n, value, L, bound in table
     ]
     return {"greedy_growth.csv": rows}, {
-        "greedy_growth_vs_bound.dat": (
-            "greedy_growth.csv",
-            PlotSpec(("n", "lambda_n", "cubic_bound"), "n"),
-        )
+        "greedy_growth_vs_bound.dat": ("greedy_growth.csv", ("n", "lambda_n", "cubic_bound"))
     }
 
 
@@ -571,7 +554,7 @@ def _profile_from(params: dict, base_dir):
     if "band" in profile:
         lo, hi = profile["band"]
         return (float(lo), float(hi))
-    return SpectralProfile(build_sequence(profile["sequence"], base_dir), 1.0)
+    return SpectralProfile(build_sequence(profile["sequence"], base_dir))
 
 
 def _run_ls_gamma_sweep(config, base_dir):
@@ -590,10 +573,7 @@ def _run_ls_gamma_sweep(config, base_dir):
             }
         )
     return {"ls_gamma_sweep.csv": rows}, {
-        "constant_vs_gamma.dat": (
-            "ls_gamma_sweep.csv",
-            PlotSpec(("gamma", "constant_C"), "gamma"),
-        )
+        "constant_vs_gamma.dat": ("ls_gamma_sweep.csv", ("gamma", "constant_C"))
     }
 
 
@@ -623,12 +603,7 @@ def _run_lemma_margins(config, base_dir):
     ]
     return (
         {"lemma_margins.csv": rows, "lemma_margin_summary.csv": summary},
-        {
-            "min_margin_vs_c2.dat": (
-                "lemma_margin_summary.csv",
-                PlotSpec(("c2", "min_margin"), "c2"),
-            )
-        },
+        {"min_margin_vs_c2.dat": ("lemma_margin_summary.csv", ("c2", "min_margin"))},
     )
 
 
@@ -648,18 +623,14 @@ def _run_theorem_split(config, base_dir):
         for trial, rec in enumerate(records)
     ]
     return {"theorem_split.csv": rows}, {
-        "ratio_per_trial.dat": (
-            "theorem_split.csv",
-            PlotSpec(("trial", "ratio"), "trial"),
-        )
+        "ratio_per_trial.dat": ("theorem_split.csv", ("trial", "ratio"))
     }
 
 
-def _run_carleman_denjoy(config, base_dir):
-    report = carleman_denjoy_partial(
-        config.params["N"], float(config.params["T_max"])
-    )
-    rows = [
+def moment_rows(report) -> list[dict]:
+    """The rows of carleman_denjoy.csv: M_n, log M_n, mu_n and the partial
+    sums of a QuasiAnalyticityReport for n = 1..N."""
+    return [
         {
             "n": n,
             "M": report.M_values[n],
@@ -669,17 +640,18 @@ def _run_carleman_denjoy(config, base_dir):
         }
         for n in range(1, len(report.log_M))
     ]
+
+
+def _run_carleman_denjoy(config, base_dir):
+    report = carleman_denjoy_partial(
+        config.params["N"], float(config.params["T_max"])
+    )
     proxy = [
         {"T": t, "proxy_integral": v} for t, v in report.integral_proxy
     ]
     return (
-        {"carleman_denjoy.csv": rows, "carleman_proxy.csv": proxy},
-        {
-            "partial_sums.dat": (
-                "carleman_denjoy.csv",
-                PlotSpec(("n", "partial_sum"), "n"),
-            )
-        },
+        {"carleman_denjoy.csv": moment_rows(report), "carleman_proxy.csv": proxy},
+        {"partial_sums.dat": ("carleman_denjoy.csv", ("n", "partial_sum"))},
     )
 
 
@@ -705,10 +677,10 @@ def run(config: ExperimentConfig, base_dir=".") -> RunManifest:
     outputs = {}
     for fname, rows in tables.items():
         path = outdir / fname
-        _atomic_write(path, _csv_text(rows))
+        _atomic_write(path, csv_text(rows))
         outputs[fname] = hashlib.sha256(path.read_bytes()).hexdigest()
-    for fname, (table_name, spec) in plots.items():
-        path = emit_plot_data(tables[table_name], spec, outdir / fname)
+    for fname, (table_name, columns) in plots.items():
+        path = emit_plot_data(tables[table_name], columns, outdir / fname)
         outputs[fname] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest = RunManifest(
         config_hash=config.digest(),

@@ -167,10 +167,6 @@ class TailSchedule:
     def constant(cls, M: int = 1) -> "TailSchedule":
         return cls(((1, M),))
 
-    @property
-    def max_threshold(self) -> int:
-        return self.breakpoints[-1][0]
-
     def value(self, L: int) -> int:
         """M(L) for integer L >= 1."""
         if L < 1:

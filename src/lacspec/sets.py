@@ -256,8 +256,9 @@ def good_union(E: ThickSet, report: PartitionReport) -> ThickSet:
     return ThickSet(tuple(pieces), E.window, E.periodic)
 
 
-def periodic_comb(gamma, delta, window=(0, 1), periodic=True) -> ThickSet:
-    """Model thick set: the left gamma-fraction of every length-delta block.
+def periodic_comb(gamma, delta, window=(0, 1)) -> ThickSet:
+    """Model thick set: the left gamma-fraction of every length-delta block,
+    periodic with the window as its period.
 
     A comb of more than MAX_COMB_BLOCKS blocks is refused before any block
     is built, so that a tiny delta fails at once instead of filling memory.
@@ -283,4 +284,4 @@ def periodic_comb(gamma, delta, window=(0, 1), periodic=True) -> ThickSet:
     pieces = tuple(
         (w0 + k * delta, w0 + k * delta + fill) for k in range(nb)
     )
-    return ThickSet(pieces, (w0, w1), periodic)
+    return ThickSet(pieces, (w0, w1), True)

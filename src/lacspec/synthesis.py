@@ -103,26 +103,19 @@ class Grid:
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Union of equal-length frequency intervals anchored at a sequence."""
+    """Union of the unit bands [lambda_n, lambda_n + 1] of a sequence: the
+    spectrum of a sum of pieces f_n with spec(f_n) in [0, 1], modulated."""
 
     base_sequence: Sequence
-    interval_length: float = 1.0
 
     def __post_init__(self):
-        if self.interval_length <= 0:
-            raise ValueError("interval length must be positive")
         vals = self.base_sequence.values
         for a, b in zip(vals, vals[1:]):
-            if b - a <= self.interval_length:
-                raise ValueError(
-                    f"profile intervals overlap: gap {b - a} <= "
-                    f"length {self.interval_length}"
-                )
+            if b - a <= 1:
+                raise ValueError(f"profile intervals overlap: gap {b - a} <= length 1")
 
     def intervals(self) -> tuple:
-        return tuple(
-            (v, v + self.interval_length) for v in self.base_sequence.values
-        )
+        return tuple((v, v + 1.0) for v in self.base_sequence.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,23 +218,6 @@ class BandFunction:
         c = self.spectrum() * (2j * np.pi * self.grid.frequencies())
         return BandFunction.from_spectrum(self.grid, c, None)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"{float(self.grid.period)!r},{self.grid.samples}\n")
-            for v in self.values:
-                fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path, declared_support=None) -> "BandFunction":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split(",")
-            grid = Grid(float(header[0]), int(header[1]))
-            vals = np.array(
-                [complex(float(r), float(i)) for r, i in
-                 (line.split(",") for line in fh if line.strip())]
-            )
-        return cls(grid, vals, declared_support)
-
 
 def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
     """Sum of unit-band pieces modulated to the sequence frequencies.
@@ -254,7 +230,7 @@ def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
     blocks = [np.asarray(b, dtype=complex) for b in coefficient_blocks]
     if len(blocks) != len(seq):
         raise ValueError("need exactly one coefficient block per frequency")
-    profile = SpectralProfile(seq, 1.0)
+    profile = SpectralProfile(seq)
     c = np.zeros(grid.samples, dtype=complex)
     for lam, block in zip(seq.values, blocks):
         if block.ndim != 1:

@@ -10,6 +10,7 @@ existence they feed into is out of scope.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 _E = math.e
+_SCAN_POINTS = 65  # per unit interval of the domination scan
 
 
 def log_weight(xi: float) -> float:
@@ -247,31 +249,30 @@ class OmegaDiagnostics:
     domination_constant: float  # max of x/log(e+x) - omega(x) on the scan set
 
     def to_dict(self) -> dict:
+        """JSON-ready: a non-finite domination constant is written "inf" or "-inf"."""
+        dom = self.domination_constant
         return {
             "lipschitz_bound": self.lipschitz_bound,
             "tail_integral": self.tail_integral,
-            "domination_constant": self.domination_constant,
+            "domination_constant": dom if math.isfinite(dom) else str(dom),
         }
 
 
-def omega_diagnostics(
-    seq: Sequence, phi: BumpFunction, T: float, *, scan_points: int = 65
-) -> OmegaDiagnostics:
+def omega_diagnostics(seq: Sequence, phi: BumpFunction, T: float) -> OmegaDiagnostics:
     """Lipschitz constant, weighted tail integral, and domination constant.
 
     The chain rule cancels the per-bump scaling, so omega' is phi' in the
     local variable and the Lipschitz constant is a piecewise-exact max.  The
     tail integral is a closed form piece by piece (polynomial over x^2).
     The domination constant is scanned over the unit spectral intervals
-    [lambda_n, lambda_n + 1] clipped to [0, T]; with no frequencies at all,
-    the scan covers [0, T] and the constant is the sup of x/log(e+x) there.
+    [lambda_n, lambda_n + 1] clipped to [0, T] (-inf when none meets it);
+    with no frequencies at all, it is the sup of the increasing x/log(e+x)
+    over [0, T], T/log(e+T), and inf at T = inf.
     """
     if not T > 1:
         raise ValueError("T must exceed 1")
     if len(seq) == 0:
-        xs = np.linspace(0.0, T, 4097)
-        dom = float(np.max(xs / np.log(_E + xs)))
-        return OmegaDiagnostics(0.0, 0.0, dom)
+        return OmegaDiagnostics(0.0, 0.0, log_weight(T) if T < math.inf else math.inf)
     lams, radii = _bump_supports(seq)
     lip = 0.0
     tail = 0.0
@@ -293,7 +294,7 @@ def omega_diagnostics(
     for lam in lams:
         a, b = max(0.0, lam), min(T, lam + 1.0)
         if b >= a:
-            samples.append(np.linspace(a, b, scan_points))
+            samples.append(np.linspace(a, b, _SCAN_POINTS))
     if samples:
         xs = np.concatenate(samples)
         dom = float(np.max(xs / np.log(_E + xs) - omega_weight(xs, seq, phi)))
@@ -318,16 +319,6 @@ class QuasiAnalyticityReport:
     mu_values: tuple  # n = 1 .. N
     partial_sums: tuple
     integral_proxy: tuple  # (T, integral of log W / t^2 over [1, T]) pairs
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("n,M,log_M,mu,partial_sum\n")
-            for n in range(1, len(self.log_M)):
-                fh.write(
-                    f"{n},{float(self.M_values[n])!r},{float(self.log_M[n])!r},"
-                    f"{float(self.mu_values[n - 1])!r},"
-                    f"{float(self.partial_sums[n - 1])!r}\n"
-                )
 
     def to_dict(self) -> dict:
         return {
@@ -363,14 +354,18 @@ def _moment_argmax(n: int) -> float:
 
 
 def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on first call.
+    """``scipy.integrate.quad``, imported on first call, with its
+    IntegrationWarning (an estimate it does not trust) raised as an error.
 
     scipy takes about 0.6 s to import and only the proxy integral of
     ``carleman_denjoy_partial`` needs it, so ``import lacspec`` does not load it.
     """
+    from scipy.integrate import IntegrationWarning
     from scipy.integrate import quad as scipy_quad
 
-    return scipy_quad(func, a, b, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        return scipy_quad(func, a, b, **kwargs)
 
 
 def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:
@@ -379,12 +374,17 @@ def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:
     Each M_n comes from a one-dimensional maximization of the concave-in-log
     objective n*log(xi) - xi/log(e+xi); its monotonicity and log-convexity
     are verified on the computed range.  The proxy integrals run over
-    decade-spaced endpoints up to T_max.
+    decade-spaced endpoints up to T_max; one that quad does not trust is a
+    NumericalError.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not 1 < T_max < math.inf:
         raise ValueError("T_max must be finite and exceed 1")
+    try:  # u**2 is largest at u = T_max, so no quad point overflows unless this does
+        log_weight(T_max) / T_max**2
+    except OverflowError:
+        raise ValueError(f"T_max {T_max} overflows the proxy integrand") from None
     log_M = []
     for n in range(N + 1):
         xi = _moment_argmax(n)
@@ -422,8 +422,9 @@ def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:
     for t in ts:
         try:
             val, _ = quad(lambda u: log_weight(u) / u**2, 1.0, t, limit=200)
-        except OverflowError:
-            raise ValueError(f"T_max {T_max} overflows the proxy integrand") from None
+        except UserWarning as exc:  # scipy's IntegrationWarning, raised by quad
+            raise NumericalError(f"T_max {T_max}: the proxy integral over [1, {t}] "
+                                 f"is unreliable: {exc}") from None
         proxy.append((t, float(val)))
     return QuasiAnalyticityReport(
         tuple(log_M), tuple(m_vals), tuple(mu), tuple(partial), tuple(proxy)

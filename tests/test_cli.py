@@ -13,7 +13,6 @@ from lacspec import cli, concentration, experiments, sets
 from lacspec.errors import ConfigError, NumericalError
 from lacspec.experiments import (
     ExperimentConfig,
-    PlotSpec,
     emit_plot_data,
     run,
 )
@@ -301,23 +300,23 @@ class TestRun:
 class TestEmitPlotData:
     def test_two_column_sorted(self, tmp_path):
         rows = [{"gamma": 0.8, "C": 1.5}, {"gamma": 0.2, "C": 9.0}]
-        path = emit_plot_data(rows, PlotSpec(("gamma", "C"), "gamma"), tmp_path / "p.dat")
+        path = emit_plot_data(rows, ("gamma", "C"), tmp_path / "p.dat")
         lines = path.read_text().splitlines()
         assert lines[0] == "# gamma C"
         assert lines[1].startswith("0.2") and lines[2].startswith("0.8")
 
     def test_three_column(self, tmp_path):
         rows = [{"n": 1, "v": 2.0, "b": 4.0}]
-        path = emit_plot_data(rows, PlotSpec(("n", "v", "b")), tmp_path / "p.dat")
+        path = emit_plot_data(rows, ("n", "v", "b"), tmp_path / "p.dat")
         assert path.read_text().splitlines()[1] == "1 2.0 4.0"
 
     def test_missing_column(self, tmp_path):
         with pytest.raises(ValueError, match="missing column"):
-            emit_plot_data([{"x": 1}], PlotSpec(("x", "y")), tmp_path / "p.dat")
+            emit_plot_data([{"x": 1}], ("x", "y"), tmp_path / "p.dat")
 
     def test_empty_table(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            emit_plot_data([], PlotSpec(("x", "y")), tmp_path / "p.dat")
+            emit_plot_data([], ("x", "y"), tmp_path / "p.dat")
 
 
 class TestCliMain:
@@ -410,7 +409,7 @@ class TestCliMain:
         rc = cli.main(
             ["conc", "ls", "--period", "8", "--samples", "256",
              "--band", "0,1", "--pattern", "comb", "--gamma", "0.5",
-             "--delta", "1", "--window", "0,8"]
+             "--delta", "1"]
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["lambda_min"] > 0
@@ -425,10 +424,29 @@ class TestCliMain:
 
     def test_uniq_cd_writes_csv(self, tmp_path, capsys):
         target = tmp_path / "cd.csv"
-        rc = cli.main(["uniq", "cd", "--N", "10", "--T-max", "100",
+        rc = cli.main(["uniq", "cd", "--N", "200", "--T-max", "1e4",
                        "-o", str(target)])
         assert rc == 0
-        assert target.read_text().startswith("n,M,log_M")
+        cfg = {"version": 1, "kind": "carleman_denjoy", "output_dir": "cd",
+               "params": {"N": 200, "T_max": 1e4}}
+        run(ExperimentConfig.from_dict(cfg), tmp_path)
+        assert target.read_bytes() == (tmp_path / "cd" / "carleman_denjoy.csv").read_bytes()
+
+    def test_uniq_cd_refuses_an_untrusted_proxy_integral(self, capsys):
+        assert cli.main(["uniq", "cd", "--N", "5", "--T-max", "1e40"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: T_max 1e+40:" in err and "probably divergent" in err
+
+    @pytest.mark.parametrize("argv, value", [
+        (["--count", "0", "--T", "inf"], "inf"),
+        (["--count", "3", "--T", "2"], "-inf"),
+    ])
+    def test_uniq_omega_prints_valid_json(self, capsys, argv, value):
+        rc = cli.main(["uniq", "omega", "--builder", "geometric", "--start", "16",
+                       "--ratio", "8"] + argv)
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert out["domination_constant"] == value
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -495,7 +513,6 @@ class TestCliMain:
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # divergent proxy
     def test_overflowing_T_max_exits_two_naming_it(self, capsys):
         assert cli.main(["uniq", "cd", "--N", "5", "--T-max", "1e300"]) == 2
         assert "error: T_max 1e+300 overflows the proxy integrand" in capsys.readouterr().err
@@ -540,7 +557,7 @@ class TestCliMain:
             ["conc", "theorem", "--builder", "geometric", "--start", "4",
              "--ratio", "4", "--count", "3", "--period", "8", "--samples", "2048",
              "--pattern", "comb", "--gamma", "0.5", "--delta", "1",
-             "--window", "0,8", "--L", "1", "--schedule", "1:2", "--seed", str(seed)]
+             "--L", "1", "--schedule", "1:2", "--seed", str(seed)]
         )
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
@@ -563,7 +580,7 @@ class TestCliMain:
             ["conc", "lemma", "--builder", "geometric", "--start", "4",
              "--ratio", "4", "--count", "3", "--period", "8", "--samples", "2048",
              "--pattern", "comb", "--gamma", "0.5", "--delta", "1",
-             "--window", "0,8", "--L", "4", "--seed", str(seed)]
+             "--L", "4", "--seed", str(seed)]
         )
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
@@ -637,7 +654,7 @@ class TestCliMain:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = cli.main(["conc", "ls", "--freq-sequence", str(path), "--period", "8",
-                           "--samples", "256", "--window", "0,8"])
+                           "--samples", "256"])
             gc.collect()
         assert rc == 0
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -1,4 +1,5 @@
-"""Every `lacspec ...` example of README's Command line section runs."""
+"""README's Quick start block and every `lacspec ...` example of its Command
+line section run."""
 
 import shlex
 from pathlib import Path
@@ -10,10 +11,17 @@ from lacspec import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def first_block(heading, fence):
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    return section.split(fence, 1)[1].split("```", 1)[0]
+
+
+def test_quick_start_runs():
+    exec(compile(first_block("## Quick start", "```python"), "README Quick start", "exec"), {})
+
+
 def command_lines():
-    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = section.split("```sh", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = first_block("## Command line", "```sh").replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("lacspec ")]
 
 

@@ -91,7 +91,7 @@ def scan_bins(intervals, T):
 edges = st.one_of(st.floats(-3, 3), st.integers(-24, 24).map(lambda k: k / 8))
 bands = st.tuples(edges, st.floats(0, 2.5)).map(lambda t: (t[0], t[0] + t[1]))
 profiles = st.tuples(edges, st.lists(st.floats(1.01, 3), max_size=2)).map(
-    lambda t: SpectralProfile(Sequence(tuple(accumulate(t[1], initial=t[0]))), 1.0))
+    lambda t: SpectralProfile(Sequence(tuple(accumulate(t[1], initial=t[0])))))
 periods = st.one_of(
     st.sampled_from([7.9999999999, 8.0, 8.0000000001, 3.0, 2.5, 1.0, 0.75]),
     st.floats(0.5, 12.0),
@@ -100,7 +100,7 @@ periods = st.one_of(
 
 class TestBandBins:
     @given(periods, st.integers(2, 48), st.one_of(bands, profiles))
-    @example(8.0, 64, SpectralProfile(Sequence((0.0, 1 + 1e-10)), 1.0))  # bin 8 in both bands
+    @example(8.0, 64, SpectralProfile(Sequence((0.0, 1 + 1e-10))))  # bin 8 in both bands
     @settings(max_examples=400, deadline=None)
     def test_bins_match_a_scan_and_every_caller_agrees(self, T, S, support):
         grid = Grid(T, S)
@@ -171,7 +171,7 @@ class TestBandBins:
 
     def test_far_profile_refused_before_any_array(self, deadline):
         grid = Grid(8.0, 64)
-        far = SpectralProfile(Sequence((4**60,)), 1.0)
+        far = SpectralProfile(Sequence((4**60,)))
         E = ThickSet(((0.0, 8.0),), (0.0, 8.0))
         with deadline(1.0):
             for call in (lambda: grid.band_bins(far), lambda: ls_constant(E, far, grid),
@@ -182,12 +182,12 @@ class TestBandBins:
 
 class TestSpectralProfile:
     def test_disjointness_enforced(self):
-        SpectralProfile(Sequence((4, 16, 64)), 1.0)
+        SpectralProfile(Sequence((4, 16, 64)))
         with pytest.raises(ValueError, match="overlap"):
-            SpectralProfile(Sequence((4, 5)), 1.0)
+            SpectralProfile(Sequence((4, 5)))
 
     def test_intervals(self):
-        prof = SpectralProfile(Sequence((4, 16)), 1.0)
+        prof = SpectralProfile(Sequence((4, 16)))
         assert prof.intervals() == ((4, 5), (16, 17))
         assert Grid(2.0, 128).band_bins(prof).tolist() == [8, 9, 10, 32, 33, 34]
 
@@ -351,14 +351,6 @@ class TestBandFunction:
         f = pure_frequency(grid, 1.0)
         with pytest.raises(ValueError):
             f.values[0] = 0
-
-    def test_csv_roundtrip(self, grid, rng, tmp_path):
-        f = random_band_function(grid, rng)
-        path = tmp_path / "band.csv"
-        f.to_csv(path)
-        g = BandFunction.from_csv(path, (0.0, 1.0))
-        assert g.grid == f.grid
-        np.testing.assert_allclose(g.values, f.values, atol=0)
 
 
 def scan_mask(grid, support):

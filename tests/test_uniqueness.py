@@ -225,13 +225,6 @@ class TestCarlemanDenjoy:
         rep = carleman_denjoy_partial(10_000, 1e4)
         assert rep.partial_sums[9999] > rep.partial_sums[99]
 
-    def test_csv_export(self, report, tmp_path):
-        path = tmp_path / "cd.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,M,log_M,mu,partial_sum"
-        assert len(lines) == 201
-
     def test_validation(self):
         with pytest.raises(ValueError):
             carleman_denjoy_partial(0, 100.0)
