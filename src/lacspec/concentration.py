@@ -318,11 +318,11 @@ class CellQuadrature:
     An integral over a window I, or over I ∩ E, is a sum of grid samples
     times the Lebesgue measure of each cell [x_j, x_{j+1}) inside it (exact
     for integrands constant on each cell).  These cell weights, and the
-    multiplier 2 pi i xi of a derivative over the grid's bins, depend only on
-    E, the grid and I, never on the functions integrated; so a trial loop
-    builds one CellQuadrature per run and passes it to every trial.  I
-    defaults to the whole period [0, T].  Construction checks E against the
-    grid; each array is built on first use.
+    samples J of the cells that meet I, depend only on E, the grid and I,
+    never on the functions integrated; so a trial loop builds one
+    CellQuadrature per run and passes it to every trial.  I defaults to the
+    whole period [0, T].  Construction checks E against the grid and I
+    against [0, T]; each array is built on first use.
     """
 
     def __init__(self, E: ThickSet, grid: Grid, interval=None):
@@ -332,8 +332,15 @@ class CellQuadrature:
 
     @staticmethod
     def _window(grid: Grid, interval) -> tuple:
+        """I as floats, once it lies inside the grid window [0, T] (no
+        tolerance): the cells cover [0, T] only, so the part of I outside it
+        would be dropped from every integral without a word."""
         lo, hi = (0.0, grid.period) if interval is None else interval
-        return float(lo), float(hi)
+        lo, hi = float(lo), float(hi)
+        if not 0.0 <= lo <= hi <= grid.period:
+            raise ValueError(f"interval I = [{lo}, {hi}] is not inside the grid window "
+                             f"[0, T] = [0.0, {grid.period}]")
+        return lo, hi
 
     @functools.cached_property
     def window_weights(self) -> np.ndarray:
@@ -344,8 +351,10 @@ class CellQuadrature:
         return _cell_weights(self.grid, _clip_intervals(self.trace, *self.interval))
 
     @functools.cached_property
-    def derivative_multiplier(self) -> np.ndarray:
-        return 2j * np.pi * self.grid.frequencies()
+    def window_samples(self) -> np.ndarray:
+        """J: the indices of the cells of positive measure inside I, one
+        contiguous run.  Both weight arrays are zero outside J."""
+        return np.flatnonzero(self.window_weights)
 
     @classmethod
     def reuse(cls, cells, E: ThickSet, grid: Grid, interval=None) -> "CellQuadrature":
@@ -387,6 +396,31 @@ def _end_bins(f: BandFunction) -> tuple:
     return (int(bins.min()), int(bins.max())) if bins.size else ()
 
 
+def _on_window(f: BandFunction, J: np.ndarray) -> tuple:
+    """f and f' at the grid samples J.
+
+    A direct sum over the nonzero bins k of f: c_k e^{2 pi i k j / S}, and
+    for f' the same terms times 2 pi i k / T, with k j reduced mod S in
+    integers.  Its |J| x (number of bins) phase table is capped at S
+    entries, so it never holds more than a few S-length arrays, as the FFT
+    does; past that (a dense spectrum, as of a function built from its
+    values, or a wide band on a wide window) one inverse FFT each is taken
+    and sliced to J.  The cost of the two paths crosses near the cap too:
+    timed on one Xeon core at S = 16384 and 32768 with the |J| of L = 1, 8
+    and 16 at T = 16, the direct sum was about 3.5 times faster at a table
+    of S/8 entries (a lemma trial's unit bands at L = 8), 1.4-2.4 times
+    faster at S/3 to S/2 and 1.2-1.5 times slower at S.
+    """
+    grid, c = f.grid, f.spectrum()
+    S = grid.samples
+    bins = np.flatnonzero(c)
+    if J.size * bins.size > S:
+        return f.values[J], f.derivative().values[J]
+    phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
+    coeffs = c[bins]
+    return phases @ coeffs, phases @ (coeffs * (2j * np.pi * grid.frequencies(bins)))
+
+
 def lemma_main_report(
     f_list, seq_tail: Sequence, E: ThickSet, interval, L: int, *, cells=None
 ) -> LemmaTerms:
@@ -396,18 +430,21 @@ def lemma_main_report(
     term_density  integral over I of sum |f_n|^2
     term_sobolev  integral over I of sum (|f_n|^2 + |f_n'|^2)
 
-    The interval I must have length exactly 1/L.  Each lambda_n must lie on
-    the grid (1/T)Z, as bin k_n = lambda_n T: on the sampling grid,
-    multiplying f_n by e^{2 pi i lambda_n x} shifts its spectrum circularly
-    by k_n bins, so the sum F is one inverse FFT of the shifted spectra, and
-    the same spectra give the derivatives f_n'.  A lambda_n that misses k_n/T
-    by less than the snap tolerance is modulated sample by sample instead,
+    The interval I must have length exactly 1/L and lie inside [0, T].
+    Integrals use cell-measure weights on the sampling grid (exact for
+    integrands constant on each cell), and these are zero outside the
+    samples J of the cells that meet I, so every term is computed on J
+    alone: f_n and f_n' from the spectrum of f_n (see ``_on_window``), and
+    F from them.  Each lambda_n must lie on the grid (1/T)Z, as bin
+    k_n = lambda_n T, and f_n is modulated at x_j by
+    e^{2 pi i (k_n j mod S) / S}: on the sampling grid this is the circular
+    shift of its spectrum by k_n bins.  A lambda_n that misses k_n/T by less
+    than the snap tolerance is modulated by e^{2 pi i lambda_n x_j} instead,
     so it is never rounded to its bin.  A function whose bins, moved by k_n,
     reach a bin the grid does not resolve (2|k| >= S) is refused, since its
-    shifted spectrum would alias (see ``_end_bins``).  Integrals use
-    cell-measure weights on the sampling grid (exact for integrands
-    constant on I); ``cells``, a CellQuadrature of E, the grid and I,
-    shares them between the trials of an ensemble.
+    shifted spectrum would alias (see ``_end_bins``).  ``cells``, a
+    CellQuadrature of E, the grid and I, shares the weights and J between
+    the trials of an ensemble.
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
@@ -423,33 +460,24 @@ def lemma_main_report(
         if f.grid != grid:
             raise ValueError("band functions must share one grid")
     cells = CellQuadrature.reuse(cells, E, grid, (i0, i1))
-    S = grid.samples
-    shifted = np.zeros(S, dtype=complex)
-    snapped = []
-    sq = np.zeros(S)
-    sob = np.zeros(S)
+    S, J = grid.samples, cells.window_samples
+    F = np.zeros(J.size, dtype=complex)
+    sq = np.zeros(J.size)
+    sob = np.zeros(J.size)
     for f, lam in zip(f_list, seq_tail.values):
         k = grid.bin_of(lam)  # refuses off-grid modulation
         for b in _end_bins(f):
             grid._check_bin(b + k)
-        c = f.spectrum()
+        v, dv = _on_window(f, J)
         if k / grid.period == float(lam):
-            k %= S
-            shifted[k:] += c[: S - k]
-            shifted[:k] += c[S - k:]
-        else:
-            snapped.append((f, lam))
-        sq += np.abs(f.values) ** 2
-        df = np.fft.ifft(c * cells.derivative_multiplier)
-        df *= S
-        sob += np.abs(df) ** 2
-    F = np.fft.ifft(shifted)
-    F *= S
-    for f, lam in snapped:  # off bin k within the snap tolerance: keep lambda exact
-        F += f.values * np.exp(2j * np.pi * float(lam) * grid.points())
-    w_i = cells.window_weights
+            F += v * np.exp((2j * np.pi / S) * ((k * J) % S))
+        else:  # off bin k within the snap tolerance: keep lambda exact
+            F += v * np.exp(2j * np.pi * float(lam) * (J * grid.spacing))
+        sq += np.abs(v) ** 2
+        sob += np.abs(dv) ** 2
+    w_i = cells.window_weights[J]
     return LemmaTerms(
-        float(np.sum(cells.set_weights * np.abs(F) ** 2)),
+        float(np.sum(cells.set_weights[J] * np.abs(F) ** 2)),
         float(np.sum(w_i * sq)),
         float(np.sum(w_i * (sq + sob))),
     )

@@ -479,14 +479,19 @@ def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
 def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
     """Local-lemma terms on [0, 1/L] of trials 0..trials-1: trial t draws
     from ``Philox(key=[seed, t])`` one random unit-band function per frequency.
-    A grid that does not resolve the bins the trials fill, refused by
-    ``lemma_main_report`` in trial 0, is a ConfigError."""
+    A grid whose window [0, T] does not hold [0, 1/L] or is not E's window,
+    refused by ``CellQuadrature``, or that does not resolve the bins the
+    trials fill, refused by ``lemma_main_report`` in trial 0, is a
+    ConfigError."""
     if L < 1:
         raise ValueError("L must be a positive integer")
     if not SpectralProfile(seq).intervals():  # refuses overlapping bands
         raise ConfigError(["grid: profile holds no grid frequencies"])
     interval = (0.0, 1.0 / L)
-    cells = CellQuadrature(E, grid, interval)
+    try:
+        cells = CellQuadrature(E, grid, interval)
+    except ValueError as exc:
+        raise ConfigError([f"grid: {exc}"]) from None
     out = []
     for trial in range(trials):
         rng = _trial_rng(seed, trial)

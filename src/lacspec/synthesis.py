@@ -125,8 +125,9 @@ class BandFunction:
     The declared support means its bins ``grid.band_bins``, and construction
     verifies it: relative spectral mass outside them must stay below
     LEAKAGE_TOL.  A function built by ``from_spectrum`` keeps the
-    coefficients it was built from as its spectrum and checks them; one
-    built from its values checks the forward FFT of the values.
+    coefficients it was built from as its spectrum and checks them, and
+    makes its values on first read; one built from its values checks the
+    forward FFT of the values.
     """
 
     grid: Grid
@@ -156,23 +157,34 @@ class BandFunction:
     def from_spectrum(cls, grid: Grid, coeffs: np.ndarray, support=None):
         """The function sum c_k e^{2 pi i k x / T} of the coefficients coeffs.
 
-        The values are one inverse FFT of coeffs.  The function keeps its own
-        read-only copy of coeffs as its ``spectrum()``, and the support check
-        of construction runs on those exact coefficients, with no forward FFT.
+        The function keeps its own read-only copy of coeffs as its
+        ``spectrum()``, and the support check of construction runs on those
+        exact coefficients.  Construction transforms nothing: the values are
+        one inverse FFT of coeffs, made on first read and kept (see
+        ``__getattr__``).
         """
         c = np.array(coeffs, dtype=complex)
         if c.shape != (grid.samples,):
             raise ValueError("need one coefficient per bin")
         c.setflags(write=False)
-        v = np.fft.ifft(c)
-        v *= grid.samples
-        v.setflags(write=False)
-        f = cls.__new__(cls)  # the fresh values need no copy by __post_init__
-        for name, value in (("grid", grid), ("values", v), ("declared_support", support),
-                            ("_spectrum", c)):
+        f = cls.__new__(cls)  # no values yet, so none for __post_init__ to copy
+        for name, value in (("grid", grid), ("declared_support", support), ("_spectrum", c)):
             object.__setattr__(f, name, value)
         f._check_support()
         return f
+
+    def __getattr__(self, name):
+        """The values of a function built by ``from_spectrum``, on their first
+        read: one inverse FFT of the kept spectrum, read-only and kept.  Runs
+        only when the values are not yet in the instance."""
+        c = self.__dict__.get("_spectrum")
+        if name != "values" or c is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        v = np.fft.ifft(c)
+        v *= self.grid.samples
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+        return v
 
     def spectrum(self) -> np.ndarray:
         """Discrete Fourier coefficients c_k with f = sum c_k e^{2 pi i k x / T}.

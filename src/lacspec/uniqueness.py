@@ -373,8 +373,10 @@ def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:
 
     Each M_n comes from a one-dimensional maximization of the concave-in-log
     objective n*log(xi) - xi/log(e+xi); its monotonicity and log-convexity
-    are verified on the computed range.  The proxy integrals run over
-    decade-spaced endpoints up to T_max; one that quad does not trust is a
+    are verified on the computed range.  The proxy integrals run from 1 to
+    decade-spaced endpoints up to T_max, as sums of one quad call per decade
+    (one call from 1 gives up from about 1e24 on, although the integral
+    grows only like log log t); a piece that quad does not trust is a
     NumericalError.
     """
     if N < 1:
@@ -418,14 +420,16 @@ def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:
         ts.append(t)
         t *= 10.0
     ts.append(float(T_max))
-    proxy = []
+    proxy, total, lo = [], 0.0, 1.0
     for t in ts:
         try:
-            val, _ = quad(lambda u: log_weight(u) / u**2, 1.0, t, limit=200)
+            piece, _ = quad(lambda u: log_weight(u) / u**2, lo, t, limit=200)
         except UserWarning as exc:  # scipy's IntegrationWarning, raised by quad
-            raise NumericalError(f"T_max {T_max}: the proxy integral over [1, {t}] "
+            raise NumericalError(f"T_max {T_max}: the proxy integral over [{lo}, {t}] "
                                  f"is unreliable: {exc}") from None
-        proxy.append((t, float(val)))
+        total += float(piece)
+        proxy.append((t, total))
+        lo = t
     return QuasiAnalyticityReport(
         tuple(log_M), tuple(m_vals), tuple(mu), tuple(partial), tuple(proxy)
     )

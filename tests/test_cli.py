@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lacspec
-from lacspec import cli, concentration, experiments, sets
+from lacspec import cli, concentration, experiments, sets, uniqueness
 from lacspec.errors import ConfigError, NumericalError
 from lacspec.experiments import (
     ExperimentConfig,
@@ -432,10 +433,34 @@ class TestCliMain:
         run(ExperimentConfig.from_dict(cfg), tmp_path)
         assert target.read_bytes() == (tmp_path / "cd" / "carleman_denjoy.csv").read_bytes()
 
-    def test_uniq_cd_refuses_an_untrusted_proxy_integral(self, capsys):
+    def test_uniq_cd_refuses_an_untrusted_proxy_integral(self, capsys, monkeypatch):
+        from scipy.integrate import IntegrationWarning
+
+        def distrusted_past_1e23(func, a, b, **kwargs):
+            if b > 1e23:
+                raise IntegrationWarning("The integral is probably divergent")
+            return quad(func, a, b, **kwargs)
+
+        quad = uniqueness.quad
+        monkeypatch.setattr(uniqueness, "quad", distrusted_past_1e23)
         assert cli.main(["uniq", "cd", "--N", "5", "--T-max", "1e40"]) == 3
         err = capsys.readouterr().err
-        assert "numerical failure: T_max 1e+40:" in err and "probably divergent" in err
+        assert ("numerical failure: T_max 1e+40: the proxy integral over [1e+23, 1e+24] "
+                "is unreliable: The integral is probably divergent") in err
+
+    @pytest.mark.parametrize("T_max", [1e24, 1e40])
+    def test_uniq_cd_integrates_the_proxy_past_1e24(self, capsys, T_max):
+        from scipy.integrate import quad
+
+        # one quad call over [1, T_max] gives up from 1e24 on; the integral is
+        # finite, and with u = log t it is that of the smooth 1 / log(e + e^u)
+        # over [0, log T_max], which one quad call integrates at once
+        assert cli.main(["uniq", "cd", "--N", "5", "--T-max", repr(T_max)]) == 0
+        t, value = json.loads(capsys.readouterr().out)["integral_proxy"][-1]
+        want, _ = quad(lambda u: 1 / math.log(math.e + math.exp(u)), 0.0, math.log(T_max),
+                       epsabs=0.0, epsrel=1e-13, limit=200)
+        assert t == T_max
+        assert value == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("argv, value", [
         (["--count", "0", "--T", "inf"], "inf"),
@@ -533,6 +558,26 @@ class TestCliMain:
             assert cli.main(argv) == 2
         assert (f"error: dimension {dimension} exceeds the dense solver cap 2000"
                 in capsys.readouterr().err)
+
+    def test_lemma_window_longer_than_the_period_exits_two(self, tmp_path, capsys):
+        # I = [0, 1/L] = [0, 1] does not fit in [0, T] = [0, 0.5]
+        message = ("error: grid: interval I = [0.0, 1.0] is not inside the grid window "
+                   "[0, T] = [0.0, 0.5]")
+        rc = cli.main(["conc", "lemma", "--builder", "geometric", "--start", "4",
+                       "--ratio", "4", "--count", "3", "--period", "0.5", "--samples", "1024",
+                       "--delta", "0.25", "--L", "1"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        cfg = {
+            "version": 1, "kind": "lemma_margins", "output_dir": "m",
+            "sequence": {"builder": "geometric", "start": 4, "ratio": 4, "count": 3},
+            "grid": {"period": 0.5, "samples": 1024},
+            "set": {"pattern": "comb", "gamma": 0.5, "delta": 0.25},
+            "ensemble": {"trials": 2, "seed": 0},
+            "params": {"L": 1, "c2_candidates": [1.0]},
+        }
+        assert run_cli(cfg, tmp_path) == 2
+        assert message in capsys.readouterr().err
 
     def test_lemma_profile_is_checked_like_the_runner(self, capsys):
         rc = cli.main(["conc", "lemma", "--count", "2", "--period", "16", "--samples", "540"])

@@ -19,6 +19,7 @@ from lacspec.concentration import (
     theorem_split_check,
 )
 from lacspec.errors import NumericalError
+from lacspec.experiments import lemma_trials
 from lacspec.sequences import Sequence, TailSchedule, build_counterexample
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
@@ -298,24 +299,78 @@ def lemma_oracle(f_list, seq, E, interval, grid):
     return (np.sum(w_ie * np.abs(F) ** 2), np.sum(w_i * sq), np.sum(w_i * (sq + sob)))
 
 
+def assert_terms_match_oracle(f_list, seq, E, interval, L):
+    grid = f_list[0].grid
+    rec = lemma_main_report(f_list, seq, E, interval, L)
+    got = (rec.lhs, rec.term_density, rec.term_sobolev)
+    for value, oracle in zip(got, lemma_oracle(f_list, seq, E, interval, grid)):
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+def fft_spy(monkeypatch):
+    """Sizes of the arrays every np.fft transform is called on, in call order."""
+    sizes = []
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fftn", "ifftn",
+                 "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+        def spy(a, *args, _transform=getattr(np.fft, name), **kwargs):
+            sizes.append(np.size(a))
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return sizes
+
+
 class TestLemmaReport:
-    @pytest.mark.parametrize("period, samples, freqs, L", [
-        (16.0, 4096, (4, 16, 64), 16),
-        (8.0, 2048, (-3, 0, 2.5), 4),
-        (16.0, 1024, (1.25, 7), 2),
-        (15.9999999999, 4096, (4, 16), 16),  # frequencies within the snap tolerance of a bin
+    @pytest.mark.parametrize("period, samples, freqs, L, start", [
+        (16.0, 4096, (4, 16, 64), 16, 0.0),
+        (8.0, 2048, (-3, 0, 2.5), 4, 0.0),
+        (16.0, 1024, (1.25, 7), 2, 0.0),
+        (15.9999999999, 4096, (4, 16), 16, 0.0),  # frequencies within the snap tolerance of a bin
+        (16.0, 4096, (4, 16, 64), 16, 2.3),  # a window off 0 whose ends are not grid points
+        (15.9999999999, 4096, (4, 16), 4, 7.77),
+        (8.0, 1024, (-3, 0, 2.5), 1, 0.0),  # L = 1
+        (8.0, 1024, (-3, 0, 2.5), 1, 2.3),
+        (16.0, 1024, (1.25, 7), 2, 15.5),  # a window that ends at T
     ])
-    def test_terms_match_sample_modulation_oracle(self, period, samples, freqs, L):
+    def test_terms_match_sample_modulation_oracle(self, period, samples, freqs, L, start):
         grid = Grid(period, samples)
         E = periodic_comb(0.5, 0.5, (0.0, period))
         seq = Sequence(freqs)
         rng = np.random.Generator(np.random.Philox(21))
         for _ in range(3):
             fs = [random_band_function(grid, rng) for _ in freqs]
-            rec = lemma_main_report(fs, seq, E, (0.0, 1 / L), L)
-            got = (rec.lhs, rec.term_density, rec.term_sobolev)
-            for value, oracle in zip(got, lemma_oracle(fs, seq, E, (0.0, 1 / L), grid)):
-                assert value == pytest.approx(oracle, rel=1e-12, abs=0)
+            assert_terms_match_oracle(fs, seq, E, (start, start + 1 / L), L)
+
+    @pytest.mark.parametrize("L, start, transforms", [
+        (4, 0.0, 2),  # |J| = 32 samples: 32 * ~2040 bins > S, one FFT per dense f_n'
+        (1, 2.3, 4),  # |J| = 129: the unit band's 17 bins go past S too, two more FFTs
+        (16, 2.3, 2),
+        (128, 0.0, 0),  # |J| = 1: ~2040 bins, no more than S, a direct sum even when dense
+    ])
+    def test_dense_and_zero_functions_match_the_oracle(self, monkeypatch, L, start, transforms):
+        grid = Grid(16.0, 2048)
+        E = periodic_comb(0.5, 0.5, (0.0, 16.0))
+        rng = np.random.Generator(np.random.Philox(22))
+        random_values = [random_band_function(grid, rng).values for _ in range(2)]
+        fs = [BandFunction(grid, random_values[0], (0.0, 1.0)),  # from values: a dense spectrum
+              BandFunction(grid, random_values[1]),
+              BandFunction.from_spectrum(grid, np.zeros(2048), (0.0, 1.0)),
+              random_band_function(grid, rng)]
+        seq = Sequence((4, 8, 16, 32))
+        assert all(np.count_nonzero(f.spectrum()) > 2000 for f in fs[:2])
+        sizes = fft_spy(monkeypatch)
+        lemma_main_report(fs, seq, E, (start, start + 1 / L), L)
+        assert sizes == [2048] * transforms
+        assert_terms_match_oracle(fs, seq, E, (start, start + 1 / L), L)
+
+    def test_trials_transform_no_array_of_the_grid(self, monkeypatch):
+        grid = Grid(16.0, 16384)
+        E = periodic_comb(0.5, 1.0, (0.0, 16.0))
+        sizes = fft_spy(monkeypatch)
+        lemma_trials(Sequence((4, 16, 64)), E, grid, 8, 7, 3)
+        assert grid.samples not in sizes
+        random_band_function(grid, np.random.default_rng(0)).values  # the spy sees a transform
+        assert sizes[-1] == grid.samples
 
     def test_cell_weights_match_cell_by_cell_oracle(self):
         grid = Grid(4.0, 64)
@@ -389,6 +444,21 @@ class TestLemmaReport:
         else:
             with pytest.raises(ValueError, match="Nyquist violation: bin -?32 "):
                 lemma_main_report(*args)
+
+    @pytest.mark.parametrize("interval, L", [((0.0, 1.0), 1), ((-0.25, 0.25), 2),
+                                             ((0.3, 0.55), 4), ((0.0, float("nan")), 1)])
+    def test_window_outside_the_period_refused(self, interval, L):
+        # the cell weights cover [0, T] only: the part of I outside it would be dropped
+        grid = Grid(0.5, 256)
+        E = ThickSet(((0.0, 0.5),), (0.0, 0.5))
+        f = random_band_function(grid, np.random.default_rng(0))
+        message = (rf"^interval I = \[{interval[0]}, {interval[1]}\] is not inside "
+                   rf"the grid window \[0, T\] = \[0.0, 0.5\]$")
+        with pytest.raises(ValueError, match=message):
+            CellQuadrature(E, grid, interval)
+        with pytest.raises(ValueError, match=message):
+            lemma_main_report([f], Sequence((0,)), E, interval, L)
+        lemma_main_report([f], Sequence((0,)), E, (0.25, 0.5), 4)  # I may end at T
 
     def test_interval_length_validated(self):
         grid = Grid(16.0, 1024)

@@ -84,3 +84,13 @@ def test_lemma_grid_check_takes_the_bins_the_trials_fill(samples, resolved):
     else:
         with pytest.raises(ConfigError, match="grid: Nyquist violation: bin 808"):
             lemma_trials(seq, E, grid, 4, 0, 1)
+
+
+def test_lemma_window_longer_than_the_period_is_a_grid_error():
+    # I = [0, 1/L] = [0, 1] does not fit in [0, T] = [0, 0.5]
+    grid = Grid(0.5, 1024)
+    E = periodic_comb(0.5, 0.25, (0.0, 0.5))
+    with pytest.raises(ConfigError, match=r"grid: interval I = \[0.0, 1.0\] is not inside "
+                                          r"the grid window \[0, T\] = \[0.0, 0.5\]"):
+        lemma_trials(Sequence((4, 16)), E, grid, 1, 0, 1)
+    assert len(lemma_trials(Sequence((4, 16)), E, grid, 2, 0, 1)) == 1  # I = [0, T]

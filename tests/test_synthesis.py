@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import accumulate
 
@@ -311,6 +312,54 @@ class TestBandFunction:
         assert f.leakage() == 0.0
         random_band_function(grid, rng)
         synthesize([np.ones(17), np.ones(17)], Sequence((4, 16)), grid)
+
+    def test_values_from_coefficients_are_made_on_first_read(self, grid, rng, monkeypatch):
+        transforms = []
+
+        def counted_ifft(a, *args, **kwargs):
+            transforms.append(np.size(a))
+            return ifft(a, *args, **kwargs)
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("forward FFT called")
+
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", counted_ifft)
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        blocks = [rng.standard_normal(17) + 1j * rng.standard_normal(17) for _ in range(2)]
+        built = [random_band_function(grid, rng), synthesize(blocks, Sequence((4, 16)), grid),
+                 BandFunction.from_spectrum(grid, np.ones(grid.samples))]
+        assert transforms == []  # construction transforms nothing
+        for f in built:
+            v = f.values
+            assert v.tobytes() == (ifft(f.spectrum()) * grid.samples).tobytes()
+            assert f.values is v
+            with pytest.raises(ValueError):
+                v[0] = 0
+        assert transforms == [grid.samples] * 3  # once per function
+
+    def test_corrupted_coefficients_refused_before_any_value_is_made(self, grid, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        monkeypatch.setattr(np.fft, "ifft", no_transform)
+        monkeypatch.setattr(np.fft, "fft", no_transform)
+        c = np.zeros(grid.samples, dtype=complex)
+        c[:17] = 1.0
+        c[40] = 1.0  # frequency 2.5, outside [0, 1]
+        with pytest.raises(ValueError, match="outside the declared support"):
+            BandFunction.from_spectrum(grid, c, (0.0, 1.0))
+
+    def test_functions_with_unread_values_replace_and_print(self, grid, rng):
+        f = random_band_function(grid, rng)
+        g = dataclasses.replace(f, declared_support=(0.0, 2.0))
+        assert g.declared_support == (0.0, 2.0)
+        np.testing.assert_array_equal(g.values, f.values)
+        h = random_band_function(grid, rng)
+        assert repr(h).startswith(
+            "BandFunction(grid=Grid(period=16.0, samples=1024), values=array(")
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            h.missing
 
     @pytest.mark.parametrize("share, refused", [(1e-6, True), (0.999 * LEAKAGE_TOL, False)])
     def test_leakage_tolerance_on_both_construction_paths(self, grid, share, refused):
