@@ -37,7 +37,7 @@ print("For each ordered pair of terms, count the ordered pairs whose")
 print("difference lands within L of it (the pair itself included).")
 for vals in [(0, 10), (1, 2, 4, 8)]:
     rep = zygmund_constant(Sequence(vals), L=1)
-    print(f"{list(vals)}: N = {rep.constant}, extremal pairs {list(rep.witness)[:4]}")
+    print(f"{list(vals)}: N = {rep.constant}, extremal pairs {rep.witness[:4].tolist()}")
 
 print()
 print("=" * 70)

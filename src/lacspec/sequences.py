@@ -113,15 +113,36 @@ class LacunarityReport:
     """Outcome of one exhaustive lacunarity certification.
 
     ``constant`` is the minimum consecutive ratio for the ratio test and the
-    maximum collision count N for the difference tests.  ``witness`` lists the
-    zero-based ordered index pairs attaining the constant.
+    maximum collision count N for the difference tests.  ``witness`` holds
+    the zero-based ordered index pairs attaining the constant, one per row
+    in row-major (k, l) order: a read-only int64 array of shape (m, 2),
+    empty (0, 2) where nothing attains it.  Any (m, 2) array-like is
+    accepted and stored that way.  ``to_dict`` writes the rows as lists of
+    Python integers, and ``==`` compares witnesses row by row, order
+    included.
     """
 
     kind: str  # "hadamard" | "zygmund" | "strong_zygmund"
     parameter: float
     constant: float
-    witness: tuple = ()
+    witness: np.ndarray = ()
     passes: bool | None = None
+
+    def __post_init__(self):
+        w = np.asarray(self.witness, dtype=np.int64).reshape(-1, 2)
+        if w.flags.writeable:
+            w = w.copy()  # never a view of an array the caller may change
+            w.flags.writeable = False
+        object.__setattr__(self, "witness", w)
+
+    def __eq__(self, other):
+        if not isinstance(other, LacunarityReport):
+            return NotImplemented
+        return (
+            (self.kind, self.parameter, self.constant, self.passes)
+            == (other.kind, other.parameter, other.constant, other.passes)
+            and np.array_equal(self.witness, other.witness)
+        )
 
     def to_dict(self) -> dict:
         c = self.constant
@@ -129,7 +150,7 @@ class LacunarityReport:
             "kind": self.kind,
             "parameter": self.parameter,
             "constant": c if (isinstance(c, int) or math.isfinite(c)) else "inf",
-            "witness": [list(w) for w in self.witness],
+            "witness": self.witness.tolist(),
             "passes": self.passes,
         }
 
@@ -200,8 +221,8 @@ def check_hadamard(seq: Sequence, q: float) -> LacunarityReport:
     Fewer than two elements is degenerate: the constant is +inf and the test
     passes vacuously.
     """
-    if q <= 1:
-        raise ValueError("ratio threshold q must exceed 1")
+    if not 1 < q < math.inf:
+        raise ValueError(f"ratio threshold q must be finite and exceed 1, got {q!r}")
     if any(v <= 0 for v in seq.values):
         raise ValueError("ratio test requires positive entries")
     if len(seq) < 2:
@@ -255,16 +276,22 @@ def zygmund_constant(
         raise ValueError("collision threshold L must be >= 1")
     n = len(seq)
     if n < 2:
-        return LacunarityReport(kind, L, 0, ())
+        return LacunarityReport(kind, float(L), 0)
     L = _collision_threshold(seq, L)
     d = _differences(seq, L)
-    table = np.sort(d)
-    c = np.searchsorted(table, d + L, side="right") - np.searchsorted(table, d - L)
+    # a count depends only on the value, so the sorted table serves as its
+    # own needles; `order` maps the attaining entries back to (k, l) order
+    order = np.argsort(d)
+    table = d[order]
+    c = np.searchsorted(table, table + L, side="right") - np.searchsorted(table, table - L)
     best = int(c.max())
-    k, l = np.divmod(np.flatnonzero(c == best), n - 1)
+    attained = np.zeros(d.size, dtype=bool)
+    attained[order[c == best]] = True
+    k, l = np.divmod(np.flatnonzero(attained), n - 1)
     l += l >= k  # the diagonal k == l is skipped
-    witness = zip((k + index_offset).tolist(), (l + index_offset).tolist())
-    return LacunarityReport(kind, float(L), best, tuple(witness))
+    witness = np.column_stack((k, l)) + index_offset
+    witness.flags.writeable = False  # frozen here, the report keeps it uncopied
+    return LacunarityReport(kind, float(L), best, witness)
 
 
 def strong_zygmund_profile(
@@ -297,15 +324,16 @@ def growth_bound(n: int, L: int) -> int:
     return (2 * L + 1) * n**3 + 1
 
 
-def _next_free(centers: np.ndarray, start: int, L: int) -> int:
+def _next_free(centers: np.ndarray, start: int, L: int, span: int) -> int:
     """Smallest v >= start with no marked center in [v - L, v + L].
 
     Positions past the end of ``centers`` hold no center.  The window scanned
-    above ``start`` doubles until it contains a free slot.
+    above ``start`` is at least ``span`` slots long and doubles until it
+    contains a free slot; any starting length gives the same answer.
     """
     gap = 2 * L + 1  # consecutive centers further apart than this leave a slot
     lo = max(start - L, 0)
-    span = 64 * gap
+    span = max(span, 64 * gap)
     while True:
         hi = start + span + L
         found = np.flatnonzero(centers[lo:hi]) + lo
@@ -359,7 +387,9 @@ def _greedy_steps(count: int, schedule: TailSchedule):
         centers[diffs[:stop] + x] = True
 
         L = schedule.threshold_for(n)
-        x = _next_free(centers, x + 1, L)
+        # greedy gaps grow with n: a window as long as the last gap rarely
+        # needs doubling
+        x = _next_free(centers, x + 1, L, int(x - terms[n - 2]) if n > 1 else 0)
         bound = growth_bound(n, L)
         if x > bound:
             raise NumericalError(

@@ -520,6 +520,12 @@ class TestCliMain:
             (["conc", "lemma", "--seed", "-1"], "--seed must be an integer in [0, 2**64)"),
             (["conc", "lemma", "--builder", "geometric", "--start", "4", "--L", "0"],
              "error: L must be a positive integer"),
+            (["seq", "check", "--builder", "geometric", "--start", "4", "--ratio", "4",
+              "--count", "3", "--kind", "hadamard", "--q", "nan"],
+             "error: ratio threshold q must be finite and exceed 1, got nan"),
+            (["seq", "check", "--builder", "geometric", "--start", "4", "--ratio", "4",
+              "--count", "3", "--kind", "hadamard", "--q", "inf"],
+             "error: ratio threshold q must be finite and exceed 1, got inf"),
         ],
     )
     def test_malformed_flag_exits_two_naming_it(self, capsys, argv, message):

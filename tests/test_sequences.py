@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from bisect import bisect_left, bisect_right
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lacspec import cli, sequences
 from lacspec.errors import NumericalError
 from lacspec.sequences import (
     LacunarityReport,
@@ -48,7 +50,7 @@ def bisect_zygmund(seq, L=1, *, kind="zygmund", index_offset=0):
         raise ValueError("collision threshold L must be >= 1")
     n = len(seq)
     if n < 2:
-        return LacunarityReport(kind, L, 0, ())
+        return LacunarityReport(kind, float(L), 0, ())
     if seq.integer_valued and float(L) == int(L):
         L = int(L)
     vals = seq.values
@@ -133,6 +135,23 @@ def greedy_oracle(count, threshold_of_n):
     return lam
 
 
+def unseeded_next_free(centers, start, L, span):
+    """Oracle: the free-slot search with every window starting at 64 (2L + 1)
+    slots, whatever the last gap was."""
+    gap = 2 * L + 1
+    lo = max(start - L, 0)
+    span = 64 * gap
+    while True:
+        hi = start + span + L
+        found = np.flatnonzero(centers[lo:hi]) + lo
+        end = hi if hi < centers.size else hi + gap
+        edges = np.concatenate(([start - L - 1], found, [end]))
+        free = np.flatnonzero(np.diff(edges) > gap)
+        if free.size:
+            return int(edges[free[0]]) + L + 1
+        span *= 2
+
+
 @st.composite
 def schedules(draw):
     """Tail schedules starting at M(1) = 1 with L steps of up to 5."""
@@ -209,7 +228,7 @@ class TestHadamard:
         rep = check_hadamard(Sequence((1, 2, 3)), 2.0)
         assert not rep.passes
         assert rep.constant == pytest.approx(1.5)
-        assert rep.witness == ((1, 2),)
+        assert rep.witness.tolist() == [[1, 2]]
 
     def test_greedy_output_passes(self):
         rep = check_hadamard(build_greedy(4), 2.0)
@@ -219,6 +238,11 @@ class TestHadamard:
     def test_degenerate_short_sequence(self):
         rep = check_hadamard(Sequence((5,)), 2.0)
         assert rep.passes and rep.constant == math.inf
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 1, 0.5])
+    def test_threshold_must_be_finite_and_exceed_one(self, q):
+        with pytest.raises(ValueError, match="q must be finite and exceed 1"):
+            check_hadamard(Sequence((1, 4, 16)), q)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -300,6 +324,49 @@ class TestCollisionKernel:
             zygmund_constant(seq, L, kind="strong_zygmund", index_offset=offset),
             bisect_zygmund(seq, L, kind="strong_zygmund", index_offset=offset))
 
+    @pytest.mark.parametrize("report", [
+        zygmund_constant(Sequence((1, 2, 4, 8)), 1),
+        zygmund_constant(Sequence((3,)), 2),
+        zygmund_constant(Sequence(()), 1),
+        zygmund_constant(build_counterexample(40), 2),
+        strong_zygmund_profile(build_counterexample(6), TailSchedule(((1, 3),)), [1])[0],
+        check_hadamard(Sequence((1, 2, 3)), 2.0),
+        check_hadamard(Sequence((5,)), 2.0),
+        LacunarityReport("hadamard", 2.0, math.inf, (), True),
+    ], ids=["zygmund", "zygmund_one_term", "zygmund_empty", "zygmund_objects",
+            "strong", "hadamard", "hadamard_one_term", "constructed_empty"])
+    def test_witness_is_a_read_only_int64_pair_array(self, report):
+        w = report.witness
+        assert isinstance(w, np.ndarray) and w.dtype == np.int64
+        assert w.ndim == 2 and w.shape[1] == 2
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[...] = 0
+        assert report.to_dict()["witness"] == [list(map(int, row)) for row in w]
+
+    def test_witness_of_a_caller_array_is_a_frozen_copy(self):
+        pairs = np.array([[0, 1], [1, 0]])
+        rep = LacunarityReport("zygmund", 1.0, 2, pairs)
+        pairs[0] = 9
+        assert pairs.flags.writeable
+        assert rep.witness.tolist() == [[0, 1], [1, 0]]
+
+    def test_equality_sees_the_witness_order(self):
+        rep = zygmund_constant(Sequence((1, 2, 4, 8)), 1)
+        assert len(rep.witness) > 1
+        same = LacunarityReport(rep.kind, rep.parameter, rep.constant, rep.witness.tolist())
+        swapped = LacunarityReport(
+            rep.kind, rep.parameter, rep.constant, rep.witness[::-1])
+        assert rep == same
+        assert rep != swapped
+        assert rep != LacunarityReport(rep.kind, rep.parameter, rep.constant, ())
+
+    def test_parameter_is_a_float_on_short_sequences(self):
+        for vals in ((), (7,)):
+            rep = zygmund_constant(Sequence(vals), 1)
+            assert type(rep.parameter) is float
+            assert rep.to_dict()["parameter"] == 1.0
+
     @pytest.mark.parametrize("K", [32, 40, 64])
     @pytest.mark.parametrize("L", [1, 2, 4])
     def test_paired_powers_past_the_word_size(self, K, L):
@@ -374,6 +441,39 @@ class TestStrongProfile:
         assert all(k >= 2 and l >= 2 for k, l in rep.witness)
 
 
+class TestSeqCheckOutput:
+    """`lacspec seq check` prints the oracle's report byte for byte."""
+
+    @staticmethod
+    def printed(reports):
+        return json.dumps(reports, indent=2, default=str) + "\n"
+
+    def test_zygmund_on_the_greedy_sequence(self, capsys):
+        argv = ["seq", "check", "--builder", "greedy", "--count", "400",
+                "--kind", "zygmund", "--L", "1"]
+        assert cli.main(argv) == 0
+        want = bisect_zygmund(build_greedy(400), 1)
+        assert capsys.readouterr().out == self.printed(want.to_dict())
+
+    def test_strong_on_a_two_step_schedule(self, capsys):
+        argv = ["seq", "check", "--builder", "greedy", "--count", "300",
+                "--schedule", "1:1,2:87", "--kind", "strong", "--L-values", "1,2"]
+        assert cli.main(argv) == 0
+        sch = TailSchedule(((1, 1), (2, 87)))
+        seq = build_greedy(300, sch)
+        want = [bisect_zygmund(seq.tail(sch.value(L)), L, kind="strong_zygmund",
+                               index_offset=sch.value(L) - 1).to_dict()
+                for L in (1, 2)]
+        assert capsys.readouterr().out == self.printed(want)
+
+    def test_one_term_file_prints_a_float_parameter(self, tmp_path, capsys):
+        path = tmp_path / "one.txt"
+        path.write_text("5\n")
+        argv = ["seq", "check", "--input", str(path), "--kind", "zygmund", "--L", "1"]
+        assert cli.main(argv) == 0
+        assert '"parameter": 1.0,' in capsys.readouterr().out
+
+
 class TestGreedy:
     def test_first_four_terms(self):
         assert build_greedy(4).values == (1, 3, 7, 15)
@@ -401,6 +501,17 @@ class TestGreedy:
         # forbids the wider range
         expected = greedy_oracle(count, schedule.threshold_for)
         assert list(build_greedy(count, schedule)) == expected
+
+    def test_last_gap_seed_matches_the_unseeded_search(self, monkeypatch):
+        plans = [TailSchedule(((1, 1), (2, 87))),
+                 TailSchedule(((1, 1), (2, 6), (3, 14))),
+                 TailSchedule(((1, 1), (2, 20), (4, 60)))]
+        seeded = ([build_greedy(1000)]
+                  + [greedy_growth_table(300, sch) for sch in plans])
+        monkeypatch.setattr(sequences, "_next_free", unseeded_next_free)
+        unseeded = ([build_greedy(1000)]
+                    + [greedy_growth_table(300, sch) for sch in plans])
+        assert seeded == unseeded
 
     def test_peak_allocation_follows_largest_term(self):
         # a table sized by the cubic bound needs over 200 MiB here
