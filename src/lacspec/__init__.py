@@ -1,6 +1,6 @@
 """Concentration constants, thick sets, and lacunary spectra.
 
-A numpy/scipy toolkit for the computational side of uncertainty principles
+A numpy toolkit for the computational side of uncertainty principles
 with sparse frequency support: certifying lacunary sequences, measuring set
 thickness, synthesizing functions with prescribed spectra, estimating
 concentration constants as extremal eigenvalue problems, and checking

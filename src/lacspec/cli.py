@@ -19,6 +19,7 @@ from .errors import ConfigError, NumericalError
 from .experiments import (
     SCHEDULE,
     SEED,
+    SET_RECORD,
     ExperimentConfig,
     build_sequence,
     comb_on_grid,
@@ -41,17 +42,27 @@ def _print(obj) -> None:
     print(json.dumps(obj, indent=2, default=str))
 
 
+def _integer(text):
+    return int(text) if text.isdecimal() else text
+
+
 def _parse_schedule(text):
     """Breakpoints L:M,L:M,... checked by the config schema's schedule entry."""
     if text is None:
         return None
-    value = [
-        [int(x) if x.isdecimal() else x for x in pair.split(":")]
-        for pair in text.split(",") if pair
-    ]
+    value = [[_integer(x) for x in pair.split(":")] for pair in text.split(",") if pair]
     if field_violations(value, SCHEDULE):
         raise ConfigError([f"--schedule must have the form L:M,L:M,... with integers "
                            f"L, M >= 1, got {text!r}"])
+    return value
+
+
+def _parse_L_values(text):
+    """Window lengths L,L,... checked as a list of positive integers."""
+    value = [_integer(x) for x in text.split(",")]
+    if field_violations(value, (True, [int], "[1, inf)")):
+        raise ConfigError([f"--L-values must have the form L,L,... with integers "
+                           f"L >= 1, got {text!r}"])
     return value
 
 
@@ -108,10 +119,14 @@ def _set_from_args(args, grid=None) -> sets.ThickSet:
     """The set the flags describe: on --window, or for a command with a grid
     on the grid window [0, T] as in the runner, where a comb is built by
     comb_on_grid, which refuses a comb finer than the grid.  A --set-file
-    keeps its own window."""
+    record, checked by the schema's SET_RECORD, keeps its own window."""
     if getattr(args, "set_file", None):
         with open(args.set_file, "r", encoding="utf-8") as fh:
-            return sets.ThickSet.from_dict(json.load(fh))
+            record = json.load(fh)
+        errors = field_violations(record, SET_RECORD, f"--set-file {args.set_file}")
+        if errors:
+            raise ConfigError(errors)
+        return sets.ThickSet.from_dict(record)
     window = _pair(args.window, "--window") if grid is None else (0.0, grid.period)
     if args.pattern == "comb":
         if grid is not None:
@@ -160,7 +175,7 @@ def _cmd_seq_check(args) -> int:
         _print(report.to_dict())
     else:
         schedule = schedule_from(_parse_schedule(args.schedule))
-        L_values = [int(x) for x in args.L_values.split(",")]
+        L_values = _parse_L_values(args.L_values)
         reports = sequences.strong_zygmund_profile(seq, schedule, L_values)
         _print([r.to_dict() for r in reports])
     return EXIT_OK

@@ -123,6 +123,11 @@ _NUMBER = (True, float, None)
 _POSITIVE_INT = (True, int, "[1, inf)")
 SCHEDULE = (False, [[int, int]], "[1, inf)")
 SEED = (True, int, "[0, 18446744073709551616)")  # a Philox key word: below 2**64
+SET_RECORD = (True, _Object({  # ThickSet.to_dict, read back by --set-file
+    "intervals": (True, [[float, float]], None),
+    "window": (True, [float, float], None),
+    "periodic": (False, (True, False), None),
+}), None)
 
 _SEQUENCE = _Object({}, None, {
     "file": _Object({"file": (True, str, None)}),
@@ -266,17 +271,21 @@ def _check(value, type_, bounds, where: str, key, errors: list) -> None:
             _check(item, item_type, bounds, where, f"{key}[{i}]", errors)
     elif isinstance(type_, tuple):
         if not any(type(value) is type(v) and value == v for v in type_):
-            fail(f"be one of {list(type_)}")
+            fail(f"be one of {json.dumps(list(type_))}")
     elif isinstance(value, bool) or not _SCALARS[type_][1](value):
         fail(f"be {_SCALARS[type_][0]}")
     elif bounds is not None and not _within(value, bounds):
         fail(f"lie in {bounds}")
 
 
-def field_violations(value, field: tuple) -> list[str]:
-    """What keeps ``value`` from satisfying one schema field, such as SCHEDULE."""
+def field_violations(value, field: tuple, where: str = "value") -> list[str]:
+    """What keeps ``value`` from satisfying one schema field, such as SCHEDULE.
+
+    The messages start with ``where``; those about an object name its keys.
+    """
     errors: list[str] = []
-    _check(value, field[1], field[2], "value", "value", errors)
+    key = None if isinstance(field[1], _Object) else where
+    _check(value, field[1], field[2], where, key, errors)
     return errors
 
 

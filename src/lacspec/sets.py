@@ -37,6 +37,12 @@ def _is_exact(*xs) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
+def _check_finite(what: str, *ends) -> None:
+    """Refuse a non-finite float end; exact ends are finite and are not converted."""
+    if any(not _is_exact(x) and not math.isfinite(x) for x in ends):
+        raise ValueError(f"{what} ({', '.join(map(str, ends))}) has a non-finite end")
+
+
 def _ratio(num, den):
     if _is_exact(num, den):
         return Fraction(num, den) if den != 0 else Fraction(0)
@@ -60,13 +66,15 @@ class ThickSet:
 
     def __post_init__(self):
         w0, w1 = self.window
+        _check_finite("window", w0, w1)
         if not w0 < w1:
             raise ValueError("window must have positive length")
         cleaned = []
         for a, b in self.intervals:
             if b < a:
                 raise ValueError(f"interval ({a}, {b}) is reversed")
-            if a < w0 or b > w1:
+            if not (w0 <= a and b <= w1):  # also a NaN end, which fails every comparison
+                _check_finite("interval", a, b)
                 raise ValueError(f"interval ({a}, {b}) leaves the window")
             if b > a:
                 cleaned.append((a, b))
@@ -268,6 +276,7 @@ def periodic_comb(gamma, delta, window=(0, 1)) -> ThickSet:
     if not delta > 0:
         raise ValueError("delta must be positive")
     w0, w1 = window
+    _check_finite("window", w0, w1)
     try:
         blocks = _ratio(w1 - w0, delta)
     except ZeroDivisionError:  # float ends and an exact delta that rounds to 0.0

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -225,6 +226,16 @@ class TestCarlemanDenjoy:
         rep = carleman_denjoy_partial(10_000, 1e4)
         assert rep.partial_sums[9999] > rep.partial_sums[99]
 
+    @pytest.mark.parametrize("T_max, decades", [
+        (1e40, 39), (1e300, 299), (1.7e308, 308), (math.nextafter(1e300, math.inf), 300),
+    ])
+    def test_proxy_ends_are_exact_powers_of_ten(self, T_max, decades):
+        # repeated t *= 10 drifts from 10**k from 1e25 on, and 1e40 then got
+        # a sliver row just below T_max; one ulp past 1e300 the last piece is
+        # empty in u = log t, and the check must not divide by it
+        ends = [t for t, _ in carleman_denjoy_partial(1, T_max).integral_proxy]
+        assert ends == [float(10**k) for k in range(1, decades + 1)] + [T_max]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             carleman_denjoy_partial(0, 100.0)
@@ -232,16 +243,23 @@ class TestCarlemanDenjoy:
             carleman_denjoy_partial(10, 1.0)
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is needed only by uniqueness.quad and costs ~0.6 s to load; the
-    # benchmark's trace wraps that module attribute, so it must stay there
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # the proxy integral is a numpy rule and scipy is a test-only oracle; the
+    # benchmark's trace wraps uniqueness.quad, so it must stay that attribute
     src = Path(__file__).resolve().parents[1] / "src"
+    config = {"version": 1, "kind": "carleman_denjoy", "output_dir": "cd",
+              "params": {"N": 20, "T_max": 1e300}}
+    (tmp_path / "cd.json").write_text(json.dumps(config))
     code = (
         "import sys, lacspec, lacspec.uniqueness as u; assert callable(u.quad); "
-        "print(any(m.startswith('scipy') for m in sys.modules))"
+        "from lacspec import cli; "
+        "assert cli.main(['run', 'cd.json']) == 0; "
+        "assert cli.main(['uniq', 'cd', '--N', '20', '--T-max', '1e10']) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, check=True,
+        cwd=tmp_path, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stderr.strip() == "[]"
+    assert (tmp_path / "cd" / "carleman_proxy.csv").exists()
