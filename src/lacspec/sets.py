@@ -3,19 +3,26 @@
 Endpoint arithmetic stays in whatever number type the caller supplies, so
 integer or ``fractions.Fraction`` inputs are handled exactly; float inputs
 fall back to the documented 1e-12 tolerance on measure comparisons.  Window
-measures are differences of one cumulative measure.  Density infima are
-attained where a window edge meets a set edge, so they are computed over
-that finite critical set rather than by scanning.
+measures are differences of one cumulative measure F, evaluated for all the
+query points of a call in one numpy pass.  Exact inputs are measured from
+the window start and scaled to one integer denominator, the lcm of the
+denominators of the set's ends and of the call's values: int64 while every
+scaled magnitude stays below 2**62, an object array of Python ints beyond,
+so exact values never pass through float.  Float inputs take the same code
+in float64.  Density infima are attained where a window edge meets a set
+edge, so they are computed over that finite critical set rather than by
+scanning.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NumericalError
 
@@ -31,6 +38,7 @@ __all__ = [
 
 MEASURE_TOL = 1e-12
 MAX_COMB_BLOCKS = 10**6  # also caps the cells of partition_good_bad
+_INT64_REACH = 2**62  # exact frames stay in int64 below this scaled magnitude
 
 
 def _is_exact(*xs) -> bool:
@@ -43,10 +51,70 @@ def _check_finite(what: str, *ends) -> None:
         raise ValueError(f"{what} ({', '.join(map(str, ends))}) has a non-finite end")
 
 
+def _tol(*xs):
+    """Slack of a comparison: none between exact numbers, MEASURE_TOL with a float."""
+    return 0 if _is_exact(*xs) else MEASURE_TOL
+
+
 def _ratio(num, den):
     if _is_exact(num, den):
         return Fraction(num, den) if den != 0 else Fraction(0)
     return num / den
+
+
+class _Frame(NamedTuple):
+    """A set in the number frame of one call.
+
+    An exact frame holds a point x as the integer (x - origin) * scale and a
+    length l as l * scale; a float frame (scale None) holds both as floats.
+    ends[i] closes the interval that starts at starts[i - 1]; ends[0] is
+    unused.  prefix[i] is the measure of the first i intervals.
+    """
+
+    scale: int | None
+    origin: object
+    w0: object
+    period: object
+    starts: np.ndarray
+    ends: np.ndarray
+    prefix: np.ndarray
+    periodic: bool
+
+    def length(self, x):
+        return float(x) if self.scale is None else (x * self.scale).numerator
+
+    def at(self, x):
+        return float(x) if self.scale is None else self.length(x - self.origin)
+
+    def floor(self, x):
+        """The largest frame length at most x, so m > x exactly when m > floor(x)."""
+        if self.scale is not None:
+            return math.floor(Fraction(x) * self.scale)
+        f = float(x)
+        return math.nextafter(f, -math.inf) if f > x else f
+
+    def value(self, m):
+        """A frame length m back in the caller's units."""
+        return float(m) if self.scale is None else Fraction(int(m), self.scale)
+
+    def cumulative(self, x: np.ndarray) -> np.ndarray:
+        """F(x) = measure in [w0, x], negative left of w0 for a periodic set:
+        k = floor((x - w0)/P) whole periods plus the rest, folded into [w0, w1)."""
+        k = 0
+        if self.periodic:
+            d = x - self.w0
+            k = np.floor(d / self.period) if self.scale is None else d // self.period
+            x = x - k * self.period
+        i = np.searchsorted(self.starts, x, side="right")
+        over = np.where(i > 0, self.ends[i] - x, 0)
+        return k * self.prefix[-1] + self.prefix[i] - np.maximum(over, 0)
+
+
+def _table(starts: list, ends: list, dtype):
+    """starts, ends (with the unused leading entry) and prefix measures as arrays."""
+    starts, ends = np.array(starts, dtype=dtype), np.array(ends, dtype=dtype)
+    prefix = np.concatenate((np.zeros(1, dtype), np.cumsum(ends - starts)))
+    return starts, np.concatenate((np.zeros(1, dtype), ends)), prefix
 
 
 @dataclass(frozen=True)
@@ -56,8 +124,9 @@ class ThickSet:
     Intervals are normalized on construction: sorted, overlapping or touching
     pieces merged, zero-length pieces dropped.  With ``periodic`` set, the
     pattern tiles the line with period equal to the window length.  The
-    prefix measures behind ``measure`` and ``measure_in`` are built on first
-    use and kept on the instance, outside ==, hash and repr.
+    measure and the interval tables behind ``measure_in``, ``thickness`` and
+    ``partition_good_bad`` are built on first use and kept on the instance,
+    outside ==, hash and repr.
     """
 
     intervals: tuple
@@ -65,6 +134,8 @@ class ThickSet:
     periodic: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.periodic, bool):
+            raise ValueError(f"periodic must be a bool, not {self.periodic!r}")
         w0, w1 = self.window
         _check_finite("window", w0, w1)
         if not w0 < w1:
@@ -88,33 +159,59 @@ class ThickSet:
         object.__setattr__(self, "intervals", tuple((a, b) for a, b in merged))
         object.__setattr__(self, "window", (w0, w1))
 
-    @property
+    @cached_property
     def measure(self):
-        return self._prefix[-1]
+        """Total length of the intervals, summed exactly for exact ends."""
+        return sum((b - a for a, b in self.intervals), 0)
 
     @property
     def period(self):
         return self.window[1] - self.window[0]
 
     @cached_property
-    def _prefix(self) -> list:
-        """_prefix[i] is the measure of the first i intervals, summed exactly."""
-        return list(accumulate((b - a for a, b in self.intervals), initial=0))
+    def _exact_table(self):
+        """(scale, starts, ends, prefix) of an exact set at the lcm of its
+        denominators, in int64 while period * scale < _INT64_REACH; None for a
+        set with a float end."""
+        w0, w1 = self.window
+        ends = [t for iv in self.intervals for t in iv]
+        if not _is_exact(w0, w1, *ends):
+            return None
+        scale = math.lcm(w0.denominator, w1.denominator, *(t.denominator for t in ends))
+        w0s = w0.numerator * (scale // w0.denominator)
+        ticks = [t.numerator * (scale // t.denominator) - w0s for t in ends]
+        dtype = np.int64 if self.period * scale < _INT64_REACH else object
+        return (scale, *_table(ticks[0::2], ticks[1::2], dtype))
 
-    def _cumulative(self, x):
-        """F(x) = measure in [w0, x], negative left of w0 for a periodic set:
-        k = floor((x - w0)/P) whole periods plus the rest, folded into [w0, w1)."""
-        k = 0
-        if self.periodic:
-            k = math.floor(_ratio(x - self.window[0], self.period))
-            x -= k * self.period
-        i = bisect_right(self.intervals, x, key=lambda iv: iv[0])
-        b = self.intervals[i - 1][1] if i else x
-        return k * self.measure + self._prefix[i] - max(0, b - x)
+    @cached_property
+    def _float_table(self):
+        return _table([float(a) for a, _ in self.intervals],
+                      [float(b) for _, b in self.intervals], np.float64)
+
+    def _frame(self, values, reach) -> _Frame:
+        """The frame of a call that meets the numbers ``values`` and queries F
+        at points within ``reach`` of the window start: exact when the set and
+        the values are, in int64 while (reach + period) * scale < _INT64_REACH."""
+        w0 = self.window[0]
+        exact = self._exact_table
+        if exact is None or not _is_exact(*values):
+            tables = self._float_table
+            return _Frame(None, w0, float(w0), float(self.period), *tables, self.periodic)
+        own, *tables = exact
+        scale = math.lcm(own, *(v.denominator for v in values))
+        dtype = np.int64 if (reach + self.period) * scale < _INT64_REACH else object
+        tables = [t.astype(dtype, copy=False) * (scale // own) for t in tables]
+        period = (self.period * scale).numerator
+        return _Frame(scale, w0, 0, period, *tables, self.periodic)
 
     def measure_in(self, lo, hi):
         """Measure of the (periodized, if applicable) set in [lo, hi], F(hi) - F(lo)."""
-        return 0 if hi <= lo else self._cumulative(hi) - self._cumulative(lo)
+        if hi <= lo:
+            return 0
+        w0 = self.window[0]
+        frame = self._frame((lo, hi), max(abs(lo - w0), abs(hi - w0)))
+        F = frame.cumulative(np.array([frame.at(lo), frame.at(hi)], frame.starts.dtype))
+        return frame.value(F[1] - F[0])
 
     def to_dict(self) -> dict:
         return {
@@ -128,7 +225,7 @@ class ThickSet:
         return cls(
             tuple((a, b) for a, b in d["intervals"]),
             tuple(d["window"]),
-            bool(d.get("periodic", False)),
+            d.get("periodic", False),
         )
 
 
@@ -143,18 +240,24 @@ def thickness(E: ThickSet, Delta):
     if Delta <= 0:
         raise ValueError("window length Delta must be positive")
     w0, w1 = E.window
-    edges = [t for a, b in E.intervals for t in (a, b, a - Delta, b - Delta)]
     if E.periodic:
-        P = E.period
-        if Delta > P:
+        if Delta > E.period:
             raise ValueError("window length Delta must not exceed the period")
-        candidates = {w0} | {w0 + (t - w0) % P for t in edges}
+    elif Delta > w1 - w0:
+        raise ValueError("window length Delta must fit inside the window")
+    frame = E._frame((Delta,), E.period + Delta)
+    D = frame.length(Delta)
+    starts, ends = frame.starts, frame.ends[1:]
+    edges = np.concatenate((starts, ends, starts - D, ends - D))
+    if E.periodic:
+        fixed = [frame.w0]
+        edges = frame.w0 + (edges - frame.w0) % frame.period
     else:
-        if Delta > w1 - w0:
-            raise ValueError("window length Delta must fit inside the window")
-        candidates = {w0, w1 - Delta} | {t for t in edges if w0 <= t <= w1 - Delta}
-    best = min(E.measure_in(t, t + Delta) for t in candidates)
-    return _ratio(best, Delta)
+        fixed = [frame.w0, frame.at(w1) - D]
+        edges = edges[(fixed[0] <= edges) & (edges <= fixed[1])]
+    t = np.concatenate((np.array(fixed, frame.starts.dtype), edges))
+    best = (frame.cumulative(t + D) - frame.cumulative(t)).min()
+    return frame.value(best) / Delta
 
 
 def good_fraction_bound(gamma):
@@ -203,7 +306,9 @@ def partition_good_bad(E: ThickSet, Delta, L: int, gamma) -> PartitionReport:
     thick; the certified bound good_count >= good_fraction_bound(gamma)*L*Delta
     is re-checked on every block.  Subintervals with E-measure exactly at the
     gamma/2 boundary are classified bad.  More than MAX_COMB_BLOCKS cells
-    are refused before the first is classified.
+    are refused before the first is classified.  All cells are measured in
+    one pass; exact inputs are compared exactly, float inputs within
+    MEASURE_TOL.
     """
     if L < 1:
         raise ValueError("subdivision L must be a positive integer")
@@ -213,7 +318,7 @@ def partition_good_bad(E: ThickSet, Delta, L: int, gamma) -> PartitionReport:
     if S is None or S < 1:
         raise ValueError(f"L*Delta = {L * Delta} is not a positive integer")
     actual = thickness(E, Delta)
-    if actual < gamma - MEASURE_TOL:
+    if actual < gamma - _tol(actual, gamma):
         raise ValueError(
             f"precondition violated: set is only ({Delta}, {actual})-thick, "
             f"gamma = {gamma} was claimed"
@@ -224,31 +329,34 @@ def partition_good_bad(E: ThickSet, Delta, L: int, gamma) -> PartitionReport:
         if nb is None:
             raise ValueError("period must be an integer multiple of Delta")
     else:
-        nb = math.floor(_ratio(w1 - w0, Delta) + MEASURE_TOL)
+        blocks = _ratio(w1 - w0, Delta)
+        nb = math.floor(blocks + _tol(blocks))
         if nb < 1:
             raise ValueError("window shorter than one block")
     if nb * S > MAX_COMB_BLOCKS:
         raise ValueError(f"{nb} blocks of {S} cells: over {MAX_COMB_BLOCKS} cells to classify")
     sub = _ratio(Delta, S)
-    threshold = _ratio(gamma, 2) * sub
-    good_all, bad_all = [], []
+    frame = E._frame((Delta, sub), E.period)
+    dtype = frame.starts.dtype
+    origins = frame.w0 + np.arange(nb, dtype=dtype) * frame.length(Delta)
+    lo = origins[:, None] + np.arange(S, dtype=dtype) * frame.length(sub)
+    m = frame.cumulative(lo + frame.length(sub)) - frame.cumulative(lo)
+    good = m > frame.floor(_ratio(gamma, 2) * sub)
     bound = good_fraction_bound(gamma) * S
-    for k in range(nb):
-        origin = w0 + k * Delta
-        good, bad = [], []
-        for j in range(S):
-            lo = origin + j * sub
-            m = E.measure_in(lo, lo + sub)
-            (good if m > threshold else bad).append(j)
-        if len(good) < bound - MEASURE_TOL:
-            raise NumericalError(
-                f"certified good-count bound failed on block {k}: "
-                f"{len(good)} < {bound}"
-            )
-        good_all.append(tuple(good))
-        bad_all.append(tuple(bad))
+    counts = good.sum(axis=1)
+    # an integer count lies below bound - tol exactly when it lies below its ceiling
+    short = np.flatnonzero(counts < math.ceil(bound - _tol(bound)))
+    if short.size:
+        k = int(short[0])
+        raise NumericalError(
+            f"certified good-count bound failed on block {k}: {counts[k]} < {bound}"
+        )
+    cells = np.arange(S)
     return PartitionReport(
-        Delta, L, gamma, tuple(good_all), tuple(bad_all), bound
+        Delta, L, gamma,
+        tuple(tuple(cells[row].tolist()) for row in good),
+        tuple(tuple(cells[~row].tolist()) for row in good),
+        bound,
     )
 
 

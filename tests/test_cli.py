@@ -679,6 +679,16 @@ class TestCliMain:
         assert rc == 2
         assert "cells to classify" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("end, rc", [("0.4999999", 2), ("0.4999999999999", 0)])
+    def test_partition_claim_above_the_thickness_exits_two(self, capsys, end, rc):
+        # the flags are floats, so the claim gamma = 0.5 is held to the set's
+        # thickness within the float tolerance 1e-12 and no closer
+        assert cli.main(["set", "partition", "--pattern", "intervals", "--intervals",
+                         f"0,{end}", "--periodic", "--window", "0,1", "--delta", "1",
+                         "--L", "2", "--gamma", "0.5"]) == rc
+        if rc:
+            assert "error: precondition violated: set is only" in capsys.readouterr().err
+
     def test_synth_check_support_is_judged_on_the_declared_bins(self, tmp_path, capsys):
         # 10*T is 1e-9 short of 80: the band [10, 11] holds bins 80..87, and
         # the block holds as many coefficients, all inside the declared bins

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import pickle
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +45,36 @@ def _is_exact(*xs):
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
+def loop_thickness(E, Delta):
+    """Oracle: the least loop_measure_in over the critical window starts."""
+    w0, w1 = E.window
+    edges = [t for a, b in E.intervals for t in (a, b, a - Delta, b - Delta)]
+    if E.periodic:
+        starts = {w0} | {w0 + (t - w0) % E.period for t in edges}
+    else:
+        starts = {w0, w1 - Delta} | {t for t in edges if w0 <= t <= w1 - Delta}
+    best = min(loop_measure_in(E, t, t + Delta) for t in starts)
+    return Fraction(best, Delta) if _is_exact(best, Delta) else best / Delta
+
+
+def loop_partition(E, Delta, L, gamma):
+    """Oracle for exact inputs: every length-1/L cell of every block measured
+    by loop_measure_in and classified on its own."""
+    S = int(L * Delta)
+    nb = int(E.period / Delta) if E.periodic else math.floor(E.period / Delta)
+    sub = Fraction(Delta) / S
+    threshold = Fraction(gamma) / 2 * sub
+    good, bad = [], []
+    for k in range(nb):
+        origin = E.window[0] + k * Delta
+        fills = [loop_measure_in(E, origin + j * sub, origin + (j + 1) * sub) > threshold
+                 for j in range(S)]
+        good.append(tuple(j for j in range(S) if fills[j]))
+        bad.append(tuple(j for j in range(S) if not fills[j]))
+    return PartitionReport(Delta, L, gamma, tuple(good), tuple(bad),
+                           good_fraction_bound(gamma) * S)
+
+
 @st.composite
 def sets_on_a_grid(draw, kinds=("int", "fraction", "float")):
     """A set on the grid of step 1/den: nonzero w0, period P up to 6, and up
@@ -64,6 +93,25 @@ def sets_on_a_grid(draw, kinds=("int", "fraction", "float")):
         draw(st.booleans()),
     )
     return E, num, w0, P
+
+
+@st.composite
+def sets_past_int64(draw):
+    """Exact sets whose scaled magnitudes cross 2**62, where int64 would
+    overflow: integer ends with a period from 2**60 to 2**63 and a window
+    start far from 0, or Fraction ends whose lcm of denominators overflows
+    int64 on a short window.  Returns the set and its period."""
+    w0 = draw(st.integers(-2**70, 2**70))
+    if draw(st.booleans()):
+        P = draw(st.integers(2**60, 2**63))
+        cuts = st.integers(w0, w0 + P)
+    else:
+        P = draw(st.integers(1, 4))
+        den = st.integers(2**32, 2**40)
+        cuts = st.builds(lambda d, u: w0 + Fraction(round(u * P * d), d),
+                         den, st.floats(0, 1))
+    pieces = draw(st.lists(st.tuples(cuts, cuts).map(sorted), min_size=1, max_size=4))
+    return ThickSet(tuple(pieces), (w0, w0 + P), draw(st.booleans())), P
 
 
 @st.composite
@@ -130,6 +178,17 @@ class TestThickSet:
     def test_dict_roundtrip(self):
         E = ThickSet(((0.0, 0.25), (0.5, 0.6)), (0.0, 1.0), periodic=True)
         assert ThickSet.from_dict(E.to_dict()) == E
+
+    @pytest.mark.parametrize("periodic", ["no", 1, None])
+    def test_periodic_must_be_a_bool(self, periodic):
+        with pytest.raises(ValueError, match="periodic must be a bool"):
+            ThickSet(((0, 0.5),), (0, 1), periodic)
+
+    def test_from_dict_does_not_coerce_periodic(self):
+        record = {"intervals": [[0, 0.5]], "window": [0, 1]}
+        assert ThickSet.from_dict(record).periodic is False
+        with pytest.raises(ValueError, match="periodic must be a bool, not 'no'"):
+            ThickSet.from_dict({**record, "periodic": "no"})
 
     @given(sets_and_windows())
     @settings(max_examples=400, deadline=None)
@@ -237,22 +296,42 @@ class TestThickness:
         Delta = Fraction(P) / blocks if exact else P / blocks
         L = blocks * j * (Fraction(P).denominator if exact else 1)
 
-        def outcomes():
-            g = thickness(E, Delta)
-            if not g:
-                return g, None
-            try:
-                return g, partition_good_bad(E, Delta, L, g)
-            except ValueError as exc:
-                return g, str(exc)
+        g = thickness(E, Delta)
+        if not exact:
+            assert abs(g - loop_thickness(E, Delta)) <= 1e-12
+            return
+        assert repr(g) == repr(loop_thickness(E, Delta))
+        if g:
+            assert repr(partition_good_bad(E, Delta, L, g)) == repr(
+                loop_partition(E, Delta, L, g))
 
-        got = outcomes()
-        with mock.patch.object(ThickSet, "measure_in", loop_measure_in):
-            want = outcomes()
-        if exact:
-            assert repr(got) == repr(want)
-        else:
-            assert abs(got[0] - want[0]) <= 1e-12
+    @given(sets_past_int64(), st.integers(1, 3), st.integers(1, 2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_past_int64_matches_the_loop(self, drawn, blocks, j, data):
+        E, P = drawn
+        Delta = Fraction(P, blocks)
+        g = thickness(E, Delta)
+        assert repr(g) == repr(loop_thickness(E, Delta))
+        periods = st.integers(-3, 3).map(lambda k: k * P) | st.just(0)
+        lo = E.window[0] + data.draw(periods) + data.draw(st.integers(0, P))
+        hi = lo + data.draw(periods.map(abs)) + data.draw(st.integers(0, P))
+        assert E.measure_in(lo, hi) == loop_measure_in(E, lo, hi)
+        if g and P <= 4:  # L*Delta = P*j cells per block, under the cell cap
+            L = blocks * j
+            assert repr(partition_good_bad(E, Delta, L, g)) == repr(
+                loop_partition(E, Delta, L, g))
+
+    def test_exact_past_int64_returns_the_exact_value(self):
+        big = 2**64
+        E = ThickSet(((Fraction(1, 3), big + Fraction(1, 3)),), (0, 2 * big))
+        assert thickness(E, big) == Fraction(1, 3 * big)
+        p, q = 2**61 - 1, 2**31 - 1  # primes: the scale p*q is past int64
+        E = ThickSet(((0, Fraction(1, p)), (Fraction(1, 2), Fraction(1, 2) + Fraction(1, q))),
+                     (0, 1), True)
+        g = thickness(E, 1)
+        assert g == Fraction(1, p) + Fraction(1, q)
+        rep = partition_good_bad(E, 1, 2, g)
+        assert (rep.good_indices, rep.bad_indices) == (((1,),), ((0,),))
 
 
 class TestPartition:
@@ -290,6 +369,29 @@ class TestPartition:
         E = ThickSet(((0.0, 1.0),), (0.0, 3.0))  # a block misses E entirely
         with pytest.raises(ValueError, match="thick"):
             partition_good_bad(E, 1.0, 4, 0.25)
+
+    def test_exact_claim_is_compared_exactly(self):
+        # thickness 1/2 - 10**-13: the float tolerance would accept gamma = 1/2
+        E = periodic_comb(Fraction(1, 2) - Fraction(1, 10**13), 1, (0, 4))
+        with pytest.raises(ValueError, match=r"only \(1, 4999999999999/10000000000000\)-thick"):
+            partition_good_bad(E, 1, 2, Fraction(1, 2))
+        # float inputs keep the tolerance
+        E = periodic_comb(0.5 - 1e-13, 1.0, (0.0, 4.0))
+        assert partition_good_bad(E, 1.0, 2, 0.5).good_indices == ((0,),) * 4
+
+    def test_exact_block_count_is_exact(self):
+        # (w1 - w0)/Delta is 10**-13 short of 3: two whole blocks, not three
+        w1 = 3 - Fraction(1, 10**13)
+        rep = partition_good_bad(ThickSet(((0, w1),), (0, w1)), 1, 1, 1)
+        assert rep.good_indices == ((0,), (0,))
+
+    @pytest.mark.parametrize("one, half", [(1, Fraction(1, 2)), (1.0, 0.5)])
+    def test_partition_at_the_cell_cap_is_one_pass(self, deadline, one, half):
+        E = periodic_comb(half, one, (0 * one, 1000 * one))  # 1000 blocks of 1000 cells
+        with deadline(5.0):
+            rep = partition_good_bad(E, one, 1000, half)
+        assert len(rep.good_indices) * 1000 == MAX_COMB_BLOCKS
+        assert all(g == tuple(range(500)) for g in rep.good_indices)
 
     def test_non_integer_subdivision_rejected(self):
         E = ThickSet(((0.0, 2.0),), (0.0, 2.0))
