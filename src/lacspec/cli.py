@@ -8,9 +8,12 @@ one operation, and print a JSON record (or write a file).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .experiments import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+MAX_LITERAL_DIGITS = 1000  # digits plus decimal exponent of an exact flag value
 
 
 def _print(obj) -> None:
@@ -66,13 +70,69 @@ def _parse_L_values(text):
     return value
 
 
-def _pair(text, flag, form="a,b"):
+class _Decimal(Fraction):
+    """The exact value of a finite decimal literal, shown as it was written.
+
+    All else makes plain Fractions: arithmetic, comparison with a float
+    (``from_float``), copying and pickling."""
+
+    def __new__(cls, text, *denominator):
+        if denominator:  # Fraction's own cls(numerator, denominator)
+            return Fraction(text, *denominator)
+        d = decimal.Decimal(text)
+        _, digits, exponent = d.as_tuple()
+        if len(digits) + abs(exponent) > MAX_LITERAL_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"{text.strip()!r} needs integers of more than {MAX_LITERAL_DIGITS} digits "
+                f"to be held exactly")
+        self = super().__new__(cls, d)
+        self._text = text.strip()
+        return self
+
+    def __repr__(self):
+        return self._text
+
+    __str__ = __repr__
+
+
+def _exact(text: str):
+    """A finite decimal literal as the exact Fraction it denotes (the float
+    0.1 is not 1/10); nan and inf as floats, for the library to refuse."""
+    try:
+        x = float(text)
+        return _Decimal(text) if math.isfinite(x) else x
+    except (ValueError, decimal.InvalidOperation):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+
+
+def _pair(text, flag, form="a,b", number=float):
     """Two comma-separated numbers; a ConfigError naming the flag otherwise."""
     try:
-        lo, hi = (float(x) for x in text.split(","))
+        lo, hi = (number(x) for x in text.split(","))
     except ValueError:
         raise ConfigError([f"{flag} must have the form {form}, got {text!r}"]) from None
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError([f"{flag}: {exc}"]) from None
+    if not all(isinstance(x, Fraction) for x in (lo, hi)):  # nan or inf: the library refuses
+        lo, hi = float(lo), float(hi)
     return lo, hi
+
+
+def _grid(args) -> synthesis.Grid:
+    """The grid of --period and --samples, or a ValueError naming both."""
+    try:
+        return synthesis.Grid(args.period, args.samples)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (--period {args.period}, --samples {args.samples})") from None
+
+
+def _terms_below(seq, args, bound, what: str) -> None:
+    """Refuse a sequence with a term of magnitude above ``bound``, the limit
+    ``what`` of the command, naming the flag the sequence came from."""
+    if any(abs(v) > bound for v in seq.values):
+        flag = ("--input" if args.input else "--K" if args.builder == "counterexample"
+                else "--count")
+        raise ConfigError([f"{flag} {getattr(args, flag[2:])} gives terms above {what}"])
 
 
 def _seed(args) -> int:
@@ -98,6 +158,13 @@ def _sequence_from_args(args) -> sequences.Sequence:
     else:
         spec.update(K=args.K)
     return build_sequence(spec)
+
+
+def _float_sequence(args) -> sequences.Sequence:
+    """The sequence of a command that computes with its terms as floats."""
+    seq = _sequence_from_args(args)
+    _terms_below(seq, args, sys.float_info.max, f"the largest float {sys.float_info.max!r}")
+    return seq
 
 
 def _add_sequence_source(p: argparse.ArgumentParser) -> None:
@@ -127,7 +194,8 @@ def _set_from_args(args, grid=None) -> sets.ThickSet:
         if errors:
             raise ConfigError(errors)
         return sets.ThickSet.from_dict(record)
-    window = _pair(args.window, "--window") if grid is None else (0.0, grid.period)
+    number = _exact if grid is None else float  # without a grid sets are exact
+    window = _pair(args.window, "--window", number=number) if grid is None else (0.0, grid.period)
     if args.pattern == "comb":
         if grid is not None:
             return comb_on_grid(args.gamma, args.delta, grid)
@@ -135,19 +203,22 @@ def _set_from_args(args, grid=None) -> sets.ThickSet:
     if args.pattern == "full":
         return sets.ThickSet((window,), window)
     pieces = tuple(
-        _pair(piece, "--intervals", "a,b;c,d;...") for piece in args.intervals.split(";")
+        _pair(piece, "--intervals", "a,b;c,d;...", number)
+        for piece in args.intervals.split(";")
     )
     return sets.ThickSet(pieces, window, args.periodic)
 
 
 def _add_set_source(p: argparse.ArgumentParser, default_window=None) -> None:
-    """The set flags; --window only for a command without a grid."""
+    """The set flags; --window only for a command without a grid, where
+    --gamma and --delta are exact, as the window and the intervals are."""
+    number = float if default_window is None else _exact
     p.add_argument("--set-file", help="thick set as a JSON record")
     p.add_argument(
         "--pattern", choices=["comb", "full", "intervals"], default="comb"
     )
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--gamma", type=number, default="0.5")
+    p.add_argument("--delta", type=number, default="1.0")
     if default_window is not None:
         p.add_argument("--window", default=default_window)
     p.add_argument("--intervals", default="", help="a,b;c,d;... interval list")
@@ -156,6 +227,9 @@ def _add_set_source(p: argparse.ArgumentParser, default_window=None) -> None:
 
 def _cmd_seq_build(args) -> int:
     seq = _sequence_from_args(args)
+    limit = sys.get_int_max_str_digits()
+    _terms_below(seq, args, 10**limit - 1 if limit else math.inf,
+                 f"{limit} decimal digits, the most an integer may have to be written as text")
     text = seq.to_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -185,7 +259,7 @@ def _cmd_set_gamma(args) -> int:
     E = _set_from_args(args)
     delta = args.delta
     out = {
-        "delta": delta,
+        "delta": float(delta),
         "gamma": float(sets.thickness(E, delta)),
         "set_measure": float(E.measure),
     }
@@ -208,7 +282,7 @@ def _cmd_set_partition(args) -> int:
 
 def _cmd_synth_check(args) -> int:
     seq = _sequence_from_args(args)
-    grid = synthesis.Grid(args.period, args.samples)
+    grid = _grid(args)
     (blocks,) = trial_blocks(seq, grid, _seed(args), 1)
     f = synthesis.synthesize(blocks, seq, grid)
     support = synthesis.spectral_support(f, args.tol)
@@ -229,7 +303,7 @@ def _cmd_synth_check(args) -> int:
 
 
 def _cmd_conc_gram(args) -> int:
-    seq = _sequence_from_args(args)
+    seq = _float_sequence(args)
     E = _set_from_args(args)
     form = concentration.gram_matrix(E, seq)
     if args.output:
@@ -246,14 +320,14 @@ def _cmd_conc_gram(args) -> int:
 
 
 def _cmd_conc_nazarov(args) -> int:
-    seq = _sequence_from_args(args)
+    seq = _float_sequence(args)
     E = _set_from_args(args)
     _print(concentration.nazarov_constant(E, seq).to_dict())
     return EXIT_OK
 
 
 def _cmd_conc_ls(args) -> int:
-    grid = synthesis.Grid(args.period, args.samples)
+    grid = _grid(args)
     E = _set_from_args(args, grid)
     if args.freq_sequence:
         with open(args.freq_sequence, "r", encoding="utf-8") as fh:
@@ -267,7 +341,7 @@ def _cmd_conc_ls(args) -> int:
 
 def _cmd_conc_lemma(args) -> int:
     seq = _sequence_from_args(args)
-    grid = synthesis.Grid(args.period, args.samples)
+    grid = _grid(args)
     E = _set_from_args(args, grid)
     (rec,) = lemma_trials(seq, E, grid, args.L, _seed(args), 1)
     _print(rec.to_dict())
@@ -276,7 +350,7 @@ def _cmd_conc_lemma(args) -> int:
 
 def _cmd_conc_theorem(args) -> int:
     seq = _sequence_from_args(args)
-    grid = synthesis.Grid(args.period, args.samples)
+    grid = _grid(args)
     E = _set_from_args(args, grid)
     schedule = schedule_from(_parse_schedule(args.schedule))
     (rec,) = split_trials(seq, E, grid, args.L, schedule, _seed(args), 1)
@@ -285,13 +359,13 @@ def _cmd_conc_theorem(args) -> int:
 
 
 def _cmd_uniq_condition(args) -> int:
-    seq = _sequence_from_args(args)
+    seq = _float_sequence(args)
     _print(uniqueness.separation_condition(seq, args.N or len(seq)).to_dict())
     return EXIT_OK
 
 
 def _cmd_uniq_omega(args) -> int:
-    seq = _sequence_from_args(args)
+    seq = _float_sequence(args)
     phi = uniqueness.smoothstep_bump()
     _print(uniqueness.omega_diagnostics(seq, phi, args.T).to_dict())
     return EXIT_OK

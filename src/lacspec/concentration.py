@@ -391,16 +391,18 @@ def _end_bins(f: BandFunction) -> tuple:
     if f.declared_support is not None:
         bins = f.grid.band_bins(f.declared_support)
     else:
-        mass = np.abs(f.spectrum()) ** 2
-        bins = f.grid.signed_bins(np.flatnonzero(mass > LEAKAGE_TOL * mass.sum()))
+        bins, coeffs = f._nonzero_bins()
+        mass = np.abs(coeffs) ** 2
+        bins = f.grid.signed_bins(bins[mass > LEAKAGE_TOL * mass.sum()])
     return (int(bins.min()), int(bins.max())) if bins.size else ()
 
 
 def _on_window(f: BandFunction, J: np.ndarray) -> tuple:
     """f and f' at the grid samples J.
 
-    A direct sum over the nonzero bins k of f: c_k e^{2 pi i k j / S}, and
-    for f' the same terms times 2 pi i k / T, with k j reduced mod S in
+    A direct sum over the nonzero bins k of f, which a function built from
+    coefficients keeps (``BandFunction._nonzero_bins``): c_k e^{2 pi i k j / S},
+    and for f' the same terms times 2 pi i k / T, with k j reduced mod S in
     integers.  Its |J| x (number of bins) phase table is capped at S
     entries, so it never holds more than a few S-length arrays, as the FFT
     does; past that (a dense spectrum, as of a function built from its
@@ -411,13 +413,11 @@ def _on_window(f: BandFunction, J: np.ndarray) -> tuple:
     of S/8 entries (a lemma trial's unit bands at L = 8), 1.4-2.4 times
     faster at S/3 to S/2 and 1.2-1.5 times slower at S.
     """
-    grid, c = f.grid, f.spectrum()
-    S = grid.samples
-    bins = np.flatnonzero(c)
+    grid, S = f.grid, f.grid.samples
+    bins, coeffs = f._nonzero_bins()
     if J.size * bins.size > S:
         return f.values[J], f.derivative().values[J]
     phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
-    coeffs = c[bins]
     return phases @ coeffs, phases @ (coeffs * (2j * np.pi * grid.frequencies(bins)))
 
 

@@ -9,6 +9,7 @@ orthogonality literal: off-grid modulation is refused, never rounded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class Grid:
             raise ValueError("period must be positive and finite")
         if self.samples < 2:
             raise ValueError("need at least two samples")
+        if not self.spacing >= sys.float_info.min:  # T/S underflowed: no frequency grid
+            raise ValueError(f"period {self.period} over {self.samples} samples makes the "
+                             f"spacing T/S = {self.spacing!r}, not a positive normal float")
 
     @property
     def spacing(self) -> float:
@@ -124,10 +128,11 @@ class BandFunction:
 
     The declared support means its bins ``grid.band_bins``, and construction
     verifies it: relative spectral mass outside them must stay below
-    LEAKAGE_TOL.  A function built by ``from_spectrum`` keeps the
-    coefficients it was built from as its spectrum and checks them, and
-    makes its values on first read; one built from its values checks the
-    forward FFT of the values.
+    LEAKAGE_TOL.  A function built from coefficients (``from_spectrum``, or
+    ``synthesize`` and ``random_band_function``, which pass only the bins
+    they fill) keeps its nonzero bins and their coefficients, checks those,
+    and makes its spectrum and its values on first read; one built from its
+    values checks the forward FFT of the values.
     """
 
     grid: Grid
@@ -143,6 +148,12 @@ class BandFunction:
         object.__setattr__(self, "values", v)
         self._check_support()
 
+    def _keep(self, **arrays) -> None:
+        """Store read-only arrays on the (frozen) instance."""
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
     def _check_support(self) -> None:
         """The leakage refusal of both construction paths."""
         if self.declared_support is not None:
@@ -154,68 +165,103 @@ class BandFunction:
                 )
 
     @classmethod
+    def _from_bins(cls, grid: Grid, bins, coeffs, support=None):
+        """The function sum_i coeffs[i] e^{2 pi i k_i x / T}, where bins[i] in
+        [0, S) is the FFT-order index of bin k_i, kept as its nonzero bins.
+
+        The bins are sorted; a bin given more than once holds its coefficients
+        added to zero in the given order, as ``c[bins] += block`` block by
+        block does, and exact zeros are dropped.  No length-S array is made.
+        """
+        bins = np.asarray(bins, dtype=np.int64)
+        order = np.argsort(bins, kind="stable")
+        bins = bins[order]
+        first = np.ones(bins.size, dtype=bool)
+        first[1:] = bins[1:] != bins[:-1]
+        summed = np.zeros(np.count_nonzero(first), dtype=complex)
+        np.add.at(summed, np.cumsum(first) - 1, np.asarray(coeffs, dtype=complex)[order])
+        nonzero = summed != 0
+        f = cls.__new__(cls)  # no values yet, so none for __post_init__ to copy
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "declared_support", support)
+        f._keep(_bins=bins[first][nonzero], _coeffs=summed[nonzero])
+        f._check_support()
+        return f
+
+    @classmethod
     def from_spectrum(cls, grid: Grid, coeffs: np.ndarray, support=None):
         """The function sum c_k e^{2 pi i k x / T} of the coefficients coeffs.
 
         The function keeps its own read-only copy of coeffs as its
-        ``spectrum()``, and the support check of construction runs on those
-        exact coefficients.  Construction transforms nothing: the values are
-        one inverse FFT of coeffs, made on first read and kept (see
-        ``__getattr__``).
+        ``spectrum()`` and takes its nonzero bins from it once; the support
+        check of construction runs on those exact coefficients.  Construction
+        transforms nothing: the values are one inverse FFT of coeffs, made on
+        first read and kept (see ``__getattr__``).
         """
         c = np.array(coeffs, dtype=complex)
         if c.shape != (grid.samples,):
             raise ValueError("need one coefficient per bin")
-        c.setflags(write=False)
-        f = cls.__new__(cls)  # no values yet, so none for __post_init__ to copy
-        for name, value in (("grid", grid), ("declared_support", support), ("_spectrum", c)):
-            object.__setattr__(f, name, value)
-        f._check_support()
+        bins = np.flatnonzero(c)
+        f = cls._from_bins(grid, bins, c[bins], support)
+        f._keep(_spectrum=c)
         return f
 
     def __getattr__(self, name):
-        """The values of a function built by ``from_spectrum``, on their first
-        read: one inverse FFT of the kept spectrum, read-only and kept.  Runs
-        only when the values are not yet in the instance."""
-        c = self.__dict__.get("_spectrum")
-        if name != "values" or c is None:
+        """The values of a function built from coefficients, on their first
+        read: one inverse FFT of its spectrum, read-only and kept.  Runs only
+        when the values are not yet in the instance."""
+        if name != "values" or "_bins" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        v = np.fft.ifft(c)
+        v = np.fft.ifft(self.spectrum())
         v *= self.grid.samples
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self._keep(values=v)
         return v
+
+    def _nonzero_bins(self) -> tuple:
+        """Sorted FFT-order indices of the nonzero coefficients, and those
+        coefficients, both read-only: the ones a function built from
+        coefficients keeps, or, for one built from its values, the nonzero
+        entries of its spectrum, taken on first use and kept."""
+        if "_bins" not in self.__dict__:
+            c = self.spectrum()
+            bins = np.flatnonzero(c)
+            self._keep(_bins=bins, _coeffs=c[bins])
+        return self._bins, self._coeffs
 
     def spectrum(self) -> np.ndarray:
         """Discrete Fourier coefficients c_k with f = sum c_k e^{2 pi i k x / T}.
 
-        Read-only, like the values.  A function built by ``from_spectrum``
-        returns the coefficients it was built from, bit for bit; its values
-        agree with them up to the rounding of one inverse FFT.  Otherwise the
-        spectrum is the forward FFT of the values, computed on first use (the
-        support check of construction is one) and kept with the function.
+        Read-only, like the values, and made on first use and kept.  A
+        function built by ``from_spectrum`` returns the coefficients it was
+        built from, bit for bit, and one built from its bins scatters them
+        into zeros; their values agree with the spectrum up to the rounding of
+        one inverse FFT.  Otherwise the spectrum is the forward FFT of the
+        values (the support check of construction reads it).
         """
         c = self.__dict__.get("_spectrum")
         if c is None:
-            c = np.fft.fft(self.values) / self.grid.samples
-            c.setflags(write=False)
-            object.__setattr__(self, "_spectrum", c)
+            if "_bins" in self.__dict__:
+                c = np.zeros(self.grid.samples, dtype=complex)
+                c[self._bins] = self._coeffs
+            else:
+                c = np.fft.fft(self.values) / self.grid.samples
+            self._keep(_spectrum=c)
         return c
 
     def leakage(self) -> float:
         """Share of the spectral mass outside the declared bins (all of it when
-        none are declared).  Only the bins of nonzero mass are tested: a zero
-        bin adds exactly nothing to the mass outside."""
-        mass = np.abs(self.spectrum()) ** 2
+        none are declared), summed over the nonzero bins only: a zero bin
+        adds exactly nothing to the mass outside."""
+        bins, coeffs = self._nonzero_bins()
+        mass = np.abs(coeffs) ** 2
         total = mass.sum()
         if total == 0:
             return 0.0
         support = self.declared_support
         band = self.grid.band_bins(support) if support is not None else np.empty(0, np.int64)
-        bins = np.flatnonzero(mass)
         signed = self.grid.signed_bins(bins)
         inside = np.searchsorted(band, signed, "right") > np.searchsorted(band, signed)
-        return float(mass[bins[~inside]].sum() / total)
+        return float(mass[~inside].sum() / total)
 
     @property
     def norm_sq(self) -> float:
@@ -227,8 +273,9 @@ class BandFunction:
         return math.sqrt(self.norm_sq)
 
     def derivative(self) -> "BandFunction":
-        c = self.spectrum() * (2j * np.pi * self.grid.frequencies())
-        return BandFunction.from_spectrum(self.grid, c, None)
+        bins, coeffs = self._nonzero_bins()
+        d = coeffs * (2j * np.pi * self.grid.frequencies(bins))
+        return BandFunction._from_bins(self.grid, bins, d, None)
 
 
 def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
@@ -243,7 +290,7 @@ def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
     if len(blocks) != len(seq):
         raise ValueError("need exactly one coefficient block per frequency")
     profile = SpectralProfile(seq)
-    c = np.zeros(grid.samples, dtype=complex)
+    bins = [np.empty(0, dtype=np.int64)]
     for lam, block in zip(seq.values, blocks):
         if block.ndim != 1:
             raise ValueError("coefficient blocks must be one-dimensional")
@@ -252,8 +299,9 @@ def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
         if len(block) > band.size:
             raise ValueError(f"block of {len(block)} coefficients addresses frequencies "
                              f"outside its band [{lam}, {lam} + 1] at T = {grid.period}")
-        c[band[: len(block)] % grid.samples] += block
-    return BandFunction.from_spectrum(grid, c, profile)
+        bins.append(band[: len(block)] % grid.samples)
+    coeffs = np.concatenate([np.empty(0, dtype=complex), *blocks])
+    return BandFunction._from_bins(grid, np.concatenate(bins), coeffs, profile)
 
 
 def spectral_support(f: BandFunction, tol: float = LEAKAGE_TOL) -> set:
@@ -370,8 +418,5 @@ def random_band_function(
         if bins.size == 1:
             raise ValueError("band holds no grid frequencies left of its right edge")
         bins = bins[:-1]
-    c = np.zeros(grid.samples, dtype=complex)
-    c[bins % grid.samples] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(
-        bins.size
-    )
-    return BandFunction.from_spectrum(grid, c, tuple(band))
+    coeffs = rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
+    return BandFunction._from_bins(grid, bins % grid.samples, coeffs, tuple(band))

@@ -2,7 +2,9 @@ import copy
 import gc
 import json
 import math
+import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -679,15 +681,57 @@ class TestCliMain:
         assert rc == 2
         assert "cells to classify" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("end, rc", [("0.4999999", 2), ("0.4999999999999", 0)])
+    @pytest.mark.parametrize("end, rc", [("0.4999999", 2), ("0.4999999999999", 2), ("0.5", 0)])
     def test_partition_claim_above_the_thickness_exits_two(self, capsys, end, rc):
-        # the flags are floats, so the claim gamma = 0.5 is held to the set's
-        # thickness within the float tolerance 1e-12 and no closer
+        # the flags are exact decimals, so the claim gamma = 0.5 is compared
+        # with the set's thickness exactly: 10^-13 short is refused
         assert cli.main(["set", "partition", "--pattern", "intervals", "--intervals",
                          f"0,{end}", "--periodic", "--window", "0,1", "--delta", "1",
                          "--L", "2", "--gamma", "0.5"]) == rc
         if rc:
-            assert "error: precondition violated: set is only" in capsys.readouterr().err
+            assert (f"error: precondition violated: set is only (1, {Fraction(end)})-thick, "
+                    f"gamma = 0.5 was claimed") in capsys.readouterr().err
+
+    def test_set_flags_are_exact_decimals(self, capsys):
+        # seven blocks of 0.1 filled to 0.3: in floats the thickness read 0.29999999999999916
+        assert cli.main(["set", "gamma", "--pattern", "comb", "--gamma", "0.3", "--delta", "0.1",
+                         "--window", "0,0.7"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "delta": 0.1, "gamma": 0.3, "set_measure": 0.21, "gamma_2delta": 0.3}
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["set", "gamma", "--gamma", "a"])
+        assert exc.value.code == 2
+        assert "error: argument --gamma: 'a' is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["set", "gamma", "--window", "0,1e-99999999"],
+                                      ["set", "partition", "--intervals", "0,0." + "0" * 1000 + "1"]])
+    def test_exact_literal_past_the_digit_cap_exits_two(self, capsys, deadline, argv):
+        with deadline(2.0):
+            assert cli.main(argv + ["--pattern", "intervals"]) == 2
+        assert "needs integers of more than 1000 digits to be held exactly" in (
+            capsys.readouterr().err)
+
+    def test_period_whose_spacing_underflows_exits_two(self, capsys):
+        assert cli.main(["synth", "check", "--builder", "greedy", "--period", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: period 5e-324 over 2048 samples makes the spacing")
+        assert "(--period 5e-324, --samples 2048)" in err
+
+    def test_terms_past_the_integer_text_limit_exit_two(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["seq", "build", "--count", "20000"]) == 2
+        assert (f"error: --count 20000 gives terms above {limit} decimal digits, "
+                f"the most an integer may have to be written as text") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["conc", "gram", "--count", "3000"],
+                                      ["conc", "nazarov", "--count", "1100"],
+                                      ["uniq", "condition", "--start", "4", "--count", "1100"],
+                                      ["uniq", "omega", "--start", "4", "--count", "1100"]])
+    def test_float_commands_refuse_terms_past_the_float_range(self, capsys, argv):
+        # these compute with the terms 2**k as floats: "int too large to convert to float"
+        assert cli.main(argv) == 2
+        assert (f"error: --count {argv[-1]} gives terms above the largest float "
+                "1.7976931348623157e+308") in capsys.readouterr().err
 
     def test_synth_check_support_is_judged_on_the_declared_bins(self, tmp_path, capsys):
         # 10*T is 1e-9 short of 80: the band [10, 11] holds bins 80..87, and

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lacspec import experiments
-from lacspec.concentration import ls_constant
+from lacspec.concentration import _on_window, ls_constant
 from lacspec.sequences import Sequence, build_counterexample, difference_set
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
@@ -54,6 +55,10 @@ class TestGrid:
         for period in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="period must be positive and finite"):
                 Grid(period, 64)
+        for period, samples in ((5e-324, 64), (1e-300, 2**40)):  # T/S is 0 or subnormal
+            with pytest.raises(ValueError, match=rf"^period {period} over {samples} samples "
+                                                 r"makes the spacing T/S = .*not a positive normal"):
+                Grid(period, samples)
 
     def test_off_grid_frequency_refused(self):
         g = Grid(8.0, 64)
@@ -442,6 +447,135 @@ class TestLeakage:
         assert f.leakage() == pytest.approx(want, rel=1e-15, abs=0)
         if spread == "inside" and from_spectrum:
             assert f.leakage() == 0.0 and want == 0.0
+
+
+def dense_leakage(grid, c, support):
+    """Oracle: the leakage of the dense spectrum c, computed over all S bins
+    as construction did before a function kept only its nonzero bins."""
+    mass = np.abs(c) ** 2
+    total = mass.sum()
+    if total == 0:
+        return 0.0
+    band = grid.band_bins(support) if support is not None else np.empty(0, np.int64)
+    bins = np.flatnonzero(mass)
+    signed = grid.signed_bins(bins)
+    inside = np.searchsorted(band, signed, "right") > np.searchsorted(band, signed)
+    return float(mass[bins[~inside]].sum() / total)
+
+
+def assert_is_the_dense_build(build, grid, c, support):
+    """``build()`` accepts or refuses as the dense build of the coefficients c
+    did, with the same message; accepted, its spectrum and values are the
+    dense ones bit for bit and its leakage agrees to 1e-15."""
+    try:
+        leak = dense_leakage(grid, c, support)
+        if support is not None and leak > LEAKAGE_TOL:
+            raise ValueError(f"spectral mass {leak:.3e} outside the declared support "
+                             f"exceeds the tolerance {LEAKAGE_TOL}")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == str(exc)
+        return
+    f = build()
+    assert f.spectrum().tobytes() == c.tobytes()
+    assert f.values.tobytes() == (np.fft.ifft(c) * grid.samples).tobytes()
+    assert f.leakage() == pytest.approx(leak, rel=1e-15, abs=0)
+
+
+def dense_on_window(f, J):
+    """Oracle: f and f' on the samples J from the dense spectrum, as
+    ``_on_window`` computed them before a function kept its bins."""
+    grid, c = f.grid, f.spectrum()
+    S = grid.samples
+    bins = np.flatnonzero(c)
+    if J.size * bins.size > S:
+        dc = c * (2j * np.pi * grid.frequencies())
+        return f.values[J], (np.fft.ifft(dc) * S)[J]
+    phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
+    coeffs = c[bins]
+    return phases @ coeffs, phases @ (coeffs * (2j * np.pi * grid.frequencies(bins)))
+
+
+coefficients = st.one_of(
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(-0.0, 1.0), complex(1e-170, 0.0)]),
+)
+
+
+class TestSparseAgainstDense:
+    """A function built from coefficients keeps its nonzero bins; the dense
+    length-S construction it replaced is the oracle."""
+
+    @given(periods, st.integers(2, 48), st.one_of(st.none(), bands, profiles), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bins_build_the_dense_function(self, T, S, support, data):
+        grid = Grid(T, S)
+        near = scan_bins(support_intervals(support), T) if support is not None else []
+        index = st.one_of(st.integers(0, S - 1), st.sampled_from([k % S for k in near] or [0]))
+        pairs = data.draw(st.lists(st.tuples(index, coefficients), max_size=2 * S))
+        bins = np.array([k for k, _ in pairs], dtype=np.int64)
+        coeffs = np.array([x for _, x in pairs], dtype=complex)
+        c = np.zeros(S, dtype=complex)
+        for k, x in zip(bins, coeffs):  # repeated bins add up, in order
+            c[k] += x
+        assert_is_the_dense_build(lambda: BandFunction._from_bins(grid, bins, coeffs, support),
+                                  grid, c, support)
+        assert_is_the_dense_build(lambda: BandFunction.from_spectrum(grid, c, support),
+                                  grid, c, support)
+
+    @given(periods, st.integers(2, 64), st.integers(-8, 8),
+           st.lists(st.integers(0, 6), max_size=3), st.data())
+    @example(1.0, 16, 0, [], None)  # frequencies 0 and 1 + 1e-12: bin 1 in both bands
+    @settings(max_examples=300, deadline=None)
+    def test_synthesize_builds_the_dense_function(self, T, S, k0, steps, data):
+        grid = Grid(T, S)
+        if data is None:
+            seq = Sequence((0.0, 1 + 1e-12))
+        else:  # on-grid anchors k/T, more than 1 apart, from none to all of them
+            ks = list(accumulate((math.floor(T) + 1 + e for e in steps), initial=k0))
+            seq = Sequence(tuple(k / T for k in ks[: data.draw(st.integers(0, len(ks)))]))
+        try:
+            widths = []
+            for lam in seq.values:  # the checks of synthesize, in its order
+                grid.bin_of(lam)
+                widths.append(grid.band_bins((lam, lam + 1)).size)
+        except ValueError as exc:  # refused alike
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                synthesize([[1.0]] * len(seq), seq, grid)
+            return
+        if data is None:
+            blocks = [np.arange(1, w + 1) * (1 - 1j) for w in widths]
+        else:
+            blocks = [np.array(data.draw(st.lists(coefficients, max_size=w)), dtype=complex)
+                      for w in widths]
+        c = np.zeros(S, dtype=complex)
+        for lam, block in zip(seq.values, blocks):
+            c[grid.band_bins((lam, lam + 1))[: len(block)] % S] += block
+        assert_is_the_dense_build(lambda: synthesize(blocks, seq, grid), grid, c,
+                                  SpectralProfile(seq))
+
+    @given(periods, st.integers(2, 300), bands, st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_random_band_function_and_window_values_are_the_dense_ones(
+            self, T, S, band, include_right, seed):
+        grid = Grid(T, S)
+        try:
+            f = random_band_function(grid, np.random.default_rng(seed), band,
+                                     include_right=include_right)
+        except ValueError:
+            assume(False)
+        bins = grid.band_bins(band)
+        if not include_right and abs(bins[-1] - band[1] * T) <= SNAP:
+            bins = bins[:-1]
+        rng = np.random.default_rng(seed)
+        c = np.zeros(S, dtype=complex)
+        c[bins % S] = rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
+        assert_is_the_dense_build(lambda: f, grid, c, tuple(band))
+        for start, stop in ((0, 1), (0, S // 8 + 1), (S // 3, S)):  # direct sums and FFTs
+            J = np.arange(start, stop)
+            got, want = _on_window(f, J), dense_on_window(f, J)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestPoisson:
