@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import concentration, sequences, sets, synthesis, uniqueness
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, LimitError, NumericalError
 from .experiments import (
     SCHEDULE,
     SEED,
@@ -28,6 +28,7 @@ from .experiments import (
     comb_on_grid,
     csv_text,
     field_violations,
+    geometric_log2,
     lemma_trials,
     moment_rows,
     run,
@@ -126,13 +127,11 @@ def _grid(args) -> synthesis.Grid:
         raise ValueError(f"{exc} (--period {args.period}, --samples {args.samples})") from None
 
 
-def _terms_below(seq, args, bound, what: str) -> None:
-    """Refuse a sequence with a term of magnitude above ``bound``, the limit
-    ``what`` of the command, naming the flag the sequence came from."""
-    if any(abs(v) > bound for v in seq.values):
-        flag = ("--input" if args.input else "--K" if args.builder == "counterexample"
-                else "--count")
-        raise ConfigError([f"{flag} {getattr(args, flag[2:])} gives terms above {what}"])
+def _refuse_terms(args, what: str):
+    """Refuse a sequence with terms above ``what``, the limit of the
+    command, naming the flag the sequence came from."""
+    flag = "--input" if args.input else "--K" if args.builder == "counterexample" else "--count"
+    raise ConfigError([f"{flag} {getattr(args, flag[2:])} gives terms above {what}"])
 
 
 def _seed(args) -> int:
@@ -142,29 +141,42 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _sequence_from_args(args) -> sequences.Sequence:
+def _sequence_from_args(args, bound=math.inf, what: str = "") -> sequences.Sequence:
+    """The sequence of the source flags, refused when a term has magnitude
+    above ``bound``, the limit ``what`` of the command.  A geometric
+    sequence whose largest term is clearly above it is refused before any
+    term is built; the builders' own limits name the flag too."""
     if getattr(args, "input", None):
         with open(args.input, "r", encoding="utf-8") as fh:
-            return sequences.Sequence.from_text(fh.read())
-    spec = {"builder": args.builder}
-    if args.builder == "geometric":
-        spec.update(start=args.start, ratio=args.ratio, count=args.count)
-    elif args.builder == "arithmetic":
-        spec.update(start=args.start, step=args.step, count=args.count)
-    elif args.builder == "greedy":
-        spec.update(count=args.count)
-        if args.schedule:
-            spec["schedule"] = _parse_schedule(args.schedule)
+            seq = sequences.Sequence.from_text(fh.read())
     else:
-        spec.update(K=args.K)
-    return build_sequence(spec)
+        spec = {"builder": args.builder}
+        if args.builder == "geometric":
+            spec.update(start=args.start, ratio=args.ratio, count=args.count)
+            # one bit of slack: the exact check below decides near the bound
+            if geometric_log2(spec) > math.log2(bound) + 1:
+                _refuse_terms(args, what)
+        elif args.builder == "arithmetic":
+            spec.update(start=args.start, step=args.step, count=args.count)
+        elif args.builder == "greedy":
+            spec.update(count=args.count)
+            if args.schedule:
+                spec["schedule"] = _parse_schedule(args.schedule)
+        else:
+            spec.update(K=args.K)
+        try:
+            seq = build_sequence(spec)
+        except LimitError as exc:
+            raise ConfigError([f"--{exc.key} {exc.detail}"]) from None
+    if any(abs(v) > bound for v in seq.values):
+        _refuse_terms(args, what)
+    return seq
 
 
 def _float_sequence(args) -> sequences.Sequence:
     """The sequence of a command that computes with its terms as floats."""
-    seq = _sequence_from_args(args)
-    _terms_below(seq, args, sys.float_info.max, f"the largest float {sys.float_info.max!r}")
-    return seq
+    return _sequence_from_args(
+        args, sys.float_info.max, f"the largest float {sys.float_info.max!r}")
 
 
 def _add_sequence_source(p: argparse.ArgumentParser) -> None:
@@ -226,10 +238,10 @@ def _add_set_source(p: argparse.ArgumentParser, default_window=None) -> None:
 
 
 def _cmd_seq_build(args) -> int:
-    seq = _sequence_from_args(args)
     limit = sys.get_int_max_str_digits()
-    _terms_below(seq, args, 10**limit - 1 if limit else math.inf,
-                 f"{limit} decimal digits, the most an integer may have to be written as text")
+    seq = _sequence_from_args(
+        args, 10**limit - 1 if limit else math.inf,
+        f"{limit} decimal digits, the most an integer may have to be written as text")
     text = seq.to_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import reprlib
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -32,8 +33,9 @@ from .concentration import (
     nazarov_constant,
     theorem_split_check,
 )
-from .errors import ConfigError
+from .errors import ConfigError, LimitError
 from .sequences import (
+    GREEDY_MAX_COUNT,
     Sequence,
     TailSchedule,
     build_counterexample,
@@ -52,6 +54,9 @@ __all__ = [
     "run",
     "emit_plot_data",
     "build_sequence",
+    "geometric_log2",
+    "MAX_BUILT_COUNT",
+    "MAX_TERM_BITS",
     "schedule_from",
     "comb_on_grid",
     "moment_rows",
@@ -64,6 +69,13 @@ __all__ = [
 
 TOOL_VERSION = __version__
 GENERATOR_NAME = "philox4x64"
+
+# Resource guards of the geometric and arithmetic builders, checked before
+# any term is built: a million terms take about 1.3 s and 150 MB to build
+# and write, and 2**20000 is the scale of the largest paired-power term
+# 4**10000.  Float terms stop at the float range.
+MAX_BUILT_COUNT = 10**6
+MAX_TERM_BITS = 20_000
 
 # CSV header annotations: what each column measures and in which units.
 _COLUMN_LABELS = {
@@ -121,6 +133,7 @@ _SCALARS = {
 
 _NUMBER = (True, float, None)
 _POSITIVE_INT = (True, int, "[1, inf)")
+_GREEDY_COUNT = (True, int, f"[1, {GREEDY_MAX_COUNT}]")
 SCHEDULE = (False, [[int, int]], "[1, inf)")
 SEED = (True, int, "[0, 18446744073709551616)")  # a Philox key word: below 2**64
 SET_RECORD = (True, _Object({  # ThickSet.to_dict, read back by --set-file
@@ -136,7 +149,7 @@ _SEQUENCE = _Object({}, None, {
             {"start": _NUMBER, "ratio": (True, float, "(1, inf)"), "count": _POSITIVE_INT}),
         "arithmetic": _Object(
             {"start": _NUMBER, "step": (True, float, "(0, inf)"), "count": _POSITIVE_INT}),
-        "greedy": _Object({"count": _POSITIVE_INT, "schedule": SCHEDULE}),
+        "greedy": _Object({"count": _GREEDY_COUNT, "schedule": SCHEDULE}),
         "counterexample": _Object({"K": _POSITIVE_INT}),
     }),
 })
@@ -166,7 +179,7 @@ _COMMON = {"version": (True, (1,), None), "output_dir": (True, str, None)}
 _CONFIG = _Object(_COMMON, "kind", {
     "nazarov_sweep": _Object({"sequence": (True, _SEQUENCE, None), "set": _PREFIX}),
     "greedy_growth": _Object({
-        "params": _section({"count": _POSITIVE_INT, "schedule": SCHEDULE}),
+        "params": _section({"count": _GREEDY_COUNT, "schedule": SCHEDULE}),
     }),
     "ls_gamma_sweep": _Object({
         "grid": _GRID,
@@ -352,13 +365,38 @@ def schedule_from(spec) -> TailSchedule:
     return TailSchedule(tuple(map(tuple, spec)))
 
 
+def geometric_log2(spec: dict) -> float:
+    """log2 of the largest term magnitude of a geometric builder spec,
+    |start| max(1, |ratio|)^(count - 1), from the spec alone."""
+    start, ratio, count = spec["start"], spec["ratio"], spec["count"]
+    head = math.log2(abs(start)) if start else -math.inf
+    return head + (count - 1) * max(0.0, math.log2(abs(ratio)) if ratio else 0.0)
+
+
 def build_sequence(spec: dict, base_dir=".") -> Sequence:
+    """The sequence of a config's sequence spec.
+
+    A geometric or arithmetic spec of more than MAX_BUILT_COUNT terms, or a
+    geometric one whose terms pass 2**MAX_TERM_BITS (the float range for
+    float terms), is refused with a LimitError naming ``count`` before any
+    term is built.
+    """
     if "file" in spec:
         text = Path(base_dir, spec["file"]).read_text(encoding="utf-8")
         return Sequence.from_text(text)
     builder = spec["builder"]
+    if builder in ("geometric", "arithmetic") and spec["count"] > MAX_BUILT_COUNT:
+        raise LimitError("count", f"{spec['count']} is above {MAX_BUILT_COUNT}, the most "
+                         f"terms of the {builder} builder")
     if builder == "geometric":
         start, ratio, count = spec["start"], spec["ratio"], spec["count"]
+        if isinstance(start, int) and isinstance(ratio, int):
+            if geometric_log2(spec) > MAX_TERM_BITS:
+                raise LimitError("count", f"{count} gives terms above 2**{MAX_TERM_BITS}")
+        # float terms stop at the float range, and so does the power ratio**k
+        elif max(geometric_log2(spec), geometric_log2({**spec, "start": 1})) >= 1024:
+            raise LimitError("count", f"{count} gives terms above the largest float "
+                             f"{sys.float_info.max!r}")
         return Sequence(tuple(start * ratio**k for k in range(count)))
     if builder == "arithmetic":
         start, step, count = spec["start"], spec["step"], spec["count"]

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import LimitError, NumericalError
 
 __all__ = [
     "Sequence",
@@ -27,6 +27,8 @@ __all__ = [
     "zygmund_constant",
     "strong_zygmund_profile",
     "build_greedy",
+    "GREEDY_MAX_COUNT",
+    "GREEDY_MAX_TABLE_BITS",
     "build_counterexample",
     "greedy_growth_table",
     "growth_bound",
@@ -36,6 +38,14 @@ __all__ = [
 # Resource guard for build_counterexample: 4**K at this K is ~10 kB per term,
 # far past any truncation this toolkit certifies.
 _COUNTEREXAMPLE_MAX_K = 10_000
+# Resource guards of the greedy construction, fixed from its cost on a
+# 2-vCPU x86-64 machine.  At the constant schedule L = 1, 1500 terms (the
+# last 86411423, needing 1.7e8 bits of centers) take about 2.2 s and 90 MB
+# peak RSS; 2000 terms took 8 s and 200 MB.  2**28 bits of centers (32 MiB,
+# terms up to about 1.3e8) bound the tables of wider schedules, which grow
+# faster: a run refused there stops within about 1.5 s and 150 MB.
+GREEDY_MAX_COUNT = 1500
+GREEDY_MAX_TABLE_BITS = 2**28
 
 
 @dataclass(frozen=True)
@@ -324,27 +334,54 @@ def growth_bound(n: int, L: int) -> int:
     return (2 * L + 1) * n**3 + 1
 
 
-def _next_free(centers: np.ndarray, start: int, L: int, span: int) -> int:
-    """Smallest v >= start with no marked center in [v - L, v + L].
+_WORD = np.dtype("<u8")  # little-endian, so a uint8 view reads the bits in order
+_BIT = np.left_shift(np.ones(64, dtype=_WORD), np.arange(64, dtype=_WORD))  # bit b of a word
 
-    Positions past the end of ``centers`` hold no center.  The window scanned
-    above ``start`` is at least ``span`` slots long and doubles until it
-    contains a free slot; any starting length gives the same answer.
+
+def _next_free(centers: np.ndarray, start: int, L: int, span: int) -> int | None:
+    """Smallest v >= start with no center in [v - L, v + L].
+
+    ``centers`` is a bitset of little-endian uint64 words, slot v being
+    bit v % 64 of word v // 64.  Slots below 0 or past the table's end hold
+    no center.  Only the scanned window is unpacked, one byte per slot; it
+    reaches at least ``span`` slots above ``start`` and doubles until it
+    contains a free slot, and any starting length gives the same answer.
+    None if the window would pass GREEDY_MAX_TABLE_BITS / 8 slots.
     """
-    gap = 2 * L + 1  # consecutive centers further apart than this leave a slot
-    lo = max(start - L, 0)
+    gap = 2 * L + 1
+    lo = start - L
     span = max(span, 64 * gap)
+    # a window up to `end` holds a free slot: v = max(start, table end + L)
+    end = max(start, 64 * centers.size + L) + L + 1
     while True:
-        hi = start + span + L
-        found = np.flatnonzero(centers[lo:hi]) + lo
-        # a virtual center just below the window makes `start` the first
-        # candidate; one at the window's end confines candidates to it
-        end = hi if hi < centers.size else hi + gap
-        edges = np.concatenate(([start - L - 1], found, [end]))
-        free = np.flatnonzero(np.diff(edges) > gap)
-        if free.size:
-            return int(edges[free[0]]) + L + 1
+        hi = min(start + span + L, end)
+        if hi - lo > GREEDY_MAX_TABLE_BITS // 8:
+            return None
+        w0 = max(lo, 0) >> 6
+        occ = np.unpackbits(centers[w0:-(-hi // 64)].view(np.uint8), count=hi - 64 * w0,
+                            bitorder="little")
+        if lo < 0:
+            occ = np.concatenate((np.zeros(-lo, np.uint8), occ))
+        else:
+            occ = occ[lo - 64 * w0:]
+        # OR over runs of `gap` slots by doubling: occ[i] then covers the
+        # slots lo + i .. lo + i + 2L, the neighbourhood of v = lo + i + L
+        k = 1
+        while 2 * k <= gap:
+            occ = occ[:-k] | occ[k:]
+            k *= 2
+        if k < gap:
+            occ = occ[:k - gap] | occ[gap - k:]
+        i = int(np.argmin(occ))
+        if not occ[i]:
+            return lo + i + L
         span *= 2
+
+
+def _grown(table: np.ndarray, size: int) -> np.ndarray:
+    grown = np.zeros(size, dtype=_WORD)
+    grown[:table.size] = table
+    return grown
 
 
 def _greedy_steps(count: int, schedule: TailSchedule):
@@ -354,42 +391,66 @@ def _greedy_steps(count: int, schedule: TailSchedule):
     a + b - c + p over previously chosen a, b, c and |p| <= L, where L is the
     schedule threshold for the current length.
 
-    Table invariant: after the n-th term x_n, a boolean table of at least
-    2 x_n entries marks every center a + b - c >= x_n.  That is exact.  Every
-    integer up to x_n is already forbidden, because x_n was the smallest free
-    slot and thresholds never decrease.  A center below x_n forbids nothing
-    above x_n that the center x_n = x_n + x_n - x_n does not, at this and any
-    wider threshold.  The centers at or above x_n that x_n adds are
-    x_n + a - b with a >= b, all below 2 x_n; those of the form a + b - x_n
-    lie below it.  The threshold enters only when the next term is searched
-    from x_n + 1, so a schedule that widens L needs no re-marking.  The table
-    grows by doubling, so memory follows the largest term and there is no
-    ceiling on the run length; each term is still checked against the cubic
-    bound as it is produced.
+    Two bitsets of uint64 words hold the state.  ``diffs`` has bit d set for
+    every difference d = a - b >= 0 of chosen terms, d = 0 included.
+    ``centers`` has bit v set for every center a + b - c >= x_n once the
+    n-th term x_n is chosen.  That is exact.  Every integer up to x_n is
+    already forbidden, because x_n was the smallest free slot and thresholds
+    never decrease.  A center below x_n forbids nothing above x_n that the
+    center x_n = x_n + x_n - x_n does not, at this and any wider threshold.
+    The centers at or above x_n that x_n adds are x_n + a - b with a >= b,
+    all below 2 x_n; those of the form a + b - x_n lie below it.  So once
+    the differences x_n - a are set in ``diffs``, ``diffs`` shifted left by
+    x_n bits is ORed into ``centers``: about x_n / 64 contiguous words per
+    term.  The threshold enters only when the next term is searched from
+    x_n + 1, so a schedule that widens L needs no re-marking.
+
+    The tables grow by doubling, ``centers`` to at least 2 x_n bits and
+    ``diffs`` to half as many, so memory follows the largest term: about
+    2 x_n / 8 bytes of centers plus x_n / 8 of differences.  A count above
+    GREEDY_MAX_COUNT is refused before the first term; a run whose centers
+    would need more than GREEDY_MAX_TABLE_BITS, or whose free-slot search
+    would unpack more than GREEDY_MAX_TABLE_BITS / 8 slots, is refused
+    before that growth or search.  Each term is still checked against the
+    cubic bound as it is produced.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > GREEDY_MAX_COUNT:
+        raise LimitError("count", f"{count} is above {GREEDY_MAX_COUNT}, the most terms a "
+                         "greedy run may have")
     yield (1, 1, None, 1)
     terms = np.empty(count, dtype=np.int64)
-    diffs = np.empty(count * (count - 1) // 2, dtype=np.int64)  # a - b, a > b
-    centers = np.zeros(0, dtype=bool)
+    d = np.empty(count, dtype=np.int64)
+    diffs = centers = np.zeros(0, dtype=_WORD)
     x = 1
     for n in range(1, count):
         # mark the centers the latest term x = x_n adds, then search x_{n+1}
-        first, stop = (n - 1) * (n - 2) // 2, n * (n - 1) // 2
-        np.subtract(x, terms[:n - 1], out=diffs[first:stop])
         terms[n - 1] = x
-        if centers.size < 2 * x:
-            grown = np.zeros(max(2 * centers.size, 2 * x), dtype=bool)
-            grown[:centers.size] = centers
-            centers = grown
-        centers[x] = True
-        centers[diffs[:stop] + x] = True
+        words = (x >> 6) + 1  # the words of diffs that hold a bit
+        if centers.size < 2 * words:
+            if 128 * words > GREEDY_MAX_TABLE_BITS:
+                raise LimitError("count", (
+                    f"{count} needs a greedy table of more than {GREEDY_MAX_TABLE_BITS} "
+                    f"bits with this schedule: term {n} is {x}"))
+            size = min(max(2 * centers.size, 2 * words), GREEDY_MAX_TABLE_BITS // 64)
+            centers, diffs = _grown(centers, size), _grown(diffs, size // 2)
+        new = np.subtract(x, terms[:n], out=d[:n])  # x - a, x - x = 0 included
+        np.bitwise_or.at(diffs, new >> 6, _BIT[new & 63])  # words may repeat
+        q, r = x >> 6, x & 63
+        centers[q:q + words] |= diffs[:words] << r
+        if r:  # the bits shifted out of each word go to the next one
+            centers[q + 1:q + words + 1] |= diffs[:words] >> (64 - r)
 
         L = schedule.threshold_for(n)
         # greedy gaps grow with n: a window as long as the last gap rarely
         # needs doubling
         x = _next_free(centers, x + 1, L, int(x - terms[n - 2]) if n > 1 else 0)
+        if x is None:
+            raise LimitError("count", (
+                f"{count} needs a greedy search window of more than "
+                f"{GREEDY_MAX_TABLE_BITS // 8} slots with this schedule: term {n + 1} "
+                f"at threshold {L}"))
         bound = growth_bound(n, L)
         if x > bound:
             raise NumericalError(
@@ -405,9 +466,10 @@ def build_greedy(count: int, schedule: TailSchedule | None = None) -> Sequence:
     avoiding all sums a + b - c + p of earlier terms with |p| <= L, L taken
     from the schedule.  Each term is checked against the pigeonhole bound
     (2L + 1) n^3 + 1 as it is produced (see ``greedy_growth_table`` for the
-    per-step certificates).  Memory grows with the largest term (a boolean
-    table of two to four times its value), not with that bound, and the run
-    length has no ceiling.
+    per-step certificates).  Memory grows with the largest term x_n (two
+    bitsets, about 3 x_n / 8 bytes), not with that bound.  A count above
+    GREEDY_MAX_COUNT, or a run whose table would pass GREEDY_MAX_TABLE_BITS,
+    is refused with a LimitError naming ``count``.
     """
     if schedule is None:
         schedule = TailSchedule.constant(1)

@@ -796,10 +796,70 @@ class TestCliMain:
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         assert 'version = {attr = "lacspec.__version__"}' in pyproject
 
-    def test_unallocatable_greedy_run_exits_two(self, capsys):
-        rc = cli.main(["seq", "build", "--builder", "greedy", "--count", "10000000"])
+    def test_unallocatable_greedy_run_exits_two(self, capsys, deadline):
+        with deadline(1.0):
+            rc = cli.main(["seq", "build", "--builder", "greedy", "--count", "10000000"])
         assert rc == 2
-        assert "allocate" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --count 10000000 is above 1500, the most terms a greedy run may have\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["seq", "build", "--builder", "greedy", "--count", "1000000"],
+         "--count 1000000 is above 1500, the most terms a greedy run may have"),
+        (["seq", "build", "--builder", "greedy", "--count", "20000"],
+         "--count 20000 is above 1500, the most terms a greedy run may have"),
+        (["seq", "build", "--builder", "greedy", "--count", "5", "--schedule", "1:1,100000000:2"],
+         "--count 5 needs a greedy search window of more than 33554432 slots with this "
+         "schedule: term 3 at threshold 100000000"),
+        (["seq", "build", "--builder", "arithmetic", "--count", "1000001"],
+         "--count 1000001 is above 1000000, the most terms of the arithmetic builder"),
+        (["seq", "check", "--count", "100000", "--kind", "hadamard"],
+         "--count 100000 gives terms above 2**20000"),
+    ])
+    def test_builder_limits_exit_two_at_once_naming_count(self, capsys, deadline, argv, message):
+        with deadline(1.0):
+            assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["uniq", "omega", "--count", "100000"],
+                                      ["uniq", "omega", "--count", "1000000"],
+                                      ["seq", "build", "--count", "100000"]])
+    def test_huge_geometric_count_is_refused_before_building(self, capsys, deadline, argv):
+        # the terms 2**k took 22-24 s to build before the refusal (over 60 s
+        # for a million)
+        with deadline(1.0):
+            assert cli.main(argv) == 2
+        limit = sys.get_int_max_str_digits()
+        what = (f"{limit} decimal digits, the most an integer may have to be written as text"
+                if argv[0] == "seq" else "the largest float 1.7976931348623157e+308")
+        assert capsys.readouterr().err == f"error: --count {argv[-1]} gives terms above {what}\n"
+
+    @pytest.mark.parametrize("sequence, what", [
+        ({"builder": "geometric", "start": 1, "ratio": 2, "count": 20002}, "2**20000"),
+        ({"builder": "geometric", "start": 0.5, "ratio": 2.0, "count": 1025},
+         "the largest float 1.7976931348623157e+308"),
+    ])
+    def test_geometric_config_past_the_term_bound_exits_two(self, tmp_path, capsys, deadline,
+                                                           sequence, what):
+        # the float run stopped in "(34, 'Numerical result out of range')" at 2.0**1024
+        cfg = {**nazarov_config("g"), "sequence": sequence}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        with deadline(1.0):
+            assert cli.main(["run", str(tmp_path / "cfg.json"), "--base-dir", str(tmp_path)]) == 2
+        count = sequence["count"]
+        assert capsys.readouterr().err == f"error: count {count} gives terms above {what}\n"
+
+    @pytest.mark.parametrize("cfg", [
+        {"version": 1, "kind": "greedy_growth", "output_dir": "g", "params": {"count": 1501}},
+        {**nazarov_config("g"), "sequence": {"builder": "greedy", "count": 1501}},
+    ])
+    def test_greedy_count_past_the_cap_fails_validation(self, tmp_path, capsys, cfg):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["run", str(tmp_path / "cfg.json"), "--base-dir", str(tmp_path)]) == 2
+        section = "params" if cfg["kind"] == "greedy_growth" else "sequence"
+        assert capsys.readouterr().err == (
+            f"error: {section}: count must lie in [1, 1500], got 1501\n")
+        assert not (tmp_path / "g").exists()
 
     def test_domain_error_exits_two(self, capsys):
         rc = cli.main(

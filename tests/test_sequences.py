@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacspec import cli, sequences
-from lacspec.errors import NumericalError
+from lacspec.errors import LimitError, NumericalError
 from lacspec.sequences import (
+    GREEDY_MAX_COUNT,
+    GREEDY_MAX_TABLE_BITS,
     LacunarityReport,
     Sequence,
     TailSchedule,
@@ -135,12 +137,12 @@ def greedy_oracle(count, threshold_of_n):
     return lam
 
 
-def unseeded_next_free(centers, start, L, span):
-    """Oracle: the free-slot search with every window starting at 64 (2L + 1)
-    slots, whatever the last gap was."""
+def byte_table_next_free(centers, start, L, span):
+    """Oracle: the free-slot search over a boolean table, one byte per slot,
+    by the gaps between the marked centers of a window."""
     gap = 2 * L + 1
     lo = max(start - L, 0)
-    span = 64 * gap
+    span = max(span, 64 * gap)
     while True:
         hi = start + span + L
         found = np.flatnonzero(centers[lo:hi]) + lo
@@ -152,6 +154,29 @@ def unseeded_next_free(centers, start, L, span):
         span *= 2
 
 
+def byte_table_steps(count, schedule):
+    """Oracle: the greedy rows from a boolean table of centers, marked by one
+    scattered write per earlier difference after each term."""
+    yield (1, 1, None, 1)
+    terms = np.empty(count, dtype=np.int64)
+    diffs = np.empty(count * (count - 1) // 2, dtype=np.int64)  # a - b, a > b
+    centers = np.zeros(0, dtype=bool)
+    x = 1
+    for n in range(1, count):
+        first, stop = (n - 1) * (n - 2) // 2, n * (n - 1) // 2
+        np.subtract(x, terms[:n - 1], out=diffs[first:stop])
+        terms[n - 1] = x
+        if centers.size < 2 * x:
+            grown = np.zeros(max(2 * centers.size, 2 * x), dtype=bool)
+            grown[:centers.size] = centers
+            centers = grown
+        centers[x] = True
+        centers[diffs[:stop] + x] = True
+        L = schedule.threshold_for(n)
+        x = byte_table_next_free(centers, x + 1, L, int(x - terms[n - 2]) if n > 1 else 0)
+        yield (n + 1, x, L, growth_bound(n, L))
+
+
 @st.composite
 def schedules(draw):
     """Tail schedules starting at M(1) = 1 with L steps of up to 5."""
@@ -159,6 +184,18 @@ def schedules(draw):
     for _ in range(draw(st.integers(0, 3))):
         L, M = bps[-1]
         bps.append((L + draw(st.integers(1, 5)), M + draw(st.integers(0, 10))))
+    return TailSchedule(tuple(bps))
+
+
+@st.composite
+def wide_schedules(draw):
+    """Tail schedules whose L may jump by up to 70 in one step, so that a
+    run of 2L + 1 slots crosses 64-bit words, and may exceed 1 from the
+    first step on (M(L) = 1 past L = 1)."""
+    bps = [(1, 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        L, M = bps[-1]
+        bps.append((L + draw(st.integers(1, 70)), M + draw(st.integers(0, 40))))
     return TailSchedule(tuple(bps))
 
 
@@ -502,26 +539,61 @@ class TestGreedy:
         expected = greedy_oracle(count, schedule.threshold_for)
         assert list(build_greedy(count, schedule)) == expected
 
-    def test_last_gap_seed_matches_the_unseeded_search(self, monkeypatch):
+    def test_matches_the_byte_table_oracle(self):
         plans = [TailSchedule(((1, 1), (2, 87))),
                  TailSchedule(((1, 1), (2, 6), (3, 14))),
                  TailSchedule(((1, 1), (2, 20), (4, 60)))]
-        seeded = ([build_greedy(1000)]
-                  + [greedy_growth_table(300, sch) for sch in plans])
-        monkeypatch.setattr(sequences, "_next_free", unseeded_next_free)
-        unseeded = ([build_greedy(1000)]
-                    + [greedy_growth_table(300, sch) for sch in plans])
-        assert seeded == unseeded
+        assert list(build_greedy(1000)) == [
+            row[1] for row in byte_table_steps(1000, TailSchedule.constant(1))]
+        tables = [greedy_growth_table(300, sch) for sch in plans]
+        assert tables == [list(byte_table_steps(300, sch)) for sch in plans]
+        # the runs cover terms at both edges of a 64-bit word
+        residues = {row[1] % 64 for table in tables for row in table}
+        assert {0, 63} <= residues
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 150), schedule=wide_schedules())
+    @example(count=150, schedule=TailSchedule(((1, 1), (71, 1))))
+    @example(count=150, schedule=TailSchedule(((1, 1), (2, 1), (72, 9), (90, 30))))
+    def test_matches_the_byte_table_oracle_on_wide_schedules(self, count, schedule):
+        assert greedy_growth_table(count, schedule) == list(byte_table_steps(count, schedule))
 
     def test_peak_allocation_follows_largest_term(self):
-        # a table sized by the cubic bound needs over 200 MiB here
-        tracemalloc.start()
-        try:
-            build_greedy(300)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # two bitsets of about 3 x_n / 8 bytes: near 0.6 MiB for n = 300 and
+        # 2.3 MiB for n = 400, where a table sized by the cubic bound needs
+        # over 200 MiB
+        for count in (300, 400):
+            tracemalloc.start()
+            try:
+                build_greedy(count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, count
+
+    def test_count_past_the_cap_is_refused_before_the_first_term(self):
+        with pytest.raises(LimitError, match=f"count {GREEDY_MAX_COUNT + 1} is above "
+                           f"{GREEDY_MAX_COUNT}") as exc:
+            greedy_growth_table(GREEDY_MAX_COUNT + 1)
+        assert exc.value.key == "count"
+
+    def test_table_past_the_cap_is_refused_before_it_grows(self, monkeypatch):
+        full = greedy_growth_table(200)
+        monkeypatch.setattr(sequences, "GREEDY_MAX_TABLE_BITS", 2**14)
+        rows = []
+        with pytest.raises(LimitError, match="count 200 needs a greedy table of more "
+                           "than 16384 bits with this schedule: term ") as exc:
+            rows.extend(sequences._greedy_steps(200, TailSchedule.constant(1)))
+        assert exc.value.key == "count"
+        # the terms before the refusal are the run's own, the last of them
+        # the first that needs 2 x > 16384 bits of centers
+        assert rows == full[:len(rows)]
+        assert 128 * ((rows[-1][1] >> 6) + 1) > 2**14 >= 128 * ((rows[-2][1] >> 6) + 1)
+
+    def test_search_window_past_the_cap_is_refused(self):
+        with pytest.raises(LimitError, match="count 5 needs a greedy search window of "
+                           f"more than {GREEDY_MAX_TABLE_BITS // 8} slots"):
+            build_greedy(5, TailSchedule(((1, 1), (10**8, 2))))
 
     def test_growth_certificate_two_hundred_terms(self):
         table = greedy_growth_table(200)
