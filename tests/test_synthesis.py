@@ -535,9 +535,10 @@ class TestSparseAgainstDense:
         else:  # on-grid anchors k/T, more than 1 apart, from none to all of them
             ks = list(accumulate((math.floor(T) + 1 + e for e in steps), initial=k0))
             seq = Sequence(tuple(k / T for k in ks[: data.draw(st.integers(0, len(ks)))]))
-        try:
+        try:  # the checks of synthesize, in its order
+            SpectralProfile(seq)  # k/T anchors more than 1 apart can round to a gap of 1.0
             widths = []
-            for lam in seq.values:  # the checks of synthesize, in its order
+            for lam in seq.values:
                 grid.bin_of(lam)
                 widths.append(grid.band_bins((lam, lam + 1)).size)
         except ValueError as exc:  # refused alike
@@ -554,6 +555,12 @@ class TestSparseAgainstDense:
             c[grid.band_bins((lam, lam + 1))[: len(block)] % S] += block
         assert_is_the_dense_build(lambda: synthesize(blocks, seq, grid), grid, c,
                                   SpectralProfile(seq))
+
+    def test_synthesize_refuses_anchors_whose_gap_rounds_to_one(self):
+        T = 11.999999999999998  # 14/T - 2/T is 1.0 in floating point, not above it
+        seq = Sequence((2 / T, 14 / T))
+        with pytest.raises(ValueError, match="profile intervals overlap: gap 1.0"):
+            synthesize([[1.0], [1.0]], seq, Grid(T, 2))
 
     @given(periods, st.integers(2, 300), bands, st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
