@@ -8,6 +8,7 @@ one operation, and print a JSON record (or write a file).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import functools
 import json
@@ -127,6 +128,28 @@ def _grid(args) -> synthesis.Grid:
         raise ValueError(f"{exc} (--period {args.period}, --samples {args.samples})") from None
 
 
+@contextlib.contextmanager
+def _file_of(flag: str, path):
+    """A file the flag names that cannot be read, parsed or written is a
+    ConfigError naming the flag and the path."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ConfigError([f"{flag} {path}: {exc}"]) from None
+
+
+def _read(flag: str, path, parse):
+    """``parse`` of the text of the file a flag names (see ``_file_of``)."""
+    with _file_of(flag, path), open(path, "r", encoding="utf-8") as fh:
+        return parse(fh.read())
+
+
+def _write(flag: str, path, text: str) -> None:
+    """Write text to the file a flag names (see ``_file_of``)."""
+    with _file_of(flag, path), open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _refuse_terms(args, what: str):
     """Refuse a sequence with terms above ``what``, the limit of the
     command, naming the flag the sequence came from."""
@@ -147,8 +170,7 @@ def _sequence_from_args(args, bound=math.inf, what: str = "") -> sequences.Seque
     sequence whose largest term is clearly above it is refused before any
     term is built; the builders' own limits name the flag too."""
     if getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            seq = sequences.Sequence.from_text(fh.read())
+        seq = _read("--input", args.input, sequences.Sequence.from_text)
     else:
         spec = {"builder": args.builder}
         if args.builder == "geometric":
@@ -200,8 +222,7 @@ def _set_from_args(args, grid=None) -> sets.ThickSet:
     comb_on_grid, which refuses a comb finer than the grid.  A --set-file
     record, checked by the schema's SET_RECORD, keeps its own window."""
     if getattr(args, "set_file", None):
-        with open(args.set_file, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
+        record = _read("--set-file", args.set_file, json.loads)
         errors = field_violations(record, SET_RECORD, f"--set-file {args.set_file}")
         if errors:
             raise ConfigError(errors)
@@ -244,8 +265,7 @@ def _cmd_seq_build(args) -> int:
         f"{limit} decimal digits, the most an integer may have to be written as text")
     text = seq.to_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write("--output", args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -319,7 +339,8 @@ def _cmd_conc_gram(args) -> int:
     E = _set_from_args(args)
     form = concentration.gram_matrix(E, seq)
     if args.output:
-        form.to_text(args.output)
+        with _file_of("--output", args.output):
+            form.to_text(args.output)
     _print(
         {
             "dimension": form.dimension,
@@ -342,8 +363,7 @@ def _cmd_conc_ls(args) -> int:
     grid = _grid(args)
     E = _set_from_args(args, grid)
     if args.freq_sequence:
-        with open(args.freq_sequence, "r", encoding="utf-8") as fh:
-            seq = sequences.Sequence.from_text(fh.read())
+        seq = _read("--freq-sequence", args.freq_sequence, sequences.Sequence.from_text)
         profile = synthesis.SpectralProfile(seq)
     else:
         profile = _pair(args.band, "--band")
@@ -386,14 +406,13 @@ def _cmd_uniq_omega(args) -> int:
 def _cmd_uniq_cd(args) -> int:
     report = uniqueness.carleman_denjoy_partial(args.N, args.T_max)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text(moment_rows(report)))
+        _write("--output", args.output, csv_text(moment_rows(report)))
     _print(report.to_dict())
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    config = ExperimentConfig.from_dict(_read("config", args.config, json.loads))
     manifest = run(config, args.base_dir)
     _print(manifest.to_dict())
     return EXIT_OK

@@ -320,9 +320,11 @@ class CellQuadrature:
     for integrands constant on each cell).  These cell weights, and the
     samples J of the cells that meet I, depend only on E, the grid and I,
     never on the functions integrated; so a trial loop builds one
-    CellQuadrature per run and passes it to every trial.  I defaults to the
-    whole period [0, T].  Construction checks E against the grid and I
-    against [0, T]; each array is built on first use.
+    CellQuadrature per run and passes it to every trial.  So does the
+    spectrum of the set weights (``set_spectrum``), from which the split
+    reads the restricted energy of each trial's spectrum without sampling
+    it.  I defaults to the whole period [0, T].  Construction checks E
+    against the grid and I against [0, T]; each array is built on first use.
     """
 
     def __init__(self, E: ThickSet, grid: Grid, interval=None):
@@ -349,6 +351,13 @@ class CellQuadrature:
     @functools.cached_property
     def set_weights(self) -> np.ndarray:
         return _cell_weights(self.grid, _clip_intervals(self.trace, *self.interval))
+
+    @functools.cached_property
+    def set_spectrum(self) -> np.ndarray:
+        """fft(set_weights), entry m = sum_j w_j e^{-2 pi i m j / S}: the one
+        transform of a split ensemble, made on first use and shared by every
+        trial (see ``theorem_split_check``)."""
+        return np.fft.fft(self.set_weights)
 
     @functools.cached_property
     def window_samples(self) -> np.ndarray:
@@ -397,15 +406,21 @@ def _end_bins(f: BandFunction) -> tuple:
     return (int(bins.min()), int(bins.max())) if bins.size else ()
 
 
+def _fits_table(rows: int, cols: int, grid: Grid) -> bool:
+    """The cap of every direct sum over nonzero bins: a rows x cols table of
+    phases or weights is built only while it holds at most S entries, so it
+    never holds more than a few S-length arrays, as an FFT does."""
+    return rows * cols <= grid.samples
+
+
 def _on_window(f: BandFunction, J: np.ndarray) -> tuple:
     """f and f' at the grid samples J.
 
     A direct sum over the nonzero bins k of f, which a function built from
     coefficients keeps (``BandFunction._nonzero_bins``): c_k e^{2 pi i k j / S},
     and for f' the same terms times 2 pi i k / T, with k j reduced mod S in
-    integers.  Its |J| x (number of bins) phase table is capped at S
-    entries, so it never holds more than a few S-length arrays, as the FFT
-    does; past that (a dense spectrum, as of a function built from its
+    integers.  Its |J| x (number of bins) phase table is capped by
+    ``_fits_table``; past that (a dense spectrum, as of a function built from its
     values, or a wide band on a wide window) one inverse FFT each is taken
     and sliced to J.  The cost of the two paths crosses near the cap too:
     timed on one Xeon core at S = 16384 and 32768 with the |J| of L = 1, 8
@@ -415,7 +430,7 @@ def _on_window(f: BandFunction, J: np.ndarray) -> tuple:
     """
     grid, S = f.grid, f.grid.samples
     bins, coeffs = f._nonzero_bins()
-    if J.size * bins.size > S:
+    if not _fits_table(J.size, bins.size, grid):
         return f.values[J], f.derivative().values[J]
     phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
     return phases @ coeffs, phases @ (coeffs * (2j * np.pi * grid.frequencies(bins)))
@@ -513,25 +528,35 @@ def theorem_split_check(
 
     Requires strictly positive frequencies.  Returns the ratio of the norm of
     the synthesized function F restricted to E over its full norm, along
-    with the head and tail norm fractions.  Only F is synthesized: head and
-    tail hold disjoint blocks of F's spectrum, so by Parseval the squared
-    norm of each is T times the sum of |c|^2 over its blocks, and the
-    squares of the two fractions sum to one.  ``cells``, a CellQuadrature
-    of E and the grid, shares the cell weights of E between the trials of an
-    ensemble.
+    with the head and tail norm fractions.  Only F is synthesized, and never
+    sampled: by Parseval its squared norm is T sum |c_k|^2 over its nonzero
+    coefficients c_k, and head and tail hold disjoint blocks of its
+    spectrum, so the squared norm of each is T times the sum of |c|^2 over
+    its blocks and the squares of the two fractions sum to one.  The
+    restricted energy sum_j w_j |F(x_j)|^2 over the cell weights w of E is
+    the quadratic form c^H W c, with W[l, k] = fft(w)[(k_l - k_k) mod S] on
+    F's bins k_l, read from the cached ``CellQuadrature.set_spectrum``; it
+    is clamped at 0 against rounding.  A table of more than S entries (see
+    ``_fits_table``) samples F by one inverse FFT instead.  ``cells``, a
+    CellQuadrature of E and the grid, shares the cell weights of E and
+    their spectrum between the trials of an ensemble.
     """
     if not seq.positive:
         raise ValueError("hypothesis violation: frequencies must be positive")
     M = schedule.value(L)
     blocks = list(coefficient_blocks)
     F = synthesize(blocks, seq, grid)
-    power = np.abs(F.values) ** 2
-    norm_sq = float(np.sum(power) * grid.spacing)  # F.norm_sq, from the same squares
+    bins, c = F._nonzero_bins()
+    norm_sq = grid.period * float(np.sum(np.abs(c) ** 2))
     if norm_sq == 0:
         raise ValueError("concentration ratio undefined for the zero function")
     cells = CellQuadrature.reuse(cells, E, grid)
     energy = [float(np.sum(np.abs(np.asarray(b, dtype=complex)) ** 2)) for b in blocks]
-    restricted = float(np.sum(cells.set_weights * power))
+    if _fits_table(bins.size, bins.size, grid):
+        W = cells.set_spectrum[(bins[:, None] - bins) % grid.samples]
+        restricted = max(float(np.vdot(c, W @ c).real), 0.0)
+    else:
+        restricted = float(np.sum(cells.set_weights * np.abs(F.values) ** 2))
     return SplitCheck(
         math.sqrt(restricted / norm_sq),
         math.sqrt(grid.period * sum(energy[: M - 1]) / norm_sq),

@@ -43,8 +43,8 @@ from .sequences import (
     greedy_growth_table,
 )
 from .sets import ThickSet, periodic_comb
-from .synthesis import Grid, SpectralProfile, random_band_function
-from .uniqueness import carleman_denjoy_partial
+from .synthesis import MAX_SAMPLES, Grid, SpectralProfile, random_band_function
+from .uniqueness import MAX_MOMENT_ORDER, carleman_denjoy_partial
 
 __all__ = [
     "TOOL_VERSION",
@@ -164,7 +164,8 @@ def _comb(gamma_key: str, gamma_type) -> tuple:
         {gamma_key: (True, gamma_type, "(0, 1]"), "delta": (True, float, "(0, inf)")})})
 
 
-_GRID = _section({"period": (True, float, "(0, inf)"), "samples": (True, int, "[2, inf)")})
+_GRID = _section({"period": (True, float, "(0, inf)"),
+                  "samples": (True, int, f"[2, {MAX_SAMPLES}]")})
 _ENSEMBLE = _section({"trials": _POSITIVE_INT, "seed": SEED})
 _PROFILE = _section({}, None, {
     "band": _Object({"band": (True, [float, float], None)}),
@@ -201,7 +202,8 @@ _CONFIG = _Object(_COMMON, "kind", {
         "params": _section({"L": _POSITIVE_INT, "schedule": SCHEDULE}),
     }),
     "carleman_denjoy": _Object({
-        "params": _section({"N": _POSITIVE_INT, "T_max": (True, float, "(1, inf)")}),
+        "params": _section({"N": (True, int, f"[1, {MAX_MOMENT_ORDER}]"),
+                            "T_max": (True, float, "(1, inf)")}),
     }),
 })
 
@@ -382,8 +384,10 @@ def build_sequence(spec: dict, base_dir=".") -> Sequence:
     term is built.
     """
     if "file" in spec:
-        text = Path(base_dir, spec["file"]).read_text(encoding="utf-8")
-        return Sequence.from_text(text)
+        try:
+            return Sequence.from_text(Path(base_dir, spec["file"]).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"sequence file {spec['file']!r}: {exc}"]) from None
     builder = spec["builder"]
     if builder in ("geometric", "arithmetic") and spec["count"] > MAX_BUILT_COUNT:
         raise LimitError("count", f"{spec['count']} is above {MAX_BUILT_COUNT}, the most "

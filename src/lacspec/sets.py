@@ -126,7 +126,8 @@ class ThickSet:
     pattern tiles the line with period equal to the window length.  The
     measure and the interval tables behind ``measure_in``, ``thickness`` and
     ``partition_good_bad`` are built on first use and kept on the instance,
-    outside ==, hash and repr.
+    outside ==, hash and repr.  An exact comb of ``periodic_comb`` is built
+    from its table instead, and its intervals are made on first read.
     """
 
     intervals: tuple
@@ -158,6 +159,21 @@ class ThickSet:
                 merged.append([a, b])
         object.__setattr__(self, "intervals", tuple((a, b) for a, b in merged))
         object.__setattr__(self, "window", (w0, w1))
+
+    def __getattr__(self, name):
+        """The intervals of a comb built by ``_exact_comb``, on their first
+        read: its exact table in the types of its ends, kept.  Runs only
+        when the intervals are not yet in the instance."""
+        if name != "intervals" or "_comb_ends" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        scale, starts, ends, _ = self._exact_table
+        w0s, *types = self._comb_ends
+        columns = [[x + w0s for x in col.tolist()] for col in (starts, ends[1:])]
+        columns = [[x // scale for x in c] if t is int else [Fraction(x, scale) for x in c]
+                   for c, t in zip(columns, types)]
+        intervals = tuple(zip(*columns))
+        object.__setattr__(self, "intervals", intervals)
+        return intervals
 
     @cached_property
     def measure(self):
@@ -237,7 +253,7 @@ def thickness(E: ThickSet, Delta):
     piecewise-linear window measure is attained at an endpoint alignment, so
     the evaluation set is exact.
     """
-    if Delta <= 0:
+    if not Delta > 0:  # also a NaN Delta
         raise ValueError("window length Delta must be positive")
     w0, w1 = E.window
     if E.periodic:
@@ -293,6 +309,8 @@ def _as_integer(x, tol=1e-9):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else None
+    if not math.isfinite(x):
+        return None
     r = round(x)
     return r if abs(x - r) <= tol else None
 
@@ -398,7 +416,38 @@ def periodic_comb(gamma, delta, window=(0, 1)) -> ThickSet:
     if nb is None or nb < 1:
         raise ValueError("window must hold an integer number of blocks")
     fill = gamma * delta
+    if _is_exact(w0, w1, delta, fill):
+        return _exact_comb(w0, w1, delta, fill, nb)
     pieces = tuple(
         (w0 + k * delta, w0 + k * delta + fill) for k in range(nb)
     )
     return ThickSet(pieces, (w0, w1), True)
+
+
+def _exact_comb(w0, w1, delta, fill, nb: int) -> ThickSet:
+    """The comb of the nb blocks [w0 + k delta, w0 + k delta + fill] of exact
+    ends, as ThickSet would normalize it, without a Fraction operation per
+    block.  A full comb (fill = delta) merges into one interval.  Otherwise
+    the blocks are disjoint, and the comb is stored as its exact table: the
+    ends as integers over one denominator, the lcm of those of w0, delta and
+    fill, which is the scale ``ThickSet._exact_table`` finds (both ends of
+    block 0 and the start of block 1 are ends of the set).  Its measure is
+    stored too, and its intervals are made on first read (see
+    ``ThickSet.__getattr__``), each end the number ``w0 + k * delta
+    (+ fill)`` gives, of its type."""
+    a0 = w0 + 0 * delta  # block 0, of the types of every block
+    b0 = a0 + fill
+    if fill == delta:
+        return ThickSet(((a0, w0 + (nb - 1) * delta + fill),), (w0, w1), True)
+    ends = (w0, delta, fill)
+    scale = math.lcm(*(Fraction(t).denominator for t in ends))
+    w0s, step, width = ((Fraction(t) * scale).numerator for t in ends)
+    dtype = np.int64 if (w1 - w0) * scale < _INT64_REACH else object
+    starts = np.arange(nb, dtype=np.int64).astype(dtype) * step
+    E = ThickSet.__new__(ThickSet)
+    object.__setattr__(E, "window", (w0, w1))
+    object.__setattr__(E, "periodic", True)
+    E.__dict__.update(measure=(b0 - a0) * nb,
+                      _exact_table=(scale, *_table(starts, starts + width, dtype)),
+                      _comb_ends=(w0s, type(a0), type(b0)))
+    return E

@@ -31,11 +31,14 @@ __all__ = [
 
 LEAKAGE_TOL = 1e-8
 FREQ_SNAP_TOL = 1e-9
+# The most samples a grid holds: one complex array over it is 1 GiB here.
+MAX_SAMPLES = 2**26
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sampling of one period: S points spaced T/S apart."""
+    """Uniform sampling of one period: S points spaced T/S apart, 2 <= S <=
+    MAX_SAMPLES."""
 
     period: float
     samples: int
@@ -48,6 +51,9 @@ class Grid:
         if not self.spacing >= sys.float_info.min:  # T/S underflowed: no frequency grid
             raise ValueError(f"period {self.period} over {self.samples} samples makes the "
                              f"spacing T/S = {self.spacing!r}, not a positive normal float")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"{self.samples} samples are above {MAX_SAMPLES}, the most a "
+                             f"grid holds")
 
     @property
     def spacing(self) -> float:
@@ -84,12 +90,28 @@ class Grid:
         return int(r)
 
     def band_bins(self, support) -> np.ndarray:
-        """Sorted distinct int64 bins of a band (lo, hi) or a SpectralProfile.
+        """Sorted distinct int64 bins of a band (lo, hi) or a SpectralProfile,
+        as a read-only array.
 
         The one band rule: [lo, hi] holds the bins ceil(lo*T - FREQ_SNAP_TOL)
         .. floor(hi*T + FREQ_SNAP_TOL).  Raises ValueError when no bin is
         inside, or, before any array is built, unless 2*max|k| < S on the
-        integer end bins (the test of bin_of)."""
+        integer end bins (the test of bin_of).  Results are memoised per grid
+        and support (see ``_support_key``): the last _BAND_MEMO_SIZE of them
+        with at most _BAND_MEMO_BINS bins each; refusals are not kept."""
+        key = _support_key(self, support)
+        bins = _BAND_MEMO.get(key) if key is not None else None
+        if bins is None:
+            bins = self._band_rule(support)
+            bins.setflags(write=False)
+            if key is not None and bins.size <= _BAND_MEMO_BINS:
+                if len(_BAND_MEMO) >= _BAND_MEMO_SIZE:
+                    _BAND_MEMO.pop(next(iter(_BAND_MEMO)), None)  # the oldest
+                _BAND_MEMO[key] = bins
+        return bins
+
+    def _band_rule(self, support) -> np.ndarray:
+        """``band_bins`` without the memo."""
         T, profile = self.period, isinstance(support, SpectralProfile)
         try:
             ends = [(math.ceil(lo * T - FREQ_SNAP_TOL), math.floor(hi * T + FREQ_SNAP_TOL))
@@ -103,6 +125,33 @@ class Grid:
         starts = [ends[0][0]] + [b + 1 for _, b in ends[:-1]]  # profile intervals increase
         return np.concatenate([np.arange(max(a, s), b + 1, dtype=np.int64)
                                for (a, b), s in zip(ends, starts)])
+
+
+_BAND_MEMO: dict = {}  # _support_key -> read-only bins, oldest first
+_BAND_MEMO_SIZE = 64
+_BAND_MEMO_BINS = 1 << 16
+
+
+def _support_key(grid: Grid, support):
+    """The memo key of ``grid.band_bins(support)``, or None for a support the
+    memo does not hold (not a SpectralProfile, tuple or list, or unhashable).
+
+    The key holds the period's type and the type of every number beside the
+    numbers, so that supports that compare equal but are typed differently
+    (0 and 0.0, 1 and Fraction(1), 16 and 16.0 as a period) never share an
+    entry; a list band keys as the tuple of its items."""
+    if isinstance(support, SpectralProfile):
+        values = ("profile", *support.base_sequence.values)
+    elif isinstance(support, (tuple, list)):
+        values = ("band", *support)
+    else:
+        return None
+    key = (type(grid.period), grid, tuple(map(type, values)), values)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ __all__ = [
 
 _E = math.e
 _SCAN_POINTS = 65  # per unit interval of the domination scan
+# The most moments carleman_denjoy_partial computes: 10**5 take about 3.5 s
+# on one core (one bracketed maximization each), and a larger N is refused
+# before the first.
+MAX_MOMENT_ORDER = 10**5
 
 
 def log_weight(xi: float) -> float:
@@ -382,10 +386,13 @@ def carleman_denjoy_partial(N: int, T_max: float) -> QuasiAnalyticityReport:
     the powers of ten below T_max and to T_max, as running sums of one
     ``quad`` piece per decade in u = log t (the integral grows only like
     log log t); a piece on which the two Gauss-Legendre rules of ``quad``
-    differ by more than 1e-12 relative is a NumericalError.
+    differ by more than 1e-12 relative is a NumericalError.  N is at most
+    MAX_MOMENT_ORDER.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > MAX_MOMENT_ORDER:
+        raise ValueError(f"N = {N} is above {MAX_MOMENT_ORDER}, the most moments computed")
     if not 1 < T_max < math.inf:
         raise ValueError("T_max must be finite and exceed 1")
     log_M = []

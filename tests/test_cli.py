@@ -1,7 +1,10 @@
+import argparse
 import copy
 import gc
 import json
 import math
+import re
+import shutil
 import sys
 import warnings
 from fractions import Fraction
@@ -9,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import lacspec
@@ -703,6 +706,78 @@ class TestCliMain:
         assert exc.value.code == 2
         assert "error: argument --gamma: 'a' is not a number" in capsys.readouterr().err
 
+    def test_grid_past_the_sample_cap_exits_two(self, capsys, tmp_path):
+        # numpy refused it with "Python int too large to convert to C long"
+        for command in (["synth", "check"], ["conc", "theorem"], ["conc", "lemma"]):
+            assert cli.main(command + ["--start", "4", "--ratio", "4", "--count", "3",
+                                       "--samples", str(10**25)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {10**25} samples are above 67108864, the most a grid")
+            assert f"--samples {10**25})" in err
+        cfg = theorem_config()
+        cfg["grid"]["samples"] = 2**26 + 1
+        assert run_cli(cfg, tmp_path) == 2
+        assert "grid: samples must lie in [2, 67108864], got 67108865" in capsys.readouterr().err
+
+    def test_moment_count_past_the_cap_exits_two(self, capsys, deadline, tmp_path):
+        with deadline(1.0):
+            assert cli.main(["uniq", "cd", "--N", str(10**25)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: N = {10**25} is above 100000, the most moments computed\n")
+        cfg = {"version": 1, "kind": "carleman_denjoy", "output_dir": "o",
+               "params": {"N": 100001, "T_max": 10.0}}
+        with deadline(1.0):
+            assert run_cli(cfg, tmp_path) == 2
+        assert "params: N must lie in [1, 100000], got 100001" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["set", "gamma", "--set-file", "bad.txt"],
+         "error: --set-file bad.txt: Expecting value: line 1 column 1 (char 0)"),
+        (["set", "gamma", "--set-file", "."], "error: --set-file .: [Errno 21] Is a directory"),
+        (["seq", "check", "--kind", "hadamard", "--input", "bad.txt"],
+         "error: --input bad.txt: could not convert string to float: 'a'"),
+        (["conc", "ls", "--freq-sequence", "bad.txt"],
+         "error: --freq-sequence bad.txt: could not convert string to float: 'a'"),
+        (["run", "bad.txt"], "error: config bad.txt: Expecting value: line 1 column 1 (char 0)"),
+        (["seq", "build", "-o", "."], "error: --output .: [Errno 21] Is a directory"),
+        (["uniq", "cd", "--N", "3", "-o", "."], "error: --output .: [Errno 21] Is a directory"),
+        (["conc", "gram", "--output", "."], "error: --output .: [Errno 21] Is a directory"),
+    ])
+    def test_unreadable_file_names_its_flag(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.txt").write_text("a\n")
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_unreadable_sequence_file_of_a_config_names_its_key(self, tmp_path, capsys):
+        (tmp_path / "seq.txt").write_text("4\n1/3\n")
+        cfg = theorem_config()
+        cfg["sequence"] = {"file": "seq.txt"}
+        assert run_cli(cfg, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "error: sequence file 'seq.txt': could not convert string to float: '1/3'\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["set", "partition", "--pattern", "full", "--delta", "nan"],
+         "error: L*Delta = nan is not a positive integer"),
+        (["set", "partition", "--pattern", "full", "--delta", "inf"],
+         "error: L*Delta = inf is not a positive integer"),
+        (["set", "gamma", "--pattern", "full", "--delta", "nan"],
+         "error: window length Delta must be positive"),
+    ])
+    def test_non_finite_window_length_exits_two(self, capsys, argv, message):
+        # nan ended in "cannot convert float NaN to integer", or in a thickness of NaN
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_exact_comb_at_the_block_cap_is_fast(self, capsys, deadline):
+        # 10^6 blocks of 10^-6: with a Fraction operation per block end this took about 26 s
+        with deadline(5.0):
+            assert cli.main(["set", "gamma", "--pattern", "comb", "--delta", "0.000001",
+                             "--window", "0,1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "delta": 1e-06, "gamma": 0.5, "set_measure": 0.5, "gamma_2delta": 0.5}
+
     @pytest.mark.parametrize("argv", [["set", "gamma", "--window", "0,1e-99999999"],
                                       ["set", "partition", "--intervals", "0,0." + "0" * 1000 + "1"]])
     def test_exact_literal_past_the_digit_cap_exits_two(self, capsys, deadline, argv):
@@ -898,3 +973,126 @@ def _parser_with(func):
         return p
 
     return build
+
+
+def subcommands():
+    """(argv prefix, parser) of every subcommand of the CLI, from the parser."""
+    out = []
+
+    def walk(parser, prefix):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            out.append((prefix, parser))
+        for name, sub in (subs[0].choices.items() if subs else ()):
+            walk(sub, prefix + [name])
+
+    walk(cli._build_parser(), [])
+    return out
+
+
+# the hostile values of the exit contract, and a few plain ones to get past the parsers
+HOSTILE = ["0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", str(10**25), "", "a", "1/3",
+           "1,0", "0,1;0.5,2", "0:0", "1", "3", "0.5", "0,1", "1:2"]
+FILE_FLAGS = {"input", "set_file", "freq_sequence", "config", "output", "base_dir"}
+QUANTITIES = ("config", "grid", "set", "sequence", "profile", "band", "bin", "Nyquist",
+              "frequenc", "term", "value", "interval", "window", "period", "spacing", "sample",
+              "delta", "gamma", "block", "cell", "precondition", "thick", "dimension", "measure",
+              "schedule", "moment", "positive")
+INTERPRETER_LIMITS = ("Exceeds the limit", "set_int_max_str_digits", "int too large",
+                      "recursion", "Maximum allowed dimension", "Unable to allocate",
+                      "has no attribute", "unsupported operand", "not supported between",
+                      "cannot unpack", "NoneType", "out of range", "math domain error",
+                      "division by zero", "cannot convert float", "Traceback")
+
+
+def schema_keys(node) -> set:
+    """Every key and variant name of the config schema."""
+    if isinstance(node, tuple) and len(node) == 3:  # a field: (required, type, bounds)
+        return schema_keys(node[1])
+    if not isinstance(node, experiments._Object):
+        return set()
+    keys = set(node.fields) | {node.tag} - {None} | set(node.variants or ())
+    for child in [*node.fields.values(), *(node.variants or {}).values()]:
+        keys |= schema_keys(child)
+    return keys
+
+
+def file_text(rnd, draw, dest):
+    """Hostile contents for the file of a flag: lines of the pool, and for a
+    JSON file JSON values or a record of its kind with hostile entries."""
+    kind = rnd.choice(["lines", "json", "record"])
+    if kind == "lines" or dest not in ("set_file", "config"):
+        return "\n".join(rnd.choices(HOSTILE, k=rnd.randrange(5)))
+    if kind == "json":
+        return json.dumps(draw(json_values))
+    if dest == "set_file":
+        record = {"intervals": [[0, 0.5]], "window": [0, 1], "periodic": False}
+    else:
+        record = rnd.choice(list(small_configs().values()))
+    hostile = SUBSTITUTES + [10**25, 1e308, 5e-324, -1, "1/3", [1, 0], [[0, 1], [0.5, 2]]]
+    return json.dumps(substituted(record, rnd.choice(list(paths(record))), rnd.choice(hostile)))
+
+
+@st.composite
+def hostile_argv(draw, prefix, parser):
+    """The subcommand with a random subset of its flags, each with a hostile
+    value, and its positional arguments; files are written to the cwd."""
+    rnd = draw(st.randoms(use_true_random=True))
+    argv = list(prefix)
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings and rnd.random() < 0.5:
+            continue
+        flag = max(action.option_strings, key=len) if action.option_strings else None
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if action.dest in FILE_FLAGS:
+            value = rnd.choice(["given.txt", "missing.txt", "."])
+            if value == "given.txt":
+                Path(value).write_text(file_text(rnd, draw, action.dest))
+        else:
+            value = rnd.choice(HOSTILE + list(action.choices or []))
+        argv += [flag, value] if flag else [value]
+    return argv
+
+
+class TestExitContract:
+    """Whatever the flags, every subcommand exits 0, 2 or 3 within its
+    deadline, and a refusal says what it refuses by a flag, a key or a
+    quantity, never by an interpreter limit."""
+
+    @pytest.mark.parametrize("prefix", [p for p, _ in subcommands()], ids=" ".join)
+    def test_every_subcommand_keeps_the_exit_contract(self, prefix, tmp_path, monkeypatch,
+                                                     capsys, deadline):
+        parser = dict((tuple(p), q) for p, q in subcommands())[tuple(prefix)]
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        names = {s.lstrip("-") for a in actions for s in a.option_strings}
+        names |= {a.dest for a in actions} | schema_keys(experiments._CONFIG) | set(QUANTITIES)
+        named = re.compile("|".join(rf"\b{re.escape(n)}" for n in sorted(names)))
+        monkeypatch.chdir(tmp_path)
+
+        @settings(max_examples=200, deadline=None, database=None,
+                  phases=[Phase.generate, Phase.shrink], suppress_health_check=list(HealthCheck))
+        @given(hostile_argv(prefix, parser))
+        def contract(argv):
+            missing = Path("missing.txt")  # a run's --base-dir may have made it a directory
+            shutil.rmtree(missing) if missing.is_dir() else missing.unlink(missing_ok=True)
+            capsys.readouterr()
+            with deadline(3.0):
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as exc:  # argparse's own refusal of a flag
+                    rc = exc.code
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3), (argv, err)
+            if rc:
+                lines = [line for line in err.splitlines()
+                         if "error: " in line or line.startswith("numerical failure: ")]
+                assert lines, (argv, err)
+                for line in lines:
+                    assert named.search(line), (argv, line)
+                    assert not any(limit in line for limit in INTERPRETER_LIMITS), (argv, line)
+
+        contract()

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from lacspec.concentration import (
     theorem_split_check,
 )
 from lacspec.errors import NumericalError
-from lacspec.experiments import lemma_trials
+from lacspec.experiments import lemma_trials, split_trials
 from lacspec.sequences import Sequence, TailSchedule, build_counterexample
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
@@ -548,3 +550,90 @@ class TestTheoremSplit:
             theorem_split_check(
                 [[0.0]], Sequence((4,)), TailSchedule.constant(1), 1, E, grid
             )
+
+
+def sampled_split(blocks, seq, schedule, L, E, grid):
+    """Oracle of theorem_split_check: F sampled by one inverse FFT, its
+    restricted energy sum_j w_j |F(x_j)|^2 over the cell weights of E, its
+    squared norm from the same samples, and the head and tail by Parseval."""
+    F = synthesize(blocks, seq, grid)
+    power = np.abs(F.values) ** 2
+    norm_sq = float(np.sum(power) * grid.spacing)
+    restricted = float(np.sum(CellQuadrature(E, grid).set_weights * power))
+    energy = [float(np.sum(np.abs(np.asarray(b, dtype=complex)) ** 2)) for b in blocks]
+    M = schedule.value(L)
+    head = grid.period * sum(energy[: M - 1])
+    return restricted / norm_sq, head / norm_sq, grid.period * sum(energy[M - 1:]) / norm_sq
+
+
+@st.composite
+def split_cases(draw):
+    """A grid, positive on-grid anchors more than 1 apart, one block per
+    anchor (up to its band's width), a tail start M (1 empties the head, past
+    the anchors the tail) and a comb, a rational union or the full window."""
+    T = draw(st.sampled_from([2.0, 4.0, 5.0, 8.0]))
+    S = draw(st.sampled_from([32, 64, 128, 512, 2048]))
+    gaps = draw(st.lists(st.integers(int(T) + 1, 40), min_size=1, max_size=4))
+    start = draw(st.integers(1, 40))
+    bins = list(accumulate(gaps[1:], initial=start))
+    assume(2 * (bins[-1] + T + 1) < S)
+    seq = Sequence(tuple(k / T for k in bins))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in bins:
+        n = draw(st.integers(1, int(T) + 1))
+        blocks.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assume(any(np.any(b) for b in blocks))
+    M = draw(st.integers(1, len(bins) + 2))
+    kind = draw(st.sampled_from(["comb", "union", "full"]))
+    if kind == "comb":
+        E = periodic_comb(draw(st.sampled_from([0.25, 0.5, 0.75, 1 / 3])),
+                          draw(st.sampled_from([0.25, 0.5, 1.0])), (0.0, T))
+    elif kind == "union":
+        q = draw(st.integers(1, 64))
+        cuts = draw(st.lists(st.integers(0, int(T) * q), min_size=2, max_size=8, unique=True))
+        cuts = sorted(Fraction(c, q) for c in cuts)[: len(cuts) // 2 * 2]
+        E = ThickSet(tuple(zip(cuts[0::2], cuts[1::2])), (Fraction(0), Fraction(int(T))))
+    else:
+        E = ThickSet(((0.0, T),), (0.0, T))
+    return Grid(T, S), seq, blocks, TailSchedule(((1, M),)), E, kind
+
+
+class TestSplitQuadraticForm:
+    @given(split_cases())
+    @example((Grid(8.0, 64), Sequence((0.5,)), [np.arange(1, 10) * (1 + 1j)],  # 81 > 64 entries
+              TailSchedule(((1, 1),)), periodic_comb(0.5, 1.0, (0.0, 8.0)), "comb"))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sampled_restricted_energy(self, case):
+        grid, seq, blocks, schedule, E, kind = case
+        rec = theorem_split_check(blocks, seq, schedule, 1, E, grid)
+        restricted, head, tail = sampled_split(blocks, seq, schedule, 1, E, grid)
+        assert rec.ratio ** 2 == pytest.approx(restricted, rel=1e-13, abs=1e-15)
+        assert rec.ratio_head ** 2 == pytest.approx(head, rel=1e-13, abs=0)
+        assert rec.ratio_tail ** 2 == pytest.approx(tail, rel=1e-13, abs=0)
+        if kind == "full":
+            assert abs(rec.ratio - 1.0) <= 1e-12
+
+    def test_table_past_the_cap_samples_the_function(self, monkeypatch):
+        grid, seq = Grid(8.0, 64), Sequence((0.5,))
+        E = periodic_comb(0.5, 1.0, (0.0, 8.0))
+        cells = CellQuadrature(E, grid)
+        sizes = fft_spy(monkeypatch)
+        for width, transforms in ((8, [64]), (9, [64])):  # 64 entries, then 81 > 64
+            blocks = [np.arange(1, width + 1) * (1 - 2j)]
+            rec = theorem_split_check(blocks, seq, TailSchedule.constant(1), 1, E, grid,
+                                      cells=cells)
+            # the weight spectrum on first use, then one inverse FFT of F past the cap
+            assert sizes == transforms
+            sizes.clear()
+            restricted, _, _ = sampled_split(blocks, seq, TailSchedule.constant(1), 1, E, grid)
+            sizes.clear()
+            assert rec.ratio ** 2 == pytest.approx(restricted, rel=1e-13)
+
+    def test_an_ensemble_transforms_only_the_weights(self, monkeypatch):
+        grid = Grid(16.0, 16384)
+        E = periodic_comb(0.5, 1.0, (0.0, 16.0))
+        sizes = fft_spy(monkeypatch)
+        records = split_trials(Sequence((2, 8, 32)), E, grid, 1, TailSchedule(((1, 2),)), 7, 20)
+        assert len(records) == 20
+        assert sizes == [grid.samples]

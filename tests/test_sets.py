@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacspec import sets
@@ -427,3 +427,55 @@ class TestPartition:
         E = ThickSet(((0, 2),), (0, 2))
         d = partition_good_bad(E, 1, 2, 1).to_dict()
         assert d["L"] == 2 and len(d["good_indices"]) == 2
+
+
+def comb_by_blocks(gamma, delta, window):
+    """Oracle: the comb built block by block in the numbers of its ends, as
+    ThickSet normalizes it."""
+    w0, w1 = window
+    fill = gamma * delta
+    nb = round((w1 - w0) / delta)
+    return ThickSet(tuple((w0 + k * delta, w0 + k * delta + fill) for k in range(nb)),
+                    (w0, w1), True)
+
+
+exact_numbers = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=12))
+
+
+class TestExactComb:
+    @given(st.one_of(st.fractions(0, 1, max_denominator=12).filter(lambda g: g > 0),
+                     st.sampled_from([1, True, Fraction(1)])),
+           st.one_of(st.integers(1, 3), st.fractions(0, 3, max_denominator=12).filter(bool)),
+           exact_numbers, st.integers(1, 40), st.sampled_from([0, 1, 2**70]))
+    @example(Fraction(1, 2), 2, 10**30, 4, 0)  # ends past int64
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_comb_built_block_by_block(self, gamma, delta, w0, nb, shift):
+        w0 = w0 + shift
+        window = (w0, w0 + nb * delta)
+        E, want = periodic_comb(gamma, delta, window), comb_by_blocks(gamma, delta, window)
+        assert E.window == want.window and E.periodic
+        assert E.measure == want.measure and type(E.measure) is type(want.measure)
+        assert E.intervals == want.intervals
+        assert [tuple(map(type, iv)) for iv in E.intervals] == \
+            [tuple(map(type, iv)) for iv in want.intervals]
+        assert E == want and hash(E) == hash(want)
+        for D in (delta, 2 * delta, Fraction(1, 3), delta * nb):
+            for a, b in ((E, want), (want, E)):  # the stored table answers, then the built one
+                got = thickness(a, D) if D <= a.period else None
+                assert got == (thickness(b, D) if D <= b.period else None)
+                assert type(got) is type(thickness(b, D) if D <= b.period else None)
+        assert pickle.loads(pickle.dumps(E)) == want
+
+    def test_stored_table_is_the_table_of_its_intervals(self):
+        E = periodic_comb(Fraction(1, 3), Fraction(1, 7), (Fraction(2, 5), Fraction(2, 5) + 3))
+        scale, *tables = E._exact_table
+        rebuilt = ThickSet(E.intervals, E.window, True)._exact_table
+        assert scale == rebuilt[0]
+        assert all(t.dtype == r.dtype and np.array_equal(t, r) for t, r in zip(tables, rebuilt[1:]))
+
+    def test_comb_at_the_block_cap_builds_no_interval_until_read(self, deadline):
+        with deadline(1.0):
+            E = periodic_comb(Fraction(1, 2), Fraction(1, 10**6), (0, 1))
+            assert E.measure == Fraction(1, 2)
+        assert "intervals" not in vars(E)
+        assert E._exact_table[0] == 2 * 10**6 and E._exact_table[1].dtype == np.int64

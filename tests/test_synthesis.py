@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import re
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -8,11 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lacspec import experiments
+from lacspec import experiments, synthesis
 from lacspec.concentration import _on_window, ls_constant
 from lacspec.sequences import Sequence, build_counterexample, difference_set
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
+    FREQ_SNAP_TOL,
     LEAKAGE_TOL,
     BandFunction,
     Grid,
@@ -59,6 +62,9 @@ class TestGrid:
             with pytest.raises(ValueError, match=rf"^period {period} over {samples} samples "
                                                  r"makes the spacing T/S = .*not a positive normal"):
                 Grid(period, samples)
+        Grid(8.0, synthesis.MAX_SAMPLES)  # no array is made
+        with pytest.raises(ValueError, match="^67108865 samples are above 67108864, the most"):
+            Grid(8.0, synthesis.MAX_SAMPLES + 1)
 
     def test_off_grid_frequency_refused(self):
         g = Grid(8.0, 64)
@@ -736,3 +742,95 @@ class TestSplitUniformlyDiscrete:
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             split_uniformly_discrete([1.0, 2.0], -1.0)
+
+
+def band_rule(grid, support):
+    """Oracle: the band rule as it ran before it was memoised, on every call."""
+    T, profile = grid.period, isinstance(support, SpectralProfile)
+    try:
+        ends = [(math.ceil(lo * T - FREQ_SNAP_TOL), math.floor(hi * T + FREQ_SNAP_TOL))
+                for lo, hi in (support.intervals() if profile else (support,))]
+    except OverflowError:
+        raise ValueError("Nyquist violation: band edge times T overflows a float") from None
+    ends = [(a, b) for a, b in ends if a <= b]
+    if not ends:
+        raise ValueError(f"{'profile' if profile else 'band'} holds no grid frequencies")
+    grid._check_bin(max(max(-a, b) for a, b in ends))
+    starts = [ends[0][0]] + [b + 1 for _, b in ends[:-1]]
+    return np.concatenate([np.arange(max(a, s), b + 1, dtype=np.int64)
+                           for (a, b), s in zip(ends, starts)])
+
+
+def outcome(call):
+    try:
+        return call()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# numbers that compare equal across types, and some that are refused
+typed_edges = st.one_of(
+    st.integers(-6, 6).flatmap(lambda k: st.sampled_from([k, float(k), Fraction(k)])),
+    st.integers(-48, 48).flatmap(lambda k: st.sampled_from([k / 8, Fraction(k, 8)])),
+    st.floats(-4, 4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 10**400, True, False]),
+)
+typed_bands = st.one_of(
+    st.tuples(typed_edges, typed_edges),
+    st.lists(typed_edges, min_size=2, max_size=2),
+    st.lists(typed_edges, min_size=0, max_size=3),  # the wrong length: refused
+)
+typed_profiles = st.tuples(
+    st.sampled_from([0, 0.0, Fraction(0), -3, 1.5, Fraction(5, 4)]),
+    st.lists(st.sampled_from([2, 2.0, Fraction(2), 3.5, Fraction(7, 3)]), max_size=2),
+).map(lambda t: SpectralProfile(Sequence(tuple(accumulate(t[1], initial=t[0])))))
+typed_supports = st.one_of(typed_bands, typed_profiles, st.sampled_from([None, 3, "ab"]))
+typed_grids = st.tuples(st.sampled_from([8, 8.0, 2.5, 7.9999999999, 1.0, Fraction(3)]),
+                        st.sampled_from([2, 16, 64, 1024]))
+
+
+class TestBandMemo:
+    @given(st.lists(st.tuples(typed_grids, typed_supports), min_size=1, max_size=6))
+    @example([((8, 64), (0, 1)), ((8.0, 64), (0.0, 1.0)), ((8.0, 64), [0.0, 1.0]),
+              ((8.0, 64), (Fraction(0), Fraction(1))), ((8.0, 64), (False, True))])
+    @settings(max_examples=400, deadline=None)
+    def test_memo_is_the_rule(self, calls):
+        for _ in range(2):  # the second round reads the memo
+            for (T, S), support in calls:
+                grid = Grid(T, S)
+                want = outcome(lambda: band_rule(grid, support))
+                got = outcome(lambda: grid.band_bins(support))
+                if isinstance(want, np.ndarray):
+                    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+                    assert got.tolist() == want.tolist()
+                    assert not got.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        got[...] = 0
+                else:
+                    assert got == want  # the same refusal, and nothing kept for it
+                    assert synthesis._support_key(grid, support) not in synthesis._BAND_MEMO
+
+    def test_equal_supports_of_other_types_are_kept_apart(self):
+        grid = Grid(8.0, 64)
+        supports = [(0, 1), (0.0, 1.0), (Fraction(0), Fraction(1)), (False, True),
+                    SpectralProfile(Sequence((0, 3))), SpectralProfile(Sequence((0.0, 3.0)))]
+        keys = [synthesis._support_key(grid, s) for s in supports]
+        assert len(set(keys)) == len(keys)
+        assert synthesis._support_key(Grid(8, 64), (0, 1)) != keys[0]
+
+    def test_a_band_read_from_json_is_the_band_of_its_tuple(self):
+        grid = Grid(16.0, 1024)
+        band = json.loads("[0.25, 1.5]")
+        assert synthesis._support_key(grid, band) == synthesis._support_key(grid, tuple(band))
+        assert grid.band_bins(band).tolist() == grid.band_bins((0.25, 1.5)).tolist()
+        f = random_band_function(grid, np.random.default_rng(3), band)
+        assert f.leakage() == 0.0
+
+    def test_memo_is_bounded(self):
+        grid = Grid(4096.0, 2**20)
+        for k in range(3 * synthesis._BAND_MEMO_SIZE):
+            grid.band_bins((k / 4096, (k + 1) / 4096))
+        assert len(synthesis._BAND_MEMO) <= synthesis._BAND_MEMO_SIZE
+        wide = grid.band_bins((0.0, 100.0))  # 409601 bins: built, not kept
+        assert wide.size > synthesis._BAND_MEMO_BINS and not wide.flags.writeable
+        assert synthesis._support_key(grid, (0.0, 100.0)) not in synthesis._BAND_MEMO

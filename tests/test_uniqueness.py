@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from lacspec.sequences import Sequence
 from lacspec.uniqueness import (
+    MAX_MOMENT_ORDER,
     BumpFunction,
     carleman_denjoy_partial,
     log_weight,
@@ -241,6 +242,8 @@ class TestCarlemanDenjoy:
             carleman_denjoy_partial(0, 100.0)
         with pytest.raises(ValueError):
             carleman_denjoy_partial(10, 1.0)
+        with pytest.raises(ValueError, match="N = 100001 is above 100000, the most moments"):
+            carleman_denjoy_partial(MAX_MOMENT_ORDER + 1, 10.0)  # refused before the first
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
