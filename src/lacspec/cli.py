@@ -317,12 +317,13 @@ def _cmd_synth_check(args) -> int:
     grid = _grid(args)
     (blocks,) = trial_blocks(seq, grid, _seed(args), 1)
     f = synthesis.synthesize(blocks, seq, grid)
-    support = synthesis.spectral_support(f, args.tol)
+    try:
+        support = synthesis.spectral_support(f, args.tol)
+    except ValueError:  # the one refusal of spectral_support
+        raise ConfigError([f"--tol {args.tol} is outside [0, 1)"]) from None
     active = {round(s * grid.period) for s in support}
     inside = active <= set(grid.band_bins(f.declared_support).tolist())
-    plancherel = abs(
-        f.norm_sq - grid.period * float(np.sum(np.abs(f.spectrum()) ** 2))
-    )
+    plancherel = abs(f.norm_sq - grid.period * float(np.sum(np.abs(f.coeffs) ** 2)))
     _print(
         {
             "leakage": f.leakage(),
@@ -458,7 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_synth_check)
+    # by default a sequence whose unit bands the grid resolves and keeps apart
+    p.set_defaults(func=_cmd_synth_check, start=4, ratio=4, count=2)
 
     co = top.add_parser("conc", help="concentration operators and constants")
     co_sub = co.add_subparsers(dest="command", required=True)
@@ -485,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--L", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_conc_lemma)
+    p.set_defaults(func=_cmd_conc_lemma, start=4, ratio=4, count=3)
     p = co_sub.add_parser("theorem")
     _add_sequence_source(p)
     _add_set_source(p)
@@ -493,18 +495,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=8192)
     p.add_argument("--L", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_conc_theorem)
+    p.set_defaults(func=_cmd_conc_theorem, start=4, ratio=4, count=4)
 
     un = top.add_parser("uniq", help="uniqueness-side diagnostics")
     un_sub = un.add_subparsers(dest="command", required=True)
     p = un_sub.add_parser("condition")
     _add_sequence_source(p)
     p.add_argument("--N", type=int, default=0, help="prefix length (0 = all)")
-    p.set_defaults(func=_cmd_uniq_condition)
+    p.set_defaults(func=_cmd_uniq_condition, start=4, ratio=4)
     p = un_sub.add_parser("omega")
     _add_sequence_source(p)
     p.add_argument("--T", type=float, default=1e6)
-    p.set_defaults(func=_cmd_uniq_omega)
+    p.set_defaults(func=_cmd_uniq_omega, start=4, ratio=4)
     p = un_sub.add_parser("cd")
     p.add_argument("--N", type=int, default=200)
     p.add_argument("--T-max", type=float, default=1e4, dest="T_max")

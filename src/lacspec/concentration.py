@@ -393,16 +393,15 @@ class LemmaTerms:
 
 def _end_bins(f: BandFunction) -> tuple:
     """Lowest and highest signed bin of f: those of its declared support, or,
-    with none declared, of the bins holding more than LEAKAGE_TOL of its
-    spectral mass (FFT round-off leaves no bin of a function built from its
-    values exactly zero).  Empty for a zero function without a declared
+    with none declared, of the kept bins holding more than LEAKAGE_TOL of
+    its spectral mass (FFT round-off leaves no bin of a spectrum taken from
+    samples exactly zero).  Empty for a zero function without a declared
     support."""
     if f.declared_support is not None:
         bins = f.grid.band_bins(f.declared_support)
     else:
-        bins, coeffs = f._nonzero_bins()
-        mass = np.abs(coeffs) ** 2
-        bins = f.grid.signed_bins(bins[mass > LEAKAGE_TOL * mass.sum()])
+        mass = np.abs(f.coeffs) ** 2
+        bins = f.grid.signed_bins(f.bins[mass > LEAKAGE_TOL * mass.sum()])
     return (int(bins.min()), int(bins.max())) if bins.size else ()
 
 
@@ -416,20 +415,20 @@ def _fits_table(rows: int, cols: int, grid: Grid) -> bool:
 def _on_window(f: BandFunction, J: np.ndarray) -> tuple:
     """f and f' at the grid samples J.
 
-    A direct sum over the nonzero bins k of f, which a function built from
-    coefficients keeps (``BandFunction._nonzero_bins``): c_k e^{2 pi i k j / S},
-    and for f' the same terms times 2 pi i k / T, with k j reduced mod S in
-    integers.  Its |J| x (number of bins) phase table is capped by
-    ``_fits_table``; past that (a dense spectrum, as of a function built from its
-    values, or a wide band on a wide window) one inverse FFT each is taken
-    and sliced to J.  The cost of the two paths crosses near the cap too:
-    timed on one Xeon core at S = 16384 and 32768 with the |J| of L = 1, 8
-    and 16 at T = 16, the direct sum was about 3.5 times faster at a table
-    of S/8 entries (a lemma trial's unit bands at L = 8), 1.4-2.4 times
-    faster at S/3 to S/2 and 1.2-1.5 times slower at S.
+    A direct sum over the kept bins k of f (``BandFunction.bins`` and
+    ``coeffs``): c_k e^{2 pi i k j / S}, and for f' the same terms times
+    2 pi i k / T, with k j reduced mod S in integers.  Its |J| x (number of
+    bins) phase table is capped by ``_fits_table``; past that (a dense
+    spectrum, as one taken from samples, or a wide band on a wide window)
+    one inverse FFT each is taken and sliced to J.  The cost of the two
+    paths crosses near the cap too: timed on one Xeon core at S = 16384 and
+    32768 with the |J| of L = 1, 8 and 16 at T = 16, the direct sum was
+    about 3.5 times faster at a table of S/8 entries (a lemma trial's unit
+    bands at L = 8), 1.4-2.4 times faster at S/3 to S/2 and 1.2-1.5 times
+    slower at S.
     """
     grid, S = f.grid, f.grid.samples
-    bins, coeffs = f._nonzero_bins()
+    bins, coeffs = f.bins, f.coeffs
     if not _fits_table(J.size, bins.size, grid):
         return f.values[J], f.derivative().values[J]
     phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
@@ -546,7 +545,7 @@ def theorem_split_check(
     M = schedule.value(L)
     blocks = list(coefficient_blocks)
     F = synthesize(blocks, seq, grid)
-    bins, c = F._nonzero_bins()
+    bins, c = F.bins, F.coeffs
     norm_sq = grid.period * float(np.sum(np.abs(c) ** 2))
     if norm_sq == 0:
         raise ValueError("concentration ratio undefined for the zero function")

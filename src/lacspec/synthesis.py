@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,38 +174,45 @@ class SpectralProfile:
 
 @dataclass(frozen=True, eq=False)
 class BandFunction:
-    """Complex samples over one period plus a declared spectral support.
+    """The function sum_i coeffs[i] e^{2 pi i k_i x / T} over one period, where
+    bins[i] in [0, S) is the FFT-order index of bin k_i, plus a declared
+    spectral support.
 
-    The declared support means its bins ``grid.band_bins``, and construction
-    verifies it: relative spectral mass outside them must stay below
-    LEAKAGE_TOL.  A function built from coefficients (``from_spectrum``, or
-    ``synthesize`` and ``random_band_function``, which pass only the bins
-    they fill) keeps its nonzero bins and their coefficients, checks those,
-    and makes its spectrum and its values on first read; one built from its
-    values checks the forward FFT of the values.
+    Construction keeps the bins sorted and read-only with their
+    coefficients: a bin given more than once holds its coefficients added to
+    zero in the given order, as ``c[bins] += block`` block by block does,
+    and exact zeros are dropped.  The declared support means its bins
+    ``grid.band_bins``, and construction verifies it on the kept
+    coefficients: relative spectral mass outside them must stay below
+    LEAKAGE_TOL.  It makes no length-S array and transforms nothing; the
+    spectrum (the bins scattered into zeros) and the values (one inverse FFT
+    of it) are made on first read and kept.
     """
 
     grid: Grid
-    values: np.ndarray
+    bins: np.ndarray
+    coeffs: np.ndarray
     declared_support: object = None  # SpectralProfile | (lo, hi) | None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.samples,):
-            raise ValueError("values must have one entry per grid point")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        self._check_support()
-
-    def _keep(self, **arrays) -> None:
-        """Store read-only arrays on the (frozen) instance."""
-        for name, a in arrays.items():
+        S = self.grid.samples
+        bins, coeffs = np.asarray(self.bins), np.asarray(self.coeffs, dtype=complex)
+        if bins.ndim != 1 or bins.shape != coeffs.shape:
+            raise ValueError(f"bins and coeffs must be one-dimensional and of one length, "
+                             f"got shapes {bins.shape} and {coeffs.shape}")
+        order = np.argsort(bins, kind="stable")
+        bins = bins[order]
+        if bins.size and (bins.dtype.kind not in "iu" or bins[0] < 0 or bins[-1] >= S):
+            raise ValueError(f"bins must be integer FFT-order indices in [0, {S})")
+        bins = bins.astype(np.int64, copy=False)
+        first = np.ones(bins.size, dtype=bool)
+        first[1:] = bins[1:] != bins[:-1]
+        summed = np.zeros(np.count_nonzero(first), dtype=complex)
+        np.add.at(summed, np.cumsum(first) - 1, coeffs[order])
+        nonzero = summed != 0
+        for name, a in (("bins", bins[first][nonzero]), ("coeffs", summed[nonzero])):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    def _check_support(self) -> None:
-        """The leakage refusal of both construction paths."""
         if self.declared_support is not None:
             leak = self.leakage()
             if leak > LEAKAGE_TOL:
@@ -213,104 +221,61 @@ class BandFunction:
                     f"exceeds the tolerance {LEAKAGE_TOL}"
                 )
 
-    @classmethod
-    def _from_bins(cls, grid: Grid, bins, coeffs, support=None):
-        """The function sum_i coeffs[i] e^{2 pi i k_i x / T}, where bins[i] in
-        [0, S) is the FFT-order index of bin k_i, kept as its nonzero bins.
-
-        The bins are sorted; a bin given more than once holds its coefficients
-        added to zero in the given order, as ``c[bins] += block`` block by
-        block does, and exact zeros are dropped.  No length-S array is made.
-        """
-        bins = np.asarray(bins, dtype=np.int64)
-        order = np.argsort(bins, kind="stable")
-        bins = bins[order]
-        first = np.ones(bins.size, dtype=bool)
-        first[1:] = bins[1:] != bins[:-1]
-        summed = np.zeros(np.count_nonzero(first), dtype=complex)
-        np.add.at(summed, np.cumsum(first) - 1, np.asarray(coeffs, dtype=complex)[order])
-        nonzero = summed != 0
-        f = cls.__new__(cls)  # no values yet, so none for __post_init__ to copy
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "declared_support", support)
-        f._keep(_bins=bins[first][nonzero], _coeffs=summed[nonzero])
-        f._check_support()
-        return f
+    def __reduce__(self):
+        """Pickle the fields alone: unpickling constructs anew, so the arrays
+        are read-only again and no spectrum or values travel."""
+        return type(self), (self.grid, self.bins, self.coeffs, self.declared_support)
 
     @classmethod
     def from_spectrum(cls, grid: Grid, coeffs: np.ndarray, support=None):
-        """The function sum c_k e^{2 pi i k x / T} of the coefficients coeffs.
-
-        The function keeps its own read-only copy of coeffs as its
-        ``spectrum()`` and takes its nonzero bins from it once; the support
-        check of construction runs on those exact coefficients.  Construction
-        transforms nothing: the values are one inverse FFT of coeffs, made on
-        first read and kept (see ``__getattr__``).
-        """
-        c = np.array(coeffs, dtype=complex)
+        """The function sum c_k e^{2 pi i k x / T} of the S coefficients coeffs,
+        in FFT order: its nonzero bins and their coefficients."""
+        c = np.asarray(coeffs, dtype=complex)
         if c.shape != (grid.samples,):
             raise ValueError("need one coefficient per bin")
-        bins = np.flatnonzero(c)
-        f = cls._from_bins(grid, bins, c[bins], support)
-        f._keep(_spectrum=c)
-        return f
-
-    def __getattr__(self, name):
-        """The values of a function built from coefficients, on their first
-        read: one inverse FFT of its spectrum, read-only and kept.  Runs only
-        when the values are not yet in the instance."""
-        if name != "values" or "_bins" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        v = np.fft.ifft(self.spectrum())
-        v *= self.grid.samples
-        self._keep(values=v)
-        return v
-
-    def _nonzero_bins(self) -> tuple:
-        """Sorted FFT-order indices of the nonzero coefficients, and those
-        coefficients, both read-only: the ones a function built from
-        coefficients keeps, or, for one built from its values, the nonzero
-        entries of its spectrum, taken on first use and kept."""
-        if "_bins" not in self.__dict__:
-            c = self.spectrum()
-            bins = np.flatnonzero(c)
-            self._keep(_bins=bins, _coeffs=c[bins])
-        return self._bins, self._coeffs
+        nonzero = np.flatnonzero(c)
+        return cls(grid, nonzero, c[nonzero], support)
 
     def spectrum(self) -> np.ndarray:
-        """Discrete Fourier coefficients c_k with f = sum c_k e^{2 pi i k x / T}.
+        """Discrete Fourier coefficients c_k with f = sum c_k e^{2 pi i k x / T},
+        in FFT order: the kept coefficients scattered into zeros, read-only,
+        made on first use and kept."""
+        return self._scattered
 
-        Read-only, like the values, and made on first use and kept.  A
-        function built by ``from_spectrum`` returns the coefficients it was
-        built from, bit for bit, and one built from its bins scatters them
-        into zeros; their values agree with the spectrum up to the rounding of
-        one inverse FFT.  Otherwise the spectrum is the forward FFT of the
-        values (the support check of construction reads it).
-        """
-        c = self.__dict__.get("_spectrum")
-        if c is None:
-            if "_bins" in self.__dict__:
-                c = np.zeros(self.grid.samples, dtype=complex)
-                c[self._bins] = self._coeffs
-            else:
-                c = np.fft.fft(self.values) / self.grid.samples
-            self._keep(_spectrum=c)
+    @cached_property
+    def _scattered(self) -> np.ndarray:
+        c = np.zeros(self.grid.samples, dtype=complex)
+        c[self.bins] = self.coeffs
+        c.setflags(write=False)
         return c
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Samples at ``grid.points()``: one inverse FFT of the spectrum,
+        read-only, made on first read and kept."""
+        v = np.fft.ifft(self.spectrum())
+        v *= self.grid.samples
+        v.setflags(write=False)
+        return v
+
+    def _outside(self) -> np.ndarray:
+        """Whether each kept bin lies outside the declared bins (every one when
+        none are declared)."""
+        if self.declared_support is None:
+            return np.ones(self.bins.size, dtype=bool)
+        band = self.grid.band_bins(self.declared_support)
+        signed = self.grid.signed_bins(self.bins)
+        return np.searchsorted(band, signed, "right") == np.searchsorted(band, signed)
 
     def leakage(self) -> float:
         """Share of the spectral mass outside the declared bins (all of it when
-        none are declared), summed over the nonzero bins only: a zero bin
-        adds exactly nothing to the mass outside."""
-        bins, coeffs = self._nonzero_bins()
-        mass = np.abs(coeffs) ** 2
+        none are declared), summed over the kept bins only: a zero bin adds
+        exactly nothing to the mass outside."""
+        mass = np.abs(self.coeffs) ** 2
         total = mass.sum()
         if total == 0:
             return 0.0
-        support = self.declared_support
-        band = self.grid.band_bins(support) if support is not None else np.empty(0, np.int64)
-        signed = self.grid.signed_bins(bins)
-        inside = np.searchsorted(band, signed, "right") > np.searchsorted(band, signed)
-        return float(mass[~inside].sum() / total)
+        return float(mass[self._outside()].sum() / total)
 
     @property
     def norm_sq(self) -> float:
@@ -322,9 +287,8 @@ class BandFunction:
         return math.sqrt(self.norm_sq)
 
     def derivative(self) -> "BandFunction":
-        bins, coeffs = self._nonzero_bins()
-        d = coeffs * (2j * np.pi * self.grid.frequencies(bins))
-        return BandFunction._from_bins(self.grid, bins, d, None)
+        d = self.coeffs * (2j * np.pi * self.grid.frequencies(self.bins))
+        return BandFunction(self.grid, self.bins, d)
 
 
 def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
@@ -332,7 +296,9 @@ def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
 
     Each lambda_n must lie on the grid (1/T)Z.  Block n fills the first of
     the bins ``grid.band_bins((lambda_n, lambda_n + 1))``, refused unless
-    2*max|k| < S on them.  The result declares the union of the bands as its
+    2*max|k| < S on them, and refused when another block fills one of them
+    too (two bands less than 1/T more than 1 apart can share the bin
+    between them).  The result declares the union of the bands as its
     support.
     """
     blocks = [np.asarray(b, dtype=complex) for b in coefficient_blocks]
@@ -348,20 +314,30 @@ def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:
         if len(block) > band.size:
             raise ValueError(f"block of {len(block)} coefficients addresses frequencies "
                              f"outside its band [{lam}, {lam} + 1] at T = {grid.period}")
-        bins.append(band[: len(block)] % grid.samples)
+        bins.append(band[: len(block)])
+    filled = np.concatenate(bins)
+    # a later band's bins never lie below an earlier one's: a shared bin is filled twice in a row
+    shared = np.flatnonzero(filled[1:] == filled[:-1])
+    if shared.size:
+        ends = np.cumsum([b.size for b in bins[1:]])
+        n, m = np.searchsorted(ends, [shared[0], shared[0] + 1], "right")
+        lo, hi = seq.values[n], seq.values[m]
+        raise ValueError(f"bands [{lo}, {lo} + 1] and [{hi}, {hi} + 1] share bin "
+                         f"{filled[shared[0]]} at T = {grid.period}, and both blocks fill it")
     coeffs = np.concatenate([np.empty(0, dtype=complex), *blocks])
-    return BandFunction._from_bins(grid, np.concatenate(bins), coeffs, profile)
+    return BandFunction(grid, filled % grid.samples, coeffs, profile)
 
 
 def spectral_support(f: BandFunction, tol: float = LEAKAGE_TOL) -> set:
-    """Frequencies of the bins holding a relative mass above tol."""
-    c = f.spectrum()
-    mass = np.abs(c) ** 2
+    """Frequencies of the kept bins holding a relative mass above tol, a share
+    of the mass in [0, 1)."""
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol {tol} is outside [0, 1)")
+    mass = np.abs(f.coeffs) ** 2
     total = mass.sum()
     if total == 0:
         return set()
-    freqs = f.grid.frequencies()
-    return {float(freqs[k]) for k in np.flatnonzero(mass / total > tol)}
+    return {float(x) for x in f.grid.frequencies(f.bins[mass / total > tol])}
 
 
 def poisson_transform(g: BandFunction) -> BandFunction:
@@ -372,12 +348,10 @@ def poisson_transform(g: BandFunction) -> BandFunction:
     amplify their share of the total mass; they are zeroed so the output
     satisfies the same support declaration it inherits.
     """
-    c = g.spectrum() * np.exp(-np.abs(g.grid.frequencies()))
+    c = g.coeffs * np.exp(-np.abs(g.grid.frequencies(g.bins)))
     if g.declared_support is not None:
-        outside = np.ones(g.grid.samples, dtype=bool)
-        outside[g.grid.band_bins(g.declared_support) % g.grid.samples] = False
-        c[outside] = 0
-    return BandFunction.from_spectrum(g.grid, c, g.declared_support)
+        c[g._outside()] = 0
+    return BandFunction(g.grid, g.bins, c, g.declared_support)
 
 
 def _require_unit_band(f: BandFunction) -> None:
@@ -399,11 +373,10 @@ def bernstein_ratio(f: BandFunction) -> float:
     the pure frequency 1.
     """
     _require_unit_band(f)
-    c = f.spectrum()
-    denom = np.sum(np.abs(c) ** 2)
+    denom = np.sum(np.abs(f.coeffs) ** 2)
     if denom == 0:
         raise ValueError("derivative ratio undefined for the zero function")
-    num = np.sum(np.abs(2j * np.pi * f.grid.frequencies() * c) ** 2)
+    num = np.sum(np.abs(f.derivative().coeffs) ** 2)
     return float(np.sqrt(num / denom))
 
 
@@ -429,9 +402,9 @@ def plancherel_polya_ratio(h: BandFunction, points, delta) -> float:
     norm_sq = h.norm_sq
     if norm_sq == 0:
         raise ValueError("sampling ratio undefined for the zero function")
-    c = h.spectrum()
+    c = h.coeffs
     active = np.abs(c) > 1e-15 * np.abs(c).max()
-    freqs = h.grid.frequencies()[active]
+    freqs = h.grid.frequencies(h.bins[active])
     vals = np.exp(2j * np.pi * np.outer(pts, freqs)) @ c[active]
     return float(np.sum(np.abs(vals) ** 2) / norm_sq)
 
@@ -468,4 +441,4 @@ def random_band_function(
             raise ValueError("band holds no grid frequencies left of its right edge")
         bins = bins[:-1]
     coeffs = rng.standard_normal(bins.size) + 1j * rng.standard_normal(bins.size)
-    return BandFunction._from_bins(grid, bins % grid.samples, coeffs, tuple(band))
+    return BandFunction(grid, bins % grid.samples, coeffs, tuple(band))

@@ -617,7 +617,8 @@ class TestCliMain:
         assert message in capsys.readouterr().err
 
     def test_lemma_profile_is_checked_like_the_runner(self, capsys):
-        rc = cli.main(["conc", "lemma", "--count", "2", "--period", "16", "--samples", "540"])
+        rc = cli.main(["conc", "lemma", "--start", "1", "--ratio", "2", "--count", "2",
+                       "--period", "16", "--samples", "540"])
         assert rc == 2
         assert "profile intervals overlap" in capsys.readouterr().err
 
@@ -818,6 +819,29 @@ class TestCliMain:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["support_within_declared"] is True and out["active_bins"] == 8
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "1", "2"])
+    def test_synth_check_tolerance_outside_the_unit_interval_exits_two(self, tol, capsys):
+        # -1 counted all 2048 bins active, and nan, inf and 2 none, a vacuous inside
+        assert cli.main(["synth", "check", f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err == f"error: --tol {float(tol)} is outside [0, 1)\n"
+
+    def test_bands_sharing_a_filled_bin_exit_two(self, tmp_path, capsys):
+        # bin 16 is in [1, 2] and in [2.0000000001, 3.0000000001] at T = 8; the
+        # split read head^2 + tail^2 = 0.957 and synth check 17 active bins of 18
+        path = tmp_path / "seq.txt"
+        path.write_text("1\n2.0000000001\n")
+        grid = ["--period", "8", "--samples", "1024"]
+        message = ("error: bands [1, 1 + 1] and [2.0000000001, 2.0000000001 + 1] share bin 16 "
+                   "at T = 8.0, and both blocks fill it\n")
+        for argv in (["synth", "check"], ["conc", "theorem", "--schedule", "1:2"]):
+            assert cli.main(argv + ["--input", str(path)] + grid) == 2
+            assert capsys.readouterr().err == message
+        cfg = theorem_config()
+        cfg["sequence"] = {"file": "seq.txt"}
+        cfg["grid"] = {"period": 8.0, "samples": 1024}
+        assert run_cli(cfg, tmp_path) == 2
+        assert capsys.readouterr().err == message
 
     def test_empty_sequence_exits_two(self, tmp_path, capsys):
         (tmp_path / "empty.txt").write_text("")
@@ -1062,6 +1086,15 @@ class TestExitContract:
     """Whatever the flags, every subcommand exits 0, 2 or 3 within its
     deadline, and a refusal says what it refuses by a flag, a key or a
     quantity, never by an interpreter limit."""
+
+    @pytest.mark.parametrize("prefix", [p for p, q in subcommands()
+                                        if not any(a.required for a in q._actions)],
+                             ids=" ".join)
+    def test_every_subcommand_runs_on_its_defaults(self, prefix, tmp_path, monkeypatch, capsys):
+        # synth check, conc lemma and conc theorem exited 2 on 1, 2, 4, ...
+        # (overlapping unit bands), and uniq condition and omega on the term 1
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(prefix) == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("prefix", [p for p, _ in subcommands()], ids=" ".join)
     def test_every_subcommand_keeps_the_exit_contract(self, prefix, tmp_path, monkeypatch,

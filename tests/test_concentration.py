@@ -33,6 +33,12 @@ from lacspec.synthesis import (
 )
 
 
+def from_values(grid, values, support=None):
+    """The function of the samples ``values``: its dense spectrum, FFT noise
+    and all, as a function built from samples has."""
+    return BandFunction.from_spectrum(grid, np.fft.fft(values) / grid.samples, support)
+
+
 def quad_phase_integral(a, b, d):
     # quad's default epsabs (1.5e-8) is looser than the 1e-9 the tests ask
     tol = dict(limit=200, epsabs=1e-13, epsrel=1e-13)
@@ -354,12 +360,14 @@ class TestLemmaReport:
         E = periodic_comb(0.5, 0.5, (0.0, 16.0))
         rng = np.random.Generator(np.random.Philox(22))
         random_values = [random_band_function(grid, rng).values for _ in range(2)]
-        fs = [BandFunction(grid, random_values[0], (0.0, 1.0)),  # from values: a dense spectrum
-              BandFunction(grid, random_values[1]),
+        fs = [from_values(grid, random_values[0], (0.0, 1.0)),  # a dense spectrum
+              from_values(grid, random_values[1]),
               BandFunction.from_spectrum(grid, np.zeros(2048), (0.0, 1.0)),
               random_band_function(grid, rng)]
         seq = Sequence((4, 8, 16, 32))
         assert all(np.count_nonzero(f.spectrum()) > 2000 for f in fs[:2])
+        for f in fs[:2]:
+            f.values  # the samples at hand: past the cap only f_n' is transformed
         sizes = fft_spy(monkeypatch)
         lemma_main_report(fs, seq, E, (start, start + 1 / L), L)
         assert sizes == [2048] * transforms
@@ -415,14 +423,14 @@ class TestLemmaReport:
     def test_zero_functions(self):
         grid = Grid(16.0, 1024)
         E = periodic_comb(0.5, 1.0, (0.0, 16.0))
-        fs = [BandFunction(grid, np.zeros(1024), (0.0, 1.0)) for _ in range(2)]
+        fs = [BandFunction(grid, [], [], (0.0, 1.0)) for _ in range(2)]
         rec = lemma_main_report(fs, Sequence((4, 16)), E, (0.0, 1 / 16), 16)
         assert rec == LemmaTerms(0.0, 0.0, 0.0)
 
     def test_constant_layer_on_covered_interval(self):
         grid = Grid(16.0, 1024)
         E = ThickSet(((0.0, 16.0),), (0.0, 16.0))
-        one = BandFunction(grid, np.ones(1024), (0.0, 1.0))
+        one = BandFunction(grid, [0], [1.0], (0.0, 1.0))
         rec = lemma_main_report([one], Sequence((0,)), E, (0.0, 1 / 16), 16)
         assert rec.lhs == pytest.approx(rec.term_density, rel=1e-12)
         assert rec.term_density == pytest.approx(1 / 16, rel=1e-12)
@@ -439,7 +447,7 @@ class TestLemmaReport:
         E = periodic_comb(0.5, 1.0, (0.0, 8.0))
         f = random_band_function(grid, np.random.default_rng(3), band)
         if not declared:  # bins taken from where the spectral mass is
-            f = BandFunction(grid, f.values)
+            f = from_values(grid, f.values)
         args = ([f], Sequence((lam,)), E, (0.0, 1 / 16), 16)
         if resolved:
             lemma_main_report(*args)

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import pickle
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate
 
@@ -11,8 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lacspec import experiments, synthesis
-from lacspec.concentration import _on_window, ls_constant
-from lacspec.sequences import Sequence, build_counterexample, difference_set
+from lacspec.concentration import _on_window, ls_constant, theorem_split_check
+from lacspec.sequences import Sequence, TailSchedule, build_counterexample, difference_set
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
     FREQ_SNAP_TOL,
@@ -41,6 +43,26 @@ def grid():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240601))
+
+
+@contextmanager
+def no_transform():
+    """Fail on any FFT inside the block."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("FFT called")
+
+    saved = np.fft.fft, np.fft.ifft
+    np.fft.fft = np.fft.ifft = refuse
+    try:
+        yield
+    finally:
+        np.fft.fft, np.fft.ifft = saved
+
+
+def from_values(grid, values, support=None):
+    """The function of the samples ``values``: its dense spectrum, FFT noise
+    and all, as a function built from samples has."""
+    return BandFunction.from_spectrum(grid, np.fft.fft(values) / grid.samples, support)
 
 
 def pure_frequency(grid, freq, support=None):
@@ -125,7 +147,7 @@ class TestBandBins:
         callers = [lambda: ls_constant(E, support, grid),
                    lambda: experiments._fits_grid(support, grid),
                    lambda: BandFunction.from_spectrum(grid, c, support),
-                   lambda: BandFunction(grid, np.fft.ifft(c) * S, support),
+                   lambda: from_values(grid, np.fft.ifft(c) * S, support),
                    undeclared.leakage,
                    lambda: poisson_transform(undeclared)]
         if not isinstance(support, SpectralProfile):
@@ -267,6 +289,27 @@ class TestSynthesize:
         total = grid.period * float(np.sum(np.abs(F.spectrum()) ** 2))
         assert F.norm_sq == pytest.approx(total, rel=1e-10)
 
+    def test_blocks_filling_a_shared_bin_refused(self):
+        # 2.0000000001 * 8 is bin 16 within the snap tolerance, so [1, 2] and
+        # [2.0000000001, 3.0000000001] both hold bin 16; adding both blocks'
+        # coefficients into it made head^2 + tail^2 of the split 0.957, not 1
+        grid = Grid(8.0, 1024)
+        seq = Sequence((1, 2.0000000001))
+        assert [grid.band_bins((lam, lam + 1)).tolist() for lam in seq.values] == [
+            list(range(8, 17)), list(range(16, 25))]
+        message = (r"^bands \[1, 1 \+ 1\] and \[2.0000000001, 2.0000000001 \+ 1\] share bin 16 "
+                   r"at T = 8.0, and both blocks fill it$")
+        with pytest.raises(ValueError, match=message):
+            synthesize([np.ones(9), np.ones(9)], seq, grid)
+        with pytest.raises(ValueError, match=message):
+            theorem_split_check([np.ones(9), np.ones(9)], seq, TailSchedule.constant(2), 1,
+                                periodic_comb(0.5, 1.0, (0.0, 8.0)), grid)
+        blocks = [np.ones(8), np.ones(9)]  # the first block stops short of bin 16
+        assert synthesize(blocks, seq, grid).bins.tolist() == list(range(8, 25))
+        split = theorem_split_check(blocks, seq, TailSchedule.constant(2), 1,
+                                    periodic_comb(0.5, 1.0, (0.0, 8.0)), grid)
+        assert split.ratio_head ** 2 + split.ratio_tail ** 2 == pytest.approx(1.0, abs=1e-15)
+
 
 class TestSpectralSupport:
     def test_pure_frequency(self, grid):
@@ -274,15 +317,23 @@ class TestSpectralSupport:
         assert spectral_support(f, 1e-8) == {5.0}
 
     def test_zero_function(self, grid):
-        f = BandFunction(grid, np.zeros(grid.samples))
+        f = BandFunction(grid, [], [])
         assert spectral_support(f, 1e-8) == set()
+
+    def test_tolerance_outside_the_unit_interval_refused(self, grid):
+        # -1 counted every bin active, and nan, inf and 2 none
+        f = pure_frequency(grid, 5.0)
+        assert spectral_support(f, 0.0) == {5.0}
+        for tol in (-1.0, math.nan, math.inf, 1.0, 2.0):
+            with pytest.raises(ValueError, match=rf"^tol {tol} is outside \[0, 1\)$"):
+                spectral_support(f, tol)
 
 
 class TestBandFunction:
     def test_leakage_guard_rejects_mismatch(self, grid):
         vals = np.exp(2j * np.pi * 5.0 * grid.points())
         with pytest.raises(ValueError, match="outside the declared support"):
-            BandFunction(grid, vals, (0.0, 1.0))
+            from_values(grid, vals, (0.0, 1.0))
 
     def test_spectrum_is_kept_read_only(self, grid, rng):
         c = np.zeros(grid.samples, dtype=complex)
@@ -303,15 +354,6 @@ class TestBandFunction:
             np.testing.assert_allclose(np.fft.fft(f.values) / grid.samples, f.spectrum(),
                                        rtol=0, atol=1e-12)
 
-    def test_directly_built_spectrum_is_the_fft_of_its_values(self, grid, rng):
-        vals = random_band_function(grid, rng).values
-        f = BandFunction(grid, vals, (0.0, 1.0))
-        c = f.spectrum()
-        np.testing.assert_array_equal(c, np.fft.fft(f.values) / grid.samples)
-        assert f.spectrum() is c
-        with pytest.raises(ValueError):
-            c[0] = 0
-
     def test_construction_from_coefficients_runs_no_forward_fft(self, grid, rng, monkeypatch):
         def no_fft(*args, **kwargs):
             raise AssertionError("forward FFT called")
@@ -321,6 +363,7 @@ class TestBandFunction:
         c[:17] = 1.0
         f = BandFunction.from_spectrum(grid, c, (0.0, 1.0))
         assert f.leakage() == 0.0
+        assert BandFunction(grid, [3, 1, 3], [1.0, 2.0, -1.0], (0.0, 1.0)).bins.tolist() == [1]
         random_band_function(grid, rng)
         synthesize([np.ones(17), np.ones(17)], Sequence((4, 16)), grid)
 
@@ -366,46 +409,67 @@ class TestBandFunction:
         g = dataclasses.replace(f, declared_support=(0.0, 2.0))
         assert g.declared_support == (0.0, 2.0)
         np.testing.assert_array_equal(g.values, f.values)
+        with pytest.raises(ValueError, match="outside the declared support"):
+            dataclasses.replace(f, declared_support=(4.0, 5.0))  # replace checks anew
         h = random_band_function(grid, rng)
-        assert repr(h).startswith(
-            "BandFunction(grid=Grid(period=16.0, samples=1024), values=array(")
+        with no_transform():
+            assert repr(h).startswith(
+                "BandFunction(grid=Grid(period=16.0, samples=1024), bins=array([ 0,  1,  2,")
+        assert "values" not in vars(h)
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             h.missing
 
+    def test_pickle_round_trip_keeps_the_fields_alone(self, grid, rng):
+        f = random_band_function(grid, rng)
+        values = f.values  # read, so that there is something the pickle leaves out
+        with no_transform():
+            back = pickle.loads(pickle.dumps(f))
+        assert (back.grid, back.declared_support) == (f.grid, f.declared_support)
+        assert back.bins.tobytes() == f.bins.tobytes()
+        assert back.coeffs.tobytes() == f.coeffs.tobytes()
+        assert not back.bins.flags.writeable and not back.coeffs.flags.writeable
+        assert "values" not in vars(back)
+        assert back.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("bins, coeffs, message", [
+        ([1024], [1.0], r"^bins must be integer FFT-order indices in \[0, 1024\)$"),
+        ([0, -1], [1.0, 1.0], r"^bins must be integer FFT-order indices in \[0, 1024\)$"),
+        ([0.5], [1.0], r"^bins must be integer FFT-order indices in \[0, 1024\)$"),
+        ([0, 1], [1.0], r"^bins and coeffs must be one-dimensional and of one length, "
+                        r"got shapes \(2,\) and \(1,\)$"),
+        ([[0, 1]], [[1.0, 2.0]], r"got shapes \(1, 2\) and \(1, 2\)$"),
+        (3, 1.0, r"got shapes \(\) and \(\)$"),
+    ])
+    def test_malformed_bins_refused(self, grid, bins, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            BandFunction(grid, bins, coeffs)
+
     @pytest.mark.parametrize("share, refused", [(1e-6, True), (0.999 * LEAKAGE_TOL, False)])
-    def test_leakage_tolerance_on_both_construction_paths(self, grid, share, refused):
+    def test_leakage_tolerance(self, grid, share, refused):
         # 17 unit coefficients on [0, 1] and one at frequency 2.5 carrying `share` of the mass
-        c = np.zeros(grid.samples, dtype=complex)
-        c[:17] = 1.0
-        c[40] = math.sqrt(17 * share / (1 - share))
+        bins = [*range(17), 40]
+        coeffs = [1.0] * 17 + [math.sqrt(17 * share / (1 - share))]
         message = (rf"^spectral mass {share:.3e} outside the declared support "
                    rf"exceeds the tolerance {LEAKAGE_TOL}$")
-        for build in (lambda: BandFunction.from_spectrum(grid, c, (0.0, 1.0)),
-                      lambda: BandFunction(grid, np.fft.ifft(c) * grid.samples, (0.0, 1.0))):
-            if refused:
-                with pytest.raises(ValueError, match=message):
-                    build()
-            else:
-                assert build().leakage() == pytest.approx(share, rel=1e-9)
+        if refused:
+            with pytest.raises(ValueError, match=message):
+                BandFunction(grid, bins, coeffs, (0.0, 1.0))
+        else:
+            f = BandFunction(grid, bins, coeffs, (0.0, 1.0))
+            assert f.leakage() == pytest.approx(share, rel=1e-12)
 
     def test_declared_support_past_nyquist_is_refused(self):
         # [0, 100] holds bins 0..100, which a 64-sample grid does not resolve
         grid = Grid(1.0, 64)
-        for build in (lambda: BandFunction(grid, np.ones(64), (0.0, 100.0)),
-                      lambda: BandFunction.from_spectrum(grid, np.ones(64), (0.0, 100.0))):
-            with pytest.raises(ValueError, match=r"^Nyquist violation: bin 100 needs 2\|k\| < S = 64 "):
-                build()
+        with pytest.raises(ValueError, match=r"^Nyquist violation: bin 100 needs 2\|k\| < S = 64 "):
+            BandFunction.from_spectrum(grid, np.ones(64), (0.0, 100.0))
 
     def test_bin_past_the_band_leaks(self):
         # 10*T is 1e-9 short of 80: [10, 11] holds bins 80..87, so bin 88 is outside
         grid = Grid(7.9999999999, 256)
         assert grid.band_bins((10.0, 11.0)).tolist() == list(range(80, 88))
-        c = np.zeros(256, dtype=complex)
-        c[80:89] = 1.0
-        for build in (lambda: BandFunction.from_spectrum(grid, c, (10.0, 11.0)),
-                      lambda: BandFunction(grid, np.fft.ifft(c) * 256, (10.0, 11.0))):
-            with pytest.raises(ValueError, match="^spectral mass 1.111e-01 outside"):
-                build()
+        with pytest.raises(ValueError, match="^spectral mass 1.111e-01 outside"):
+            BandFunction(grid, np.arange(80, 89), np.ones(9), (10.0, 11.0))
 
     def test_values_are_frozen(self, grid):
         f = pure_frequency(grid, 1.0)
@@ -447,7 +511,7 @@ class TestLeakage:
         if from_spectrum:
             f = BandFunction.from_spectrum(grid, c)
         else:
-            f = BandFunction(grid, np.fft.ifft(c) * S)
+            f = from_values(grid, np.fft.ifft(c) * S)
         object.__setattr__(f, "declared_support", support)  # declared after the check: any leakage
         want = mask_leakage(f)
         assert f.leakage() == pytest.approx(want, rel=1e-15, abs=0)
@@ -471,8 +535,9 @@ def dense_leakage(grid, c, support):
 
 def assert_is_the_dense_build(build, grid, c, support):
     """``build()`` accepts or refuses as the dense build of the coefficients c
-    did, with the same message; accepted, its spectrum and values are the
-    dense ones bit for bit and its leakage agrees to 1e-15."""
+    did, with the same message; accepted, it keeps the nonzero bins of c,
+    sorted and read-only, its spectrum and values are the dense ones bit for
+    bit and its leakage agrees to 1e-15."""
     try:
         leak = dense_leakage(grid, c, support)
         if support is not None and leak > LEAKAGE_TOL:
@@ -484,6 +549,9 @@ def assert_is_the_dense_build(build, grid, c, support):
         assert str(refused.value) == str(exc)
         return
     f = build()
+    assert f.bins.dtype == np.int64 and f.bins.tolist() == np.flatnonzero(c).tolist()
+    assert f.coeffs.tobytes() == c[f.bins].tobytes()
+    assert not f.bins.flags.writeable and not f.coeffs.flags.writeable
     assert f.spectrum().tobytes() == c.tobytes()
     assert f.values.tobytes() == (np.fft.ifft(c) * grid.samples).tobytes()
     assert f.leakage() == pytest.approx(leak, rel=1e-15, abs=0)
@@ -510,7 +578,7 @@ coefficients = st.one_of(
 
 
 class TestSparseAgainstDense:
-    """A function built from coefficients keeps its nonzero bins; the dense
+    """A function keeps its nonzero bins and their coefficients; the dense
     length-S construction it replaced is the oracle."""
 
     @given(periods, st.integers(2, 48), st.one_of(st.none(), bands, profiles), st.data())
@@ -525,14 +593,14 @@ class TestSparseAgainstDense:
         c = np.zeros(S, dtype=complex)
         for k, x in zip(bins, coeffs):  # repeated bins add up, in order
             c[k] += x
-        assert_is_the_dense_build(lambda: BandFunction._from_bins(grid, bins, coeffs, support),
+        assert_is_the_dense_build(lambda: BandFunction(grid, bins, coeffs, support),
                                   grid, c, support)
         assert_is_the_dense_build(lambda: BandFunction.from_spectrum(grid, c, support),
                                   grid, c, support)
 
     @given(periods, st.integers(2, 64), st.integers(-8, 8),
            st.lists(st.integers(0, 6), max_size=3), st.data())
-    @example(1.0, 16, 0, [], None)  # frequencies 0 and 1 + 1e-12: bin 1 in both bands
+    @example(1.0, 16, 0, [], None)  # frequencies 0 and 1 + 1e-12: both blocks fill bin 1
     @settings(max_examples=300, deadline=None)
     def test_synthesize_builds_the_dense_function(self, T, S, k0, steps, data):
         grid = Grid(T, S)
@@ -556,6 +624,16 @@ class TestSparseAgainstDense:
         else:
             blocks = [np.array(data.draw(st.lists(coefficients, max_size=w)), dtype=complex)
                       for w in widths]
+        filled = [k for lam, block in zip(seq.values, blocks)
+                  for k in grid.band_bins((lam, lam + 1))[: len(block)].tolist()]
+        shared = [k for k in filled if filled.count(k) > 1]
+        if data is None:
+            assert shared == [1, 1]
+        if shared:  # two blocks fill one bin: refused, not added up
+            with pytest.raises(ValueError, match=rf"share bin {shared[0]} at T = {re.escape(str(T))}, "
+                                                 r"and both blocks fill it$"):
+                synthesize(blocks, seq, grid)
+            return
         c = np.zeros(S, dtype=complex)
         for lam, block in zip(seq.values, blocks):
             c[grid.band_bins((lam, lam + 1))[: len(block)] % S] += block
@@ -649,7 +727,7 @@ class TestBernstein:
             assert bernstein_ratio(f) <= TWO_PI + 1e-9
 
     def test_zero_function_rejected(self, grid):
-        f = BandFunction(grid, np.zeros(grid.samples), (0.0, 1.0))
+        f = BandFunction(grid, [], [], (0.0, 1.0))
         with pytest.raises(ValueError, match="zero function"):
             bernstein_ratio(f)
 
