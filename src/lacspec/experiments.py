@@ -20,6 +20,7 @@ import reprlib
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -487,14 +488,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-def _fits_grid(profile, grid: Grid):
-    """``profile`` (a band (lo, hi) or a SpectralProfile) once the grid
-    resolves its bins ``grid.band_bins(profile)``; ConfigError if not."""
+@contextmanager
+def _grid_refusals():
+    """Report a ValueError of the block as the ConfigError ``grid: ...``: the
+    refusals of a validated config's bands and trials that its grid brings
+    about (Nyquist, off-grid frequencies, shared bins, the window)."""
     try:
-        grid.band_bins(profile)
+        yield
     except ValueError as exc:
         raise ConfigError([f"grid: {exc}"]) from None
-    return profile
 
 
 def comb_on_grid(gamma, delta, grid: Grid) -> ThickSet:
@@ -517,9 +519,12 @@ def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
     """Coefficient blocks of trials 0..trials-1: trial t draws from
     ``Philox(key=[seed, t])`` one standard complex Gaussian block per
     frequency lambda, with one entry per bin of its band [lambda, lambda + 1]
-    (``Grid.band_bins``), as many as ``synthesize`` takes."""
-    _fits_grid(SpectralProfile(seq), grid)
-    widths = [grid.band_bins((lam, lam + 1)).size for lam in seq.values]
+    (``Grid.band_bins``), as many as ``synthesize`` takes.  A grid that does
+    not resolve those bins is a ConfigError."""
+    profile = SpectralProfile(seq)
+    with _grid_refusals():
+        grid.band_bins(profile)
+        widths = [grid.band_bins((lam, lam + 1)).size for lam in seq.values]
     blocks = []
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -539,27 +544,28 @@ def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
     if not SpectralProfile(seq).intervals():  # refuses overlapping bands
         raise ConfigError(["grid: profile holds no grid frequencies"])
     interval = (0.0, 1.0 / L)
-    try:
-        cells = CellQuadrature(E, grid, interval)
-    except ValueError as exc:
-        raise ConfigError([f"grid: {exc}"]) from None
     out = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        f_list = [random_band_function(grid, rng) for _ in range(len(seq))]
-        try:
+    with _grid_refusals():
+        cells = CellQuadrature(E, grid, interval)
+        for trial in range(trials):
+            rng = _trial_rng(seed, trial)
+            f_list = [random_band_function(grid, rng) for _ in range(len(seq))]
             out.append(lemma_main_report(f_list, seq, E, interval, L, cells=cells))
-        except ValueError as exc:
-            raise ConfigError([f"grid: {exc}"]) from None
-        del f_list  # so the next trial's functions do not join this trial's in memory
+            del f_list  # so the next trial's functions do not join this trial's in memory
     return out
 
 
 def split_trials(seq, E, grid: Grid, L: int, schedule, seed: int, trials: int) -> list:
-    """Head/tail split checks of trials 0..trials-1 (blocks from trial_blocks)."""
+    """Head/tail split checks of trials 0..trials-1 (blocks from trial_blocks).
+    A sequence with a frequency <= 0 is a ConfigError naming the sequence; a
+    grid refused by ``CellQuadrature`` or ``theorem_split_check``, one
+    naming the grid."""
+    if not seq.positive:
+        raise ConfigError(["sequence: hypothesis violation: frequencies must be positive"])
     blocks = trial_blocks(seq, grid, seed, trials)
-    cells = CellQuadrature(E, grid)
-    return [theorem_split_check(b, seq, schedule, L, E, grid, cells=cells) for b in blocks]
+    with _grid_refusals():
+        cells = CellQuadrature(E, grid)
+        return [theorem_split_check(b, seq, schedule, L, E, grid, cells=cells) for b in blocks]
 
 
 def _grid(config: ExperimentConfig) -> Grid:
@@ -615,7 +621,9 @@ def _profile_from(params: dict, base_dir):
 
 def _run_ls_gamma_sweep(config, base_dir):
     grid = _grid(config)
-    profile = _fits_grid(_profile_from(config.params, base_dir), grid)
+    profile = _profile_from(config.params, base_dir)
+    with _grid_refusals():
+        grid.band_bins(profile)
     rows = []
     for gamma in config.set_spec["gammas"]:
         E = comb_on_grid(gamma, config.set_spec["delta"], grid)

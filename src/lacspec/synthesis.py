@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class Grid:
     samples: int
 
     def __post_init__(self):
+        if isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer)):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
+        object.__setattr__(self, "samples", int(self.samples))  # equal grids, equal memo keys
         if not 0 < self.period < math.inf:
             raise ValueError("period must be positive and finite")
         if self.samples < 2:
@@ -92,67 +95,50 @@ class Grid:
 
     def band_bins(self, support) -> np.ndarray:
         """Sorted distinct int64 bins of a band (lo, hi) or a SpectralProfile,
-        as a read-only array.
+        as a read-only array (see ``_band_bins``).
 
-        The one band rule: [lo, hi] holds the bins ceil(lo*T - FREQ_SNAP_TOL)
-        .. floor(hi*T + FREQ_SNAP_TOL).  Raises ValueError when no bin is
-        inside, or, before any array is built, unless 2*max|k| < S on the
-        integer end bins (the test of bin_of).  Results are memoised per grid
-        and support (see ``_support_key``): the last _BAND_MEMO_SIZE of them
-        with at most _BAND_MEMO_BINS bins each; refusals are not kept."""
-        key = _support_key(self, support)
-        bins = _BAND_MEMO.get(key) if key is not None else None
-        if bins is None:
-            bins = self._band_rule(support)
-            bins.setflags(write=False)
-            if key is not None and bins.size <= _BAND_MEMO_BINS:
-                if len(_BAND_MEMO) >= _BAND_MEMO_SIZE:
-                    _BAND_MEMO.pop(next(iter(_BAND_MEMO)), None)  # the oldest
-                _BAND_MEMO[key] = bins
-        return bins
-
-    def _band_rule(self, support) -> np.ndarray:
-        """``band_bins`` without the memo."""
-        T, profile = self.period, isinstance(support, SpectralProfile)
+        On grids of at most 2**16 samples the last 64 results are kept, keyed
+        by the value and type of the period and of every number of the
+        support: a hit returns the same array.  Refusals are not kept."""
+        if isinstance(support, SpectralProfile):
+            flat = (True, *support.base_sequence.values)
+        else:
+            lo, hi = support
+            flat = (False, lo, hi)
+        rule = _band_bins if self.samples <= 1 << 16 else _band_bins.__wrapped__
         try:
-            ends = [(math.ceil(lo * T - FREQ_SNAP_TOL), math.floor(hi * T + FREQ_SNAP_TOL))
-                    for lo, hi in (support.intervals() if profile else (support,))]
-        except OverflowError:
-            raise ValueError("Nyquist violation: band edge times T overflows a float") from None
-        ends = [(a, b) for a, b in ends if a <= b]
-        if not ends:
-            raise ValueError(f"{'profile' if profile else 'band'} holds no grid frequencies")
-        self._check_bin(max(max(-a, b) for a, b in ends))
-        starts = [ends[0][0]] + [b + 1 for _, b in ends[:-1]]  # profile intervals increase
-        return np.concatenate([np.arange(max(a, s), b + 1, dtype=np.int64)
-                               for (a, b), s in zip(ends, starts)])
+            return rule(self.period, self.samples, *flat)
+        except TypeError:  # an unhashable edge is not kept; a refusal recurs
+            return _band_bins.__wrapped__(self.period, self.samples, *flat)
 
 
-_BAND_MEMO: dict = {}  # _support_key -> read-only bins, oldest first
-_BAND_MEMO_SIZE = 64
-_BAND_MEMO_BINS = 1 << 16
+@lru_cache(maxsize=64, typed=True)
+def _band_bins(period, samples, is_profile, *values) -> np.ndarray:
+    """The one band rule, on the grid (period, samples) and the unit bands of
+    the profile values or the band (lo, hi) = values.
 
-
-def _support_key(grid: Grid, support):
-    """The memo key of ``grid.band_bins(support)``, or None for a support the
-    memo does not hold (not a SpectralProfile, tuple or list, or unhashable).
-
-    The key holds the period's type and the type of every number beside the
-    numbers, so that supports that compare equal but are typed differently
-    (0 and 0.0, 1 and Fraction(1), 16 and 16.0 as a period) never share an
-    entry; a list band keys as the tuple of its items."""
-    if isinstance(support, SpectralProfile):
-        values = ("profile", *support.base_sequence.values)
-    elif isinstance(support, (tuple, list)):
-        values = ("band", *support)
-    else:
-        return None
-    key = (type(grid.period), grid, tuple(map(type, values)), values)
+    [lo, hi] holds the bins ceil(lo*T - FREQ_SNAP_TOL) .. floor(hi*T +
+    FREQ_SNAP_TOL).  Raises ValueError when no bin is inside, or, before any
+    array is built, unless 2*max|k| < S on the integer end bins (the test of
+    bin_of).  ``typed`` keys every number with its type, so equal numbers of
+    other types (0, 0.0, Fraction(0), False) never share a result; the
+    Nyquist test bounds a result on a grid of at most 2**16 samples below
+    2**16 bins."""
+    intervals = [(v, v + 1.0) for v in values] if is_profile else [values]
     try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+        ends = [(math.ceil(lo * period - FREQ_SNAP_TOL), math.floor(hi * period + FREQ_SNAP_TOL))
+                for lo, hi in intervals]
+    except OverflowError:
+        raise ValueError("Nyquist violation: band edge times T overflows a float") from None
+    ends = [(a, b) for a, b in ends if a <= b]
+    if not ends:
+        raise ValueError(f"{'profile' if is_profile else 'band'} holds no grid frequencies")
+    Grid(period, samples)._check_bin(max(max(-a, b) for a, b in ends))
+    starts = [ends[0][0]] + [b + 1 for _, b in ends[:-1]]  # profile intervals increase
+    bins = np.concatenate([np.arange(max(a, s), b + 1, dtype=np.int64)
+                           for (a, b), s in zip(ends, starts)])
+    bins.setflags(write=False)
+    return bins
 
 
 @dataclass(frozen=True)

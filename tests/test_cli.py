@@ -273,6 +273,18 @@ class TestRun:
             run(ExperimentConfig.from_dict(cfg), tmp_path)
         assert not (tmp_path / "nyq").exists()
 
+    @pytest.mark.parametrize("band, message", [
+        ([0, 8], r"^grid: Nyquist violation: bin 16 needs 2\|k\| < S = 32"),
+        ([0.1, 0.2], "^grid: band holds no grid frequencies$"),
+    ])
+    def test_ls_sweep_band_the_grid_does_not_resolve_writes_nothing(self, tmp_path, band,
+                                                                      message):
+        cfg = small_configs()["ls_gamma_sweep"]  # T = 2, S = 32
+        cfg["params"]["profile"]["band"] = band
+        with pytest.raises(ConfigError, match=message):
+            run(ExperimentConfig.from_dict(cfg), tmp_path)
+        assert not (tmp_path / "o").exists()
+
     def test_csv_headers_name_units(self, tmp_path):
         run(ExperimentConfig.from_dict(nazarov_config()), tmp_path)
         header = (tmp_path / "out" / "nazarov_sweep.csv").read_text().splitlines()[0]
@@ -832,14 +844,30 @@ class TestCliMain:
         path = tmp_path / "seq.txt"
         path.write_text("1\n2.0000000001\n")
         grid = ["--period", "8", "--samples", "1024"]
-        message = ("error: bands [1, 1 + 1] and [2.0000000001, 2.0000000001 + 1] share bin 16 "
+        message = ("bands [1, 1 + 1] and [2.0000000001, 2.0000000001 + 1] share bin 16 "
                    "at T = 8.0, and both blocks fill it\n")
-        for argv in (["synth", "check"], ["conc", "theorem", "--schedule", "1:2"]):
-            assert cli.main(argv + ["--input", str(path)] + grid) == 2
-            assert capsys.readouterr().err == message
+        assert cli.main(["synth", "check", "--input", str(path)] + grid) == 2
+        assert capsys.readouterr().err == "error: " + message
+        # the runner's trial loops report it as a refusal of the grid
+        argv = ["conc", "theorem", "--schedule", "1:2", "--input", str(path)]
+        assert cli.main(argv + grid) == 2
+        assert capsys.readouterr().err == "error: grid: " + message
         cfg = theorem_config()
         cfg["sequence"] = {"file": "seq.txt"}
         cfg["grid"] = {"period": 8.0, "samples": 1024}
+        assert run_cli(cfg, tmp_path) == 2
+        assert capsys.readouterr().err == "error: grid: " + message
+        assert cli.main(["conc", "lemma", "--input", str(path)] + grid) == 0
+        capsys.readouterr()
+
+    def test_split_of_a_non_positive_frequency_names_the_sequence(self, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        path.write_text("0\n4\n")
+        message = "error: sequence: hypothesis violation: frequencies must be positive\n"
+        assert cli.main(["conc", "theorem", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == message
+        cfg = theorem_config()
+        cfg["sequence"] = {"file": "seq.txt"}
         assert run_cli(cfg, tmp_path) == 2
         assert capsys.readouterr().err == message
 

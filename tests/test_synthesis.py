@@ -88,6 +88,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="^67108865 samples are above 67108864, the most"):
             Grid(8.0, synthesis.MAX_SAMPLES + 1)
 
+    def test_samples_must_be_an_integer(self):
+        # 64.5 and 64.0 were accepted, and random_band_function on them then
+        # failed with "bins must be integer FFT-order indices in [0, 64.5)"
+        for samples in (64.5, 64.0, True, Fraction(64), "64", None):
+            with pytest.raises(ValueError, match=r"^samples must be an integer, got "):
+                Grid(8.0, samples)
+        grid = Grid(8.0, np.int64(64))
+        assert type(grid.samples) is int and grid == Grid(8.0, 64)
+        assert hash(grid) == hash(Grid(8.0, 64))
+
     def test_off_grid_frequency_refused(self):
         g = Grid(8.0, 64)
         assert g.bin_of(0.25) == 2
@@ -145,7 +155,6 @@ class TestBandBins:
         undeclared = BandFunction.from_spectrum(grid, np.ones(S, dtype=complex))
         object.__setattr__(undeclared, "declared_support", support)  # declared after the check
         callers = [lambda: ls_constant(E, support, grid),
-                   lambda: experiments._fits_grid(support, grid),
                    lambda: BandFunction.from_spectrum(grid, c, support),
                    lambda: from_values(grid, np.fft.ifft(c) * S, support),
                    undeclared.leakage,
@@ -862,7 +871,9 @@ typed_profiles = st.tuples(
     st.sampled_from([0, 0.0, Fraction(0), -3, 1.5, Fraction(5, 4)]),
     st.lists(st.sampled_from([2, 2.0, Fraction(2), 3.5, Fraction(7, 3)]), max_size=2),
 ).map(lambda t: SpectralProfile(Sequence(tuple(accumulate(t[1], initial=t[0])))))
-typed_supports = st.one_of(typed_bands, typed_profiles, st.sampled_from([None, 3, "ab"]))
+# malformed supports, refused alike; the edges [0] and [1] are unhashable
+typed_supports = st.one_of(typed_bands, typed_profiles,
+                           st.sampled_from([None, 3, "ab", ([0], [1])]))
 typed_grids = st.tuples(st.sampled_from([8, 8.0, 2.5, 7.9999999999, 1.0, Fraction(3)]),
                         st.sampled_from([2, 16, 64, 1024]))
 
@@ -873,10 +884,13 @@ class TestBandMemo:
               ((8.0, 64), (Fraction(0), Fraction(1))), ((8.0, 64), (False, True))])
     @settings(max_examples=400, deadline=None)
     def test_memo_is_the_rule(self, calls):
-        for _ in range(2):  # the second round reads the memo
-            for (T, S), support in calls:
+        synthesis._band_bins.cache_clear()
+        first = {}
+        for round in range(2):  # the second round reads the memo
+            for i, ((T, S), support) in enumerate(calls):
                 grid = Grid(T, S)
                 want = outcome(lambda: band_rule(grid, support))
+                kept = synthesis._band_bins.cache_info().currsize
                 got = outcome(lambda: grid.band_bins(support))
                 if isinstance(want, np.ndarray):
                     assert isinstance(got, np.ndarray) and got.dtype == np.int64
@@ -884,31 +898,51 @@ class TestBandMemo:
                     assert not got.flags.writeable
                     with pytest.raises(ValueError, match="read-only"):
                         got[...] = 0
+                    assert first.setdefault(i, got) is got  # a hit is the kept array
                 else:
                     assert got == want  # the same refusal, and nothing kept for it
-                    assert synthesis._support_key(grid, support) not in synthesis._BAND_MEMO
+                    assert synthesis._band_bins.cache_info().currsize == kept
 
     def test_equal_supports_of_other_types_are_kept_apart(self):
-        grid = Grid(8.0, 64)
+        synthesis._band_bins.cache_clear()
+        grid = Grid(8.0, 128)
         supports = [(0, 1), (0.0, 1.0), (Fraction(0), Fraction(1)), (False, True),
                     SpectralProfile(Sequence((0, 3))), SpectralProfile(Sequence((0.0, 3.0)))]
-        keys = [synthesis._support_key(grid, s) for s in supports]
-        assert len(set(keys)) == len(keys)
-        assert synthesis._support_key(Grid(8, 64), (0, 1)) != keys[0]
+        results = [grid.band_bins(s) for s in supports] + [Grid(8, 128).band_bins((0, 1))]
+        info = synthesis._band_bins.cache_info()
+        assert info.hits == 0 and info.currsize == len(results)
+        assert len({id(r) for r in results}) == len(results)
 
     def test_a_band_read_from_json_is_the_band_of_its_tuple(self):
+        synthesis._band_bins.cache_clear()
         grid = Grid(16.0, 1024)
         band = json.loads("[0.25, 1.5]")
-        assert synthesis._support_key(grid, band) == synthesis._support_key(grid, tuple(band))
-        assert grid.band_bins(band).tolist() == grid.band_bins((0.25, 1.5)).tolist()
+        assert grid.band_bins(band) is grid.band_bins((0.25, 1.5))
+        assert synthesis._band_bins.cache_info()[:2] == (1, 1)  # one hit, one miss
         f = random_band_function(grid, np.random.default_rng(3), band)
         assert f.leakage() == 0.0
 
+    def test_equal_grids_share_an_entry(self):
+        synthesis._band_bins.cache_clear()
+        a = Grid(8.0, 64).band_bins((0.0, 1.0))
+        assert Grid(8.0, np.int64(64)).band_bins((0.0, 1.0)) is a
+        assert Grid(8, 64).band_bins((0.0, 1.0)) is not a  # an int period is its own entry
+
     def test_memo_is_bounded(self):
-        grid = Grid(4096.0, 2**20)
-        for k in range(3 * synthesis._BAND_MEMO_SIZE):
+        synthesis._band_bins.cache_clear()
+        assert synthesis._band_bins.cache_info().maxsize == 64
+        grid = Grid(4096.0, 2**16)
+        for k in range(3 * 64):
             grid.band_bins((k / 4096, (k + 1) / 4096))
-        assert len(synthesis._BAND_MEMO) <= synthesis._BAND_MEMO_SIZE
-        wide = grid.band_bins((0.0, 100.0))  # 409601 bins: built, not kept
-        assert wide.size > synthesis._BAND_MEMO_BINS and not wide.flags.writeable
-        assert synthesis._support_key(grid, (0.0, 100.0)) not in synthesis._BAND_MEMO
+        assert synthesis._band_bins.cache_info().currsize == 64
+        widest = Grid(1.0, 2**16).band_bins((-32767.0, 32767.0))  # 2|k| < S on every bin
+        assert widest.size == 2**16 - 1
+        with pytest.raises(ValueError, match="Nyquist"):
+            Grid(1.0, 2**16).band_bins((-32768.0, 0.0))
+        synthesis._band_bins.cache_clear()
+        big = Grid(4096.0, 2**20)  # above 2**16 samples: no result kept
+        wide = big.band_bins((0.0, 100.0))  # 409601 bins
+        assert wide.size == 409601 and not wide.flags.writeable
+        again = big.band_bins((0.0, 100.0))
+        assert again is not wide and again.tolist() == wide.tolist()
+        assert synthesis._band_bins.cache_info()[:4] == (0, 0, 64, 0)
