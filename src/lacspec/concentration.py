@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .sequences import Sequence, TailSchedule
 from .sets import ThickSet
-from .synthesis import LEAKAGE_TOL, BandFunction, Grid, synthesize
+from .synthesis import LEAKAGE_TOL, BandFunction, Grid, _samples, synthesize
 
 __all__ = [
     "HermitianForm",
@@ -181,9 +181,13 @@ def _set_intervals(E: ThickSet, grid: Grid | None = None) -> tuple:
         if abs(w0) > 1e-9 or abs(w1 - grid.period) > 1e-9 * max(1.0, grid.period):
             raise ValueError("set window must coincide with the grid window [0, T]")
         intervals = tuple((float(a), float(b)) for a, b in E.intervals)
-    if E.measure <= 0:
-        raise ValueError("set must have positive measure")
+    _require_measure(E)
     return intervals
+
+
+def _require_measure(E: ThickSet) -> None:
+    if E.measure <= 0:  # the refusal of a null set, by every form over E
+        raise ValueError("set must have positive measure")
 
 
 def _gram_entries(freqs, intervals, period) -> np.ndarray:
@@ -319,30 +323,22 @@ class CellQuadrature:
     times the Lebesgue measure of each cell [x_j, x_{j+1}) inside it (exact
     for integrands constant on each cell).  These cell weights, and the
     samples J of the cells that meet I, depend only on E, the grid and I,
-    never on the functions integrated; so a trial loop builds one
-    CellQuadrature per run and passes it to every trial.  So does the
-    spectrum of the set weights (``set_spectrum``), from which the split
-    reads the restricted energy of each trial's spectrum without sampling
-    it.  I defaults to the whole period [0, T].  Construction checks E
-    against the grid and I against [0, T]; each array is built on first use.
+    never on the functions integrated; so an ensemble builds one
+    CellQuadrature per run.  I defaults to the whole period [0, T].
+    Construction checks E against the grid and I against [0, T] (no
+    tolerance: the cells cover [0, T] only, so the part of I outside it
+    would be dropped from every integral without a word); each array is
+    built on first use.
     """
 
     def __init__(self, E: ThickSet, grid: Grid, interval=None):
-        self.trace = _set_intervals(E, grid)
-        self.E, self.grid = E, grid
-        self.interval = self._window(grid, interval)
-
-    @staticmethod
-    def _window(grid: Grid, interval) -> tuple:
-        """I as floats, once it lies inside the grid window [0, T] (no
-        tolerance): the cells cover [0, T] only, so the part of I outside it
-        would be dropped from every integral without a word."""
+        self.trace, self.grid = _set_intervals(E, grid), grid
         lo, hi = (0.0, grid.period) if interval is None else interval
         lo, hi = float(lo), float(hi)
         if not 0.0 <= lo <= hi <= grid.period:
             raise ValueError(f"interval I = [{lo}, {hi}] is not inside the grid window "
                              f"[0, T] = [0.0, {grid.period}]")
-        return lo, hi
+        self.interval = lo, hi
 
     @functools.cached_property
     def window_weights(self) -> np.ndarray:
@@ -353,26 +349,10 @@ class CellQuadrature:
         return _cell_weights(self.grid, _clip_intervals(self.trace, *self.interval))
 
     @functools.cached_property
-    def set_spectrum(self) -> np.ndarray:
-        """fft(set_weights), entry m = sum_j w_j e^{-2 pi i m j / S}: the one
-        transform of a split ensemble, made on first use and shared by every
-        trial (see ``theorem_split_check``)."""
-        return np.fft.fft(self.set_weights)
-
-    @functools.cached_property
     def window_samples(self) -> np.ndarray:
         """J: the indices of the cells of positive measure inside I, one
         contiguous run.  Both weight arrays are zero outside J."""
         return np.flatnonzero(self.window_weights)
-
-    @classmethod
-    def reuse(cls, cells, E: ThickSet, grid: Grid, interval=None) -> "CellQuadrature":
-        """``cells`` if it was built for E, the grid and I; a new one if it is None."""
-        if cells is None:
-            return cls(E, grid, interval)
-        if (cells.E, cells.grid, cells.interval) != (E, grid, cls._window(grid, interval)):
-            raise ValueError("cell quadrature was built for another set, grid or interval")
-        return cells
 
 
 @dataclass(frozen=True)
@@ -384,11 +364,7 @@ class LemmaTerms:
     term_sobolev: float
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "term_density": self.term_density,
-            "term_sobolev": self.term_sobolev,
-        }
+        return asdict(self)
 
 
 def _end_bins(f: BandFunction) -> tuple:
@@ -412,32 +388,64 @@ def _fits_table(rows: int, cols: int, grid: Grid) -> bool:
     return rows * cols <= grid.samples
 
 
-def _on_window(f: BandFunction, J: np.ndarray) -> tuple:
-    """f and f' at the grid samples J.
+def _window_sampler(grid: Grid, bins: np.ndarray, J: np.ndarray, samples=None):
+    """The map c -> (f, f') at the grid samples J, for each f = sum_i c_i
+    e^{2 pi i k_i x / T} on the FFT-order bins k_i.
 
-    A direct sum over the kept bins k of f (``BandFunction.bins`` and
-    ``coeffs``): c_k e^{2 pi i k j / S}, and for f' the same terms times
-    2 pi i k / T, with k j reduced mod S in integers.  Its |J| x (number of
-    bins) phase table is capped by ``_fits_table``; past that (a dense
-    spectrum, as one taken from samples, or a wide band on a wide window)
-    one inverse FFT each is taken and sliced to J.  The cost of the two
-    paths crosses near the cap too: timed on one Xeon core at S = 16384 and
-    32768 with the |J| of L = 1, 8 and 16 at T = 16, the direct sum was
-    about 3.5 times faster at a table of S/8 entries (a lemma trial's unit
-    bands at L = 8), 1.4-2.4 times faster at S/3 to S/2 and 1.2-1.5 times
-    slower at S.
+    A direct sum over the bins: c_i e^{2 pi i k_i j / S}, and for f' the same
+    terms times 2 pi i k_i / T, with k j reduced mod S in integers.  Its
+    |J| x (number of bins) phase table is capped by ``_fits_table``; past
+    that (a dense spectrum, as one taken from samples, or a wide band on a
+    wide window) one inverse FFT each is taken and sliced to J, and
+    ``samples`` (c -> f on the whole grid) stands in for the first where f's
+    samples are at hand.  The cost of the two paths crosses near the cap
+    too: timed on one Xeon core at S = 16384 and 32768 with the |J| of L =
+    1, 8 and 16 at T = 16, the direct sum was about 3.5 times faster at a
+    table of S/8 entries (a lemma trial's unit bands at L = 8), 1.4-2.4
+    times faster at S/3 to S/2 and 1.2-1.5 times slower at S.
     """
-    grid, S = f.grid, f.grid.samples
-    bins, coeffs = f.bins, f.coeffs
-    if not _fits_table(J.size, bins.size, grid):
-        return f.values[J], f.derivative().values[J]
-    phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
-    return phases @ coeffs, phases @ (coeffs * (2j * np.pi * grid.frequencies(bins)))
+    S = grid.samples
+    derivative = 2j * np.pi * grid.frequencies(bins)
+    if _fits_table(J.size, bins.size, grid):
+        phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
+        return lambda c: (phases @ c, phases @ (c * derivative))
+    samples = samples or (lambda c: _samples(grid, bins, c))
+    return lambda c: (samples(c)[J], _samples(grid, bins, c * derivative)[J])
 
 
-def lemma_main_report(
-    f_list, seq_tail: Sequence, E: ThickSet, interval, L: int, *, cells=None
-) -> LemmaTerms:
+def _lemma_form(lams, cells: CellQuadrature, pieces):
+    """The map from a trial's coefficient vectors, one per f_n, to its
+    LemmaTerms (see ``lemma_main_report``).  ``pieces[n]`` is
+    (``_window_sampler`` of f_n on the samples J of ``cells``, f_n's end
+    bins); the Nyquist tests of the end bins moved by k_n and the modulation
+    vectors on J are made once per run."""
+    grid, J = cells.grid, cells.window_samples
+    S = grid.samples
+    modulations = []
+    for lam, (_, ends) in zip(lams, pieces):
+        k = grid.bin_of(lam)  # refuses off-grid modulation
+        for b in ends:
+            grid._check_bin(b + k)
+        if k / grid.period == float(lam):
+            modulations.append(np.exp((2j * np.pi / S) * ((k * J) % S)))
+        else:  # off bin k within the snap tolerance: keep lambda exact
+            modulations.append(np.exp(2j * np.pi * float(lam) * (J * grid.spacing)))
+    w_i, w_e = cells.window_weights[J], cells.set_weights[J]
+
+    def terms(row) -> LemmaTerms:
+        F, sq, sob = np.zeros(J.size, dtype=complex), np.zeros(J.size), np.zeros(J.size)
+        for (sample, _), modulation, c in zip(pieces, modulations, row):
+            v, dv = sample(c)
+            F += v * modulation
+            sq += np.abs(v) ** 2
+            sob += np.abs(dv) ** 2
+        return LemmaTerms(float(np.sum(w_e * np.abs(F) ** 2)), float(np.sum(w_i * sq)),
+                          float(np.sum(w_i * (sq + sob))))
+
+    return terms
+
+
+def lemma_main_report(f_list, seq_tail: Sequence, E: ThickSet, interval, L: int) -> LemmaTerms:
     """Measure the three terms of the local concentration inequality.
 
     lhs           integral over I intersect E of |sum f_n e^{2 pi i lambda_n x}|^2
@@ -448,17 +456,16 @@ def lemma_main_report(
     Integrals use cell-measure weights on the sampling grid (exact for
     integrands constant on each cell), and these are zero outside the
     samples J of the cells that meet I, so every term is computed on J
-    alone: f_n and f_n' from the spectrum of f_n (see ``_on_window``), and
-    F from them.  Each lambda_n must lie on the grid (1/T)Z, as bin
+    alone: f_n and f_n' from the kept bins of f_n (see ``_window_sampler``),
+    and F from them.  Each lambda_n must lie on the grid (1/T)Z, as bin
     k_n = lambda_n T, and f_n is modulated at x_j by
     e^{2 pi i (k_n j mod S) / S}: on the sampling grid this is the circular
     shift of its spectrum by k_n bins.  A lambda_n that misses k_n/T by less
     than the snap tolerance is modulated by e^{2 pi i lambda_n x_j} instead,
     so it is never rounded to its bin.  A function whose bins, moved by k_n,
     reach a bin the grid does not resolve (2|k| >= S) is refused, since its
-    shifted spectrum would alias (see ``_end_bins``).  ``cells``, a
-    CellQuadrature of E, the grid and I, shares the weights and J between
-    the trials of an ensemble.
+    shifted spectrum would alias (see ``_end_bins``).  This is one trial of
+    the kernel that ``lemma_trials`` runs on a whole ensemble.
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
@@ -470,31 +477,13 @@ def lemma_main_report(
     if not f_list:
         return LemmaTerms(0.0, 0.0, 0.0)
     grid = f_list[0].grid
-    for f in f_list:
-        if f.grid != grid:
-            raise ValueError("band functions must share one grid")
-    cells = CellQuadrature.reuse(cells, E, grid, (i0, i1))
-    S, J = grid.samples, cells.window_samples
-    F = np.zeros(J.size, dtype=complex)
-    sq = np.zeros(J.size)
-    sob = np.zeros(J.size)
-    for f, lam in zip(f_list, seq_tail.values):
-        k = grid.bin_of(lam)  # refuses off-grid modulation
-        for b in _end_bins(f):
-            grid._check_bin(b + k)
-        v, dv = _on_window(f, J)
-        if k / grid.period == float(lam):
-            F += v * np.exp((2j * np.pi / S) * ((k * J) % S))
-        else:  # off bin k within the snap tolerance: keep lambda exact
-            F += v * np.exp(2j * np.pi * float(lam) * (J * grid.spacing))
-        sq += np.abs(v) ** 2
-        sob += np.abs(dv) ** 2
-    w_i = cells.window_weights[J]
-    return LemmaTerms(
-        float(np.sum(cells.set_weights[J] * np.abs(F) ** 2)),
-        float(np.sum(w_i * sq)),
-        float(np.sum(w_i * (sq + sob))),
-    )
+    if any(f.grid != grid for f in f_list):
+        raise ValueError("band functions must share one grid")
+    cells = CellQuadrature(E, grid, (i0, i1))
+    J = cells.window_samples
+    pieces = [(_window_sampler(grid, f.bins, J, lambda c, f=f: f.values), _end_bins(f))
+              for f in f_list]
+    return _lemma_form(seq_tail.values, cells, pieces)([f.coeffs for f in f_list])
 
 
 @dataclass(frozen=True)
@@ -506,58 +495,61 @@ class SplitCheck:
     ratio_tail: float
 
     def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "ratio_head": self.ratio_head,
-            "ratio_tail": self.ratio_tail,
-        }
+        return asdict(self)
+
+
+def _split_form(shapes, seq: Sequence, schedule: TailSchedule, L: int, E: ThickSet, grid: Grid):
+    """The map from a trial's coefficient blocks, held end to end, to its
+    SplitCheck (see ``theorem_split_check``).  The refusals of
+    ``synthesize`` on blocks of these ``shapes``, the cell weights of E and
+    the form W on F's bins (the blocks' order: positive frequencies
+    increase) are made once per run."""
+    if not seq.positive:
+        raise ValueError("hypothesis violation: frequencies must be positive")
+    M = schedule.value(L)
+    bins = synthesize([np.ones(s) for s in shapes], seq, grid).bins
+    cells = CellQuadrature(E, grid)
+    ends = np.cumsum([0, *(s[0] for s in shapes)])
+    W = None
+    if _fits_table(bins.size, bins.size, grid):  # the one transform of a split ensemble
+        W = np.fft.fft(cells.set_weights)[(bins[:, None] - bins) % grid.samples]
+
+    def check(c) -> SplitCheck:
+        norm_sq = grid.period * float(np.sum(np.abs(c) ** 2))
+        if norm_sq == 0:
+            raise ValueError("concentration ratio undefined for the zero function")
+        energy = [float(np.sum(np.abs(c[a:b]) ** 2)) for a, b in zip(ends, ends[1:])]
+        if W is not None:
+            restricted = max(float(np.vdot(c, W @ c).real), 0.0)
+        else:
+            restricted = float(np.sum(cells.set_weights * np.abs(_samples(grid, bins, c)) ** 2))
+        return SplitCheck(
+            math.sqrt(restricted / norm_sq),
+            math.sqrt(grid.period * sum(energy[: M - 1]) / norm_sq),
+            math.sqrt(grid.period * sum(energy[M - 1:]) / norm_sq),
+        )
+
+    return check
 
 
 def theorem_split_check(
-    coefficient_blocks,
-    seq: Sequence,
-    schedule: TailSchedule,
-    L: int,
-    E: ThickSet,
-    grid: Grid,
-    *,
-    cells=None,
+    coefficient_blocks, seq: Sequence, schedule: TailSchedule, L: int, E: ThickSet, grid: Grid
 ) -> SplitCheck:
     """Synthesize, split at the scheduled tail start, and measure concentration.
 
     Requires strictly positive frequencies.  Returns the ratio of the norm of
     the synthesized function F restricted to E over its full norm, along
-    with the head and tail norm fractions.  Only F is synthesized, and never
-    sampled: by Parseval its squared norm is T sum |c_k|^2 over its nonzero
-    coefficients c_k, and head and tail hold disjoint blocks of its
-    spectrum, so the squared norm of each is T times the sum of |c|^2 over
-    its blocks and the squares of the two fractions sum to one.  The
-    restricted energy sum_j w_j |F(x_j)|^2 over the cell weights w of E is
-    the quadratic form c^H W c, with W[l, k] = fft(w)[(k_l - k_k) mod S] on
-    F's bins k_l, read from the cached ``CellQuadrature.set_spectrum``; it
-    is clamped at 0 against rounding.  A table of more than S entries (see
-    ``_fits_table``) samples F by one inverse FFT instead.  ``cells``, a
-    CellQuadrature of E and the grid, shares the cell weights of E and
-    their spectrum between the trials of an ensemble.
+    with the head and tail norm fractions.  F is never sampled: by Parseval
+    its squared norm is T sum |c_k|^2 over its coefficients c_k, and head and
+    tail hold disjoint blocks of its spectrum, so the squared norm of each
+    is T times the sum of |c|^2 over its blocks and the squares of the two
+    fractions sum to one.  The restricted energy sum_j w_j |F(x_j)|^2 over
+    the cell weights w of E is the quadratic form c^H W c, with W[l, k] =
+    fft(w)[(k_l - k_k) mod S] on F's bins k_l; it is clamped at 0 against
+    rounding.  A table of more than S entries (see ``_fits_table``) samples
+    F by one inverse FFT instead.  This is one trial of the form that
+    ``split_trials`` builds once for a whole ensemble.
     """
-    if not seq.positive:
-        raise ValueError("hypothesis violation: frequencies must be positive")
-    M = schedule.value(L)
-    blocks = list(coefficient_blocks)
-    F = synthesize(blocks, seq, grid)
-    bins, c = F.bins, F.coeffs
-    norm_sq = grid.period * float(np.sum(np.abs(c) ** 2))
-    if norm_sq == 0:
-        raise ValueError("concentration ratio undefined for the zero function")
-    cells = CellQuadrature.reuse(cells, E, grid)
-    energy = [float(np.sum(np.abs(np.asarray(b, dtype=complex)) ** 2)) for b in blocks]
-    if _fits_table(bins.size, bins.size, grid):
-        W = cells.set_spectrum[(bins[:, None] - bins) % grid.samples]
-        restricted = max(float(np.vdot(c, W @ c).real), 0.0)
-    else:
-        restricted = float(np.sum(cells.set_weights * np.abs(F.values) ** 2))
-    return SplitCheck(
-        math.sqrt(restricted / norm_sq),
-        math.sqrt(grid.period * sum(energy[: M - 1]) / norm_sq),
-        math.sqrt(grid.period * sum(energy[M - 1:]) / norm_sq),
-    )
+    blocks = [np.asarray(b, dtype=complex) for b in coefficient_blocks]
+    check = _split_form([b.shape for b in blocks], seq, schedule, L, E, grid)
+    return check(np.concatenate([np.empty(0, dtype=complex), *blocks]))

@@ -21,7 +21,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +29,12 @@ import numpy as np
 from . import __version__
 from .concentration import (
     CellQuadrature,
-    lemma_main_report,
+    _lemma_form,
+    _require_measure,
+    _split_form,
+    _window_sampler,
     ls_constant,
     nazarov_constant,
-    theorem_split_check,
 )
 from .errors import ConfigError, LimitError
 from .sequences import (
@@ -44,8 +46,12 @@ from .sequences import (
     greedy_growth_table,
 )
 from .sets import ThickSet, periodic_comb
-from .synthesis import MAX_SAMPLES, Grid, SpectralProfile, random_band_function
+from .synthesis import MAX_SAMPLES, Grid, SpectralProfile
 from .uniqueness import MAX_MOMENT_ORDER, carleman_denjoy_partial
+
+# bench/tracing.py wraps these three by their names here, until ROADMAP D5
+from .concentration import lemma_main_report, theorem_split_check  # noqa: F401
+from .synthesis import random_band_function  # noqa: F401
 
 __all__ = [
     "TOOL_VERSION",
@@ -423,14 +429,7 @@ class RunManifest:
     outputs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "generator": self.generator,
-            "seed": self.seed,
-            "created_utc": self.created_utc,
-            "outputs": dict(self.outputs),
-        }
+        return asdict(self)
 
 
 def _fmt(v) -> str:
@@ -482,12 +481,6 @@ def emit_plot_data(rows: list[dict], columns: tuple, path) -> Path:
     return path
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-keyed generator: trial draws are order-independent, so the
-    trials of an ensemble may run concurrently without changing outputs."""
-    return np.random.Generator(np.random.Philox(key=[seed, trial]))
-
-
 @contextmanager
 def _grid_refusals():
     """Report a ValueError of the block as the ConfigError ``grid: ...``: the
@@ -515,57 +508,75 @@ def comb_on_grid(gamma, delta, grid: Grid) -> ThickSet:
     return periodic_comb(gamma, delta, (0.0, T))
 
 
-def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
-    """Coefficient blocks of trials 0..trials-1: trial t draws from
-    ``Philox(key=[seed, t])`` one standard complex Gaussian block per
-    frequency lambda, with one entry per bin of its band [lambda, lambda + 1]
-    (``Grid.band_bins``), as many as ``synthesize`` takes.  A grid that does
-    not resolve those bins is a ConfigError."""
+def _gaussian_rows(seed: int, trials: int, widths) -> np.ndarray:
+    """Standard complex Gaussian coefficients of trials 0..trials-1, one row
+    per trial: row t draws from ``Philox(key=[seed, t])`` one block per
+    width, real parts then imaginary parts, and holds the blocks end to end.
+    The generator is keyed by the trial, so no row depends on another."""
+    rows = np.empty((trials, sum(widths)), dtype=complex)
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
+        rows[trial] = np.concatenate([rng.standard_normal(w) + 1j * rng.standard_normal(w)
+                                      for w in widths])
+    return rows
+
+
+def _band_widths(seq: Sequence, grid: Grid) -> list:
+    """The bins of each band [lambda, lambda + 1], as many coefficients as
+    ``synthesize`` takes per block; a ConfigError if the grid does not
+    resolve them."""
     profile = SpectralProfile(seq)
     with _grid_refusals():
         grid.band_bins(profile)
-        widths = [grid.band_bins((lam, lam + 1)).size for lam in seq.values]
-    blocks = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        blocks.append([rng.standard_normal(w) + 1j * rng.standard_normal(w) for w in widths])
-    return blocks
+        return [grid.band_bins((lam, lam + 1)).size for lam in seq.values]
+
+
+def trial_blocks(seq: Sequence, grid: Grid, seed: int, trials: int) -> list:
+    """Coefficient blocks of trials 0..trials-1, as ``split_trials`` draws
+    them: trial t draws from ``Philox(key=[seed, t])`` one standard complex
+    Gaussian block per frequency, one entry per bin of its band."""
+    ends = np.cumsum([0, *_band_widths(seq, grid)])
+    return [np.split(row, ends[1:-1]) for row in _gaussian_rows(seed, trials, np.diff(ends))]
+
+
+def _ensemble_refusals(E: ThickSet, L: int) -> None:
+    """What both ensembles refuse before their grid is consulted."""
+    if L < 1:
+        raise ValueError("L must be a positive integer")
+    _require_measure(E)
 
 
 def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
-    """Local-lemma terms on [0, 1/L] of trials 0..trials-1: trial t draws
-    from ``Philox(key=[seed, t])`` one random unit-band function per frequency.
-    A grid whose window [0, T] does not hold [0, 1/L] or is not E's window,
-    refused by ``CellQuadrature``, or that does not resolve the bins the
-    trials fill, refused by ``lemma_main_report`` in trial 0, is a
-    ConfigError."""
-    if L < 1:
-        raise ValueError("L must be a positive integer")
+    """Local-lemma terms on [0, 1/L] of trials 0..trials-1: trial t draws the
+    coefficients of ``random_band_function`` on the m bins of [0, 1], one
+    (N, m) block, and all pieces share one window sampler.  A grid whose
+    window [0, T] does not hold [0, 1/L] or is not E's window, or that does
+    not resolve the bins the trials fill, is a ConfigError."""
+    _ensemble_refusals(E, L)
     if not SpectralProfile(seq).intervals():  # refuses overlapping bands
         raise ConfigError(["grid: profile holds no grid frequencies"])
-    interval = (0.0, 1.0 / L)
-    out = []
     with _grid_refusals():
-        cells = CellQuadrature(E, grid, interval)
-        for trial in range(trials):
-            rng = _trial_rng(seed, trial)
-            f_list = [random_band_function(grid, rng) for _ in range(len(seq))]
-            out.append(lemma_main_report(f_list, seq, E, interval, L, cells=cells))
-            del f_list  # so the next trial's functions do not join this trial's in memory
-    return out
+        cells = CellQuadrature(E, grid, (0.0, 1.0 / L))
+        band = grid.band_bins((0.0, 1.0))  # nonnegative bins: FFT-order indices as they are
+        piece = (_window_sampler(grid, band, cells.window_samples), band[[0, -1]])
+        terms = _lemma_form(seq.values, cells, [piece] * len(seq))
+    coeffs = _gaussian_rows(seed, trials, [band.size] * len(seq))
+    return [terms(row) for row in coeffs.reshape(trials, len(seq), band.size)]
 
 
 def split_trials(seq, E, grid: Grid, L: int, schedule, seed: int, trials: int) -> list:
-    """Head/tail split checks of trials 0..trials-1 (blocks from trial_blocks).
-    A sequence with a frequency <= 0 is a ConfigError naming the sequence; a
-    grid refused by ``CellQuadrature`` or ``theorem_split_check``, one
-    naming the grid."""
+    """Head/tail split checks of trials 0..trials-1, the blocks of
+    ``trial_blocks`` held end to end as one coefficient array, against one
+    form W (see ``theorem_split_check``).  A sequence with a frequency <= 0
+    is a ConfigError naming the sequence; a grid refused by
+    ``theorem_split_check``, one naming the grid."""
     if not seq.positive:
         raise ConfigError(["sequence: hypothesis violation: frequencies must be positive"])
-    blocks = trial_blocks(seq, grid, seed, trials)
+    _ensemble_refusals(E, L)
+    widths = _band_widths(seq, grid)
     with _grid_refusals():
-        cells = CellQuadrature(E, grid)
-        return [theorem_split_check(b, seq, schedule, L, E, grid, cells=cells) for b in blocks]
+        check = _split_form([(w,) for w in widths], seq, schedule, L, E, grid)
+    return [check(c) for c in _gaussian_rows(seed, trials, widths)]
 
 
 def _grid(config: ExperimentConfig) -> Grid:
@@ -648,12 +659,7 @@ def _run_lemma_margins(config, base_dir):
     records = lemma_trials(seq, E, grid, L, config.seed, config.ensemble["trials"])
     rows = []
     for trial, rec in enumerate(records):
-        row = {
-            "trial": trial,
-            "lhs": rec.lhs,
-            "term_density": rec.term_density,
-            "term_sobolev": rec.term_sobolev,
-        }
+        row = {"trial": trial, **rec.to_dict()}
         for c2 in c2s:
             margin = (rec.lhs + c2 * rec.term_sobolev / math.sqrt(L)) / rec.term_density
             row[f"margin_c2_{c2}"] = margin
@@ -677,15 +683,7 @@ def _run_theorem_split(config, base_dir):
     records = split_trials(
         seq, E, grid, config.params["L"], schedule, config.seed, config.ensemble["trials"]
     )
-    rows = [
-        {
-            "trial": trial,
-            "ratio": rec.ratio,
-            "ratio_head": rec.ratio_head,
-            "ratio_tail": rec.ratio_tail,
-        }
-        for trial, rec in enumerate(records)
-    ]
+    rows = [{"trial": trial, **rec.to_dict()} for trial, rec in enumerate(records)]
     return {"theorem_split.csv": rows}, {
         "ratio_per_trial.dat": ("theorem_split.csv", ("trial", "ratio"))
     }

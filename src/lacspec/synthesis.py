@@ -237,10 +237,9 @@ class BandFunction:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Samples at ``grid.points()``: one inverse FFT of the spectrum,
-        read-only, made on first read and kept."""
-        v = np.fft.ifft(self.spectrum())
-        v *= self.grid.samples
+        """Samples at ``grid.points()`` (``_samples``), read-only, made on
+        first read and kept."""
+        v = _samples(self.grid, self.bins, self.coeffs)
         v.setflags(write=False)
         return v
 
@@ -275,6 +274,16 @@ class BandFunction:
     def derivative(self) -> "BandFunction":
         d = self.coeffs * (2j * np.pi * self.grid.frequencies(self.bins))
         return BandFunction(self.grid, self.bins, d)
+
+
+def _samples(grid: Grid, bins: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] e^{2 pi i k_i x / T} at ``grid.points()`` on the
+    FFT-order bins k_i: one inverse FFT of the scattered coefficients."""
+    c = np.zeros(grid.samples, dtype=complex)
+    c[bins] = coeffs
+    v = np.fft.ifft(c)
+    v *= grid.samples
+    return v
 
 
 def synthesize(coefficient_blocks, seq: Sequence, grid: Grid) -> BandFunction:

@@ -608,6 +608,19 @@ class TestCliMain:
         assert (f"error: dimension {dimension} exceeds the dense solver cap 2000"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["lemma", "theorem"])
+    def test_ensemble_refusals_name_the_input_at_fault(self, capsys, command):
+        # theorem printed "error: grid: threshold L must be >= 1", and both
+        # ensembles "error: grid: set must have positive measure"
+        assert cli.main(["conc", command, "--L", "0"]) == 2
+        assert capsys.readouterr().err == "error: L must be a positive integer\n"
+        null_set = ["--pattern", "intervals", "--intervals", "0,0"]
+        assert cli.main(["conc", "ls"] + null_set) == 2
+        message = capsys.readouterr().err
+        assert message == "error: set must have positive measure\n"
+        assert cli.main(["conc", command] + null_set) == 2
+        assert capsys.readouterr().err == message
+
     def test_lemma_window_longer_than_the_period_exits_two(self, tmp_path, capsys):
         # I = [0, 1/L] = [0, 1] does not fit in [0, T] = [0, 0.5]
         message = ("error: grid: interval I = [0.0, 1.0] is not inside the grid window "

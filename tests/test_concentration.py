@@ -403,17 +403,6 @@ class TestLemmaReport:
                                                cell_weights_oracle(grid, E.intervals),
                                                rtol=0, atol=1e-14)
 
-    def test_cells_of_another_set_or_interval_rejected(self):
-        grid = Grid(16.0, 1024)
-        E = periodic_comb(0.5, 1.0, (0.0, 16.0))
-        fs = [random_band_function(grid, np.random.default_rng(0))]
-        other = CellQuadrature(periodic_comb(0.25, 1.0, (0.0, 16.0)), grid, (0.0, 1 / 16))
-        with pytest.raises(ValueError, match="another set"):
-            lemma_main_report(fs, Sequence((4,)), E, (0.0, 1 / 16), 16, cells=other)
-        wide = CellQuadrature(E, grid, (0.0, 1 / 8))
-        with pytest.raises(ValueError, match="another set"):
-            lemma_main_report(fs, Sequence((4,)), E, (0.0, 1 / 16), 16, cells=wide)
-
     def test_null_set_rejected(self):
         grid = Grid(16.0, 1024)
         fs = [random_band_function(grid, np.random.default_rng(0))]
@@ -625,12 +614,10 @@ class TestSplitQuadraticForm:
     def test_table_past_the_cap_samples_the_function(self, monkeypatch):
         grid, seq = Grid(8.0, 64), Sequence((0.5,))
         E = periodic_comb(0.5, 1.0, (0.0, 8.0))
-        cells = CellQuadrature(E, grid)
         sizes = fft_spy(monkeypatch)
         for width, transforms in ((8, [64]), (9, [64])):  # 64 entries, then 81 > 64
             blocks = [np.arange(1, width + 1) * (1 - 2j)]
-            rec = theorem_split_check(blocks, seq, TailSchedule.constant(1), 1, E, grid,
-                                      cells=cells)
+            rec = theorem_split_check(blocks, seq, TailSchedule.constant(1), 1, E, grid)
             # the weight spectrum on first use, then one inverse FFT of F past the cap
             assert sizes == transforms
             sizes.clear()

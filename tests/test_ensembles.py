@@ -6,16 +6,81 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lacspec.concentration import lemma_main_report, theorem_split_check
+from test_synthesis import dense_on_window
+
+from lacspec import concentration
+from lacspec.concentration import (
+    CellQuadrature,
+    LemmaTerms,
+    lemma_main_report,
+    theorem_split_check,
+)
 from lacspec.errors import ConfigError
 from lacspec.experiments import lemma_trials, schedule_from, split_trials, trial_blocks
 from lacspec.sequences import Sequence
 from lacspec.sets import periodic_comb
-from lacspec.synthesis import Grid, random_band_function
+from lacspec.synthesis import BandFunction, Grid, random_band_function
 
 
 def trial_rng(seed, trial):
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
+
+
+def per_function_lemma_rows(seq, E, grid, L, seed, trials):
+    """Oracle: the lemma loop as it ran before the trials shared one array,
+    with one random_band_function per frequency, f_n and f_n' on the window
+    samples J from its dense spectrum, and F modulated piece by piece."""
+    cells = CellQuadrature(E, grid, (0.0, 1.0 / L))
+    S, J = grid.samples, cells.window_samples
+    rows = []
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        F = np.zeros(J.size, dtype=complex)
+        sq = np.zeros(J.size)
+        sob = np.zeros(J.size)
+        for f, lam in [(random_band_function(grid, rng), lam) for lam in seq.values]:
+            k = grid.bin_of(lam)
+            v, dv = dense_on_window(f, J)
+            if k / grid.period == float(lam):
+                F += v * np.exp((2j * np.pi / S) * ((k * J) % S))
+            else:
+                F += v * np.exp(2j * np.pi * float(lam) * (J * grid.spacing))
+            sq += np.abs(v) ** 2
+            sob += np.abs(dv) ** 2
+        w_i = cells.window_weights[J]
+        rows.append(LemmaTerms(float(np.sum(cells.set_weights[J] * np.abs(F) ** 2)),
+                               float(np.sum(w_i * sq)), float(np.sum(w_i * (sq + sob)))))
+    return rows
+
+
+@pytest.mark.parametrize("period, L, direct", [
+    (16.0, 4, True),  # |J| = 64 samples times 17 bins: a direct sum
+    (16.0, 1, False),  # |J| = 256: past the cap, one inverse FFT each of f_n and f_n'
+    (15.9999999999, 4, True),  # 4 T and 16 T within the snap tolerance of bins 64 and 256
+])
+def test_lemma_rows_are_the_per_function_ones(period, L, direct):
+    grid = Grid(period, 4096)
+    E = periodic_comb(0.5, 1.0, (0.0, period))
+    seq = Sequence((4, 16))
+    J = CellQuadrature(E, grid, (0.0, 1.0 / L)).window_samples
+    assert (J.size * grid.band_bins((0.0, 1.0)).size <= grid.samples) == direct
+    assert all((grid.bin_of(lam) / period == lam) == (period == 16.0) for lam in seq.values)
+    assert lemma_trials(seq, E, grid, L, 5, 6) == per_function_lemma_rows(seq, E, grid, L, 5, 6)
+
+
+def test_trials_build_no_band_function_and_synthesize_once(monkeypatch):
+    built, synthesized = [], []
+    post_init, synthesize = BandFunction.__post_init__, concentration.synthesize
+    monkeypatch.setattr(BandFunction, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(concentration, "synthesize",
+                        lambda *args: synthesized.append(args) or synthesize(*args))
+    grid = Grid(16.0, 4096)
+    E = periodic_comb(0.5, 1.0, (0.0, 16.0))
+    lemma_trials(Sequence((4, 16, 64)), E, grid, 4, 7, 20)
+    assert built == []
+    split_trials(Sequence((4, 16, 64)), E, grid, 1, schedule_from([[1, 2]]), 7, 20)
+    assert len(synthesized) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 11])

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lacspec import experiments, synthesis
-from lacspec.concentration import _on_window, ls_constant, theorem_split_check
+from lacspec.concentration import _window_sampler, ls_constant, theorem_split_check
 from lacspec.sequences import Sequence, TailSchedule, build_counterexample, difference_set
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
@@ -567,8 +567,8 @@ def assert_is_the_dense_build(build, grid, c, support):
 
 
 def dense_on_window(f, J):
-    """Oracle: f and f' on the samples J from the dense spectrum, as
-    ``_on_window`` computed them before a function kept its bins."""
+    """Oracle: f and f' on the samples J from the dense spectrum, as they
+    were computed before a function kept its bins."""
     grid, c = f.grid, f.spectrum()
     S = grid.samples
     bins = np.flatnonzero(c)
@@ -674,7 +674,7 @@ class TestSparseAgainstDense:
         assert_is_the_dense_build(lambda: f, grid, c, tuple(band))
         for start, stop in ((0, 1), (0, S // 8 + 1), (S // 3, S)):  # direct sums and FFTs
             J = np.arange(start, stop)
-            got, want = _on_window(f, J), dense_on_window(f, J)
+            got, want = _window_sampler(grid, f.bins, J)(f.coeffs), dense_on_window(f, J)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
