@@ -25,6 +25,7 @@ from .experiments import (
     SEED,
     SET_RECORD,
     ExperimentConfig,
+    _profile_of,
     build_sequence,
     comb_on_grid,
     csv_text,
@@ -364,8 +365,8 @@ def _cmd_conc_ls(args) -> int:
     grid = _grid(args)
     E = _set_from_args(args, grid)
     if args.freq_sequence:
-        seq = _read("--freq-sequence", args.freq_sequence, sequences.Sequence.from_text)
-        profile = synthesis.SpectralProfile(seq)
+        profile = _profile_of(_read("--freq-sequence", args.freq_sequence,
+                                    sequences.Sequence.from_text))
     else:
         profile = _pair(args.band, "--band")
     _print(concentration.ls_constant(E, profile, grid).to_dict())

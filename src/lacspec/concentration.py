@@ -11,7 +11,6 @@ the constant of the norm inequality it certifies.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -25,7 +24,6 @@ from .synthesis import LEAKAGE_TOL, BandFunction, Grid, _samples, synthesize
 __all__ = [
     "HermitianForm",
     "ConcentrationEstimate",
-    "CellQuadrature",
     "LemmaTerms",
     "SplitCheck",
     "interval_phase_integral",
@@ -82,6 +80,9 @@ class HermitianForm:
     provenance: dict
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"dimension {self.dimension} holds no entries: a form needs "
+                             f"dimension >= 1")
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (self.dimension, self.dimension):
             raise ValueError("entries must be a square matrix of the declared size")
@@ -154,7 +155,7 @@ def hermitian_eigensystem(form: HermitianForm):
     vals, vecs = np.linalg.eigh(form.entries)
     v0 = vecs[:, 0]
     residual = float(np.linalg.norm(form.entries @ v0 - vals[0] * v0))
-    scale = float(np.max(np.abs(vals))) if form.dimension else 0.0
+    scale = float(np.max(np.abs(vals)))
     if scale > 0 and residual > EIG_RESIDUAL_TOL * scale:
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds "
@@ -316,43 +317,28 @@ def _clip_intervals(intervals, lo, hi):
     return out
 
 
-class CellQuadrature:
-    """The trial-independent part of the sampled quadratures over I and I ∩ E.
+def _lemma_window(E: ThickSet, grid: Grid, interval) -> tuple:
+    """The trial-independent part of the lemma's sampled quadratures over the
+    window I and over I ∩ E.
 
-    An integral over a window I, or over I ∩ E, is a sum of grid samples
-    times the Lebesgue measure of each cell [x_j, x_{j+1}) inside it (exact
-    for integrands constant on each cell).  These cell weights, and the
-    samples J of the cells that meet I, depend only on E, the grid and I,
-    never on the functions integrated; so an ensemble builds one
-    CellQuadrature per run.  I defaults to the whole period [0, T].
-    Construction checks E against the grid and I against [0, T] (no
-    tolerance: the cells cover [0, T] only, so the part of I outside it
-    would be dropped from every integral without a word); each array is
-    built on first use.
+    An integral over I, or over I ∩ E, is a sum of grid samples times the
+    Lebesgue measure of each cell [x_j, x_{j+1}) inside it (exact for
+    integrands constant on each cell).  Returns J, the indices of the cells
+    of positive measure inside I (one contiguous run), and the cell weights
+    of I and of I ∩ E on J; both are zero outside J.  E is checked against
+    the grid and I against [0, T] (no tolerance: the cells cover [0, T]
+    only, so the part of I outside it would be dropped from every integral
+    without a word).
     """
-
-    def __init__(self, E: ThickSet, grid: Grid, interval=None):
-        self.trace, self.grid = _set_intervals(E, grid), grid
-        lo, hi = (0.0, grid.period) if interval is None else interval
-        lo, hi = float(lo), float(hi)
-        if not 0.0 <= lo <= hi <= grid.period:
-            raise ValueError(f"interval I = [{lo}, {hi}] is not inside the grid window "
-                             f"[0, T] = [0.0, {grid.period}]")
-        self.interval = lo, hi
-
-    @functools.cached_property
-    def window_weights(self) -> np.ndarray:
-        return _cell_weights(self.grid, [self.interval])
-
-    @functools.cached_property
-    def set_weights(self) -> np.ndarray:
-        return _cell_weights(self.grid, _clip_intervals(self.trace, *self.interval))
-
-    @functools.cached_property
-    def window_samples(self) -> np.ndarray:
-        """J: the indices of the cells of positive measure inside I, one
-        contiguous run.  Both weight arrays are zero outside J."""
-        return np.flatnonzero(self.window_weights)
+    trace = _set_intervals(E, grid)
+    lo, hi = float(interval[0]), float(interval[1])
+    if not 0.0 <= lo <= hi <= grid.period:
+        raise ValueError(f"interval I = [{lo}, {hi}] is not inside the grid window "
+                         f"[0, T] = [0.0, {grid.period}]")
+    window_weights = _cell_weights(grid, [(lo, hi)])
+    J = np.flatnonzero(window_weights)
+    set_weights = _cell_weights(grid, _clip_intervals(trace, lo, hi))
+    return J, window_weights[J], set_weights[J]
 
 
 @dataclass(frozen=True)
@@ -388,7 +374,7 @@ def _fits_table(rows: int, cols: int, grid: Grid) -> bool:
     return rows * cols <= grid.samples
 
 
-def _window_sampler(grid: Grid, bins: np.ndarray, J: np.ndarray, samples=None):
+def _window_sampler(grid: Grid, bins: np.ndarray, J: np.ndarray):
     """The map c -> (f, f') at the grid samples J, for each f = sum_i c_i
     e^{2 pi i k_i x / T} on the FFT-order bins k_i.
 
@@ -396,30 +382,29 @@ def _window_sampler(grid: Grid, bins: np.ndarray, J: np.ndarray, samples=None):
     terms times 2 pi i k_i / T, with k j reduced mod S in integers.  Its
     |J| x (number of bins) phase table is capped by ``_fits_table``; past
     that (a dense spectrum, as one taken from samples, or a wide band on a
-    wide window) one inverse FFT each is taken and sliced to J, and
-    ``samples`` (c -> f on the whole grid) stands in for the first where f's
-    samples are at hand.  The cost of the two paths crosses near the cap
-    too: timed on one Xeon core at S = 16384 and 32768 with the |J| of L =
-    1, 8 and 16 at T = 16, the direct sum was about 3.5 times faster at a
-    table of S/8 entries (a lemma trial's unit bands at L = 8), 1.4-2.4
-    times faster at S/3 to S/2 and 1.2-1.5 times slower at S.
+    wide window) one inverse FFT each (``_samples``) is taken and sliced to
+    J.  The cost of the two paths crosses near the cap too: timed on one
+    Xeon core at S = 16384 and 32768 with the |J| of L = 1, 8 and 16 at T =
+    16, the direct sum was about 3.5 times faster at a table of S/8 entries
+    (a lemma trial's unit bands at L = 8), 1.4-2.4 times faster at S/3 to
+    S/2 and 1.2-1.5 times slower at S.
     """
     S = grid.samples
     derivative = 2j * np.pi * grid.frequencies(bins)
     if _fits_table(J.size, bins.size, grid):
         phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
         return lambda c: (phases @ c, phases @ (c * derivative))
-    samples = samples or (lambda c: _samples(grid, bins, c))
-    return lambda c: (samples(c)[J], _samples(grid, bins, c * derivative)[J])
+    return lambda c: (_samples(grid, bins, c)[J], _samples(grid, bins, c * derivative)[J])
 
 
-def _lemma_form(lams, cells: CellQuadrature, pieces):
+def _lemma_form(lams, grid: Grid, window, pieces):
     """The map from a trial's coefficient vectors, one per f_n, to its
-    LemmaTerms (see ``lemma_main_report``).  ``pieces[n]`` is
-    (``_window_sampler`` of f_n on the samples J of ``cells``, f_n's end
-    bins); the Nyquist tests of the end bins moved by k_n and the modulation
-    vectors on J are made once per run."""
-    grid, J = cells.grid, cells.window_samples
+    LemmaTerms (see ``lemma_main_report``).  ``window`` is the
+    ``_lemma_window`` (J, w_i, w_e) of I, and ``pieces[n]`` is
+    (``_window_sampler`` of f_n on J, f_n's end bins); the Nyquist tests of
+    the end bins moved by k_n and the modulation vectors on J are made once
+    per run."""
+    J, w_i, w_e = window
     S = grid.samples
     modulations = []
     for lam, (_, ends) in zip(lams, pieces):
@@ -430,7 +415,6 @@ def _lemma_form(lams, cells: CellQuadrature, pieces):
             modulations.append(np.exp((2j * np.pi / S) * ((k * J) % S)))
         else:  # off bin k within the snap tolerance: keep lambda exact
             modulations.append(np.exp(2j * np.pi * float(lam) * (J * grid.spacing)))
-    w_i, w_e = cells.window_weights[J], cells.set_weights[J]
 
     def terms(row) -> LemmaTerms:
         F, sq, sob = np.zeros(J.size, dtype=complex), np.zeros(J.size), np.zeros(J.size)
@@ -456,9 +440,10 @@ def lemma_main_report(f_list, seq_tail: Sequence, E: ThickSet, interval, L: int)
     Integrals use cell-measure weights on the sampling grid (exact for
     integrands constant on each cell), and these are zero outside the
     samples J of the cells that meet I, so every term is computed on J
-    alone: f_n and f_n' from the kept bins of f_n (see ``_window_sampler``),
-    and F from them.  Each lambda_n must lie on the grid (1/T)Z, as bin
-    k_n = lambda_n T, and f_n is modulated at x_j by
+    alone: f_n and f_n' from the kept bins of f_n (see ``_window_sampler``;
+    past its table cap each is one inverse FFT, as ``f_n.values`` is, taken
+    anew), and F from them.  Each lambda_n must lie on the grid (1/T)Z, as
+    bin k_n = lambda_n T, and f_n is modulated at x_j by
     e^{2 pi i (k_n j mod S) / S}: on the sampling grid this is the circular
     shift of its spectrum by k_n bins.  A lambda_n that misses k_n/T by less
     than the snap tolerance is modulated by e^{2 pi i lambda_n x_j} instead,
@@ -479,11 +464,9 @@ def lemma_main_report(f_list, seq_tail: Sequence, E: ThickSet, interval, L: int)
     grid = f_list[0].grid
     if any(f.grid != grid for f in f_list):
         raise ValueError("band functions must share one grid")
-    cells = CellQuadrature(E, grid, (i0, i1))
-    J = cells.window_samples
-    pieces = [(_window_sampler(grid, f.bins, J, lambda c, f=f: f.values), _end_bins(f))
-              for f in f_list]
-    return _lemma_form(seq_tail.values, cells, pieces)([f.coeffs for f in f_list])
+    window = _lemma_window(E, grid, (i0, i1))
+    pieces = [(_window_sampler(grid, f.bins, window[0]), _end_bins(f)) for f in f_list]
+    return _lemma_form(seq_tail.values, grid, window, pieces)([f.coeffs for f in f_list])
 
 
 @dataclass(frozen=True)
@@ -501,18 +484,18 @@ class SplitCheck:
 def _split_form(shapes, seq: Sequence, schedule: TailSchedule, L: int, E: ThickSet, grid: Grid):
     """The map from a trial's coefficient blocks, held end to end, to its
     SplitCheck (see ``theorem_split_check``).  The refusals of
-    ``synthesize`` on blocks of these ``shapes``, the cell weights of E and
-    the form W on F's bins (the blocks' order: positive frequencies
-    increase) are made once per run."""
+    ``synthesize`` on blocks of these ``shapes``, the cell weights of E on
+    [0, T] and the form W on F's bins (the blocks' order: positive
+    frequencies increase) are made once per run."""
     if not seq.positive:
         raise ValueError("hypothesis violation: frequencies must be positive")
     M = schedule.value(L)
     bins = synthesize([np.ones(s) for s in shapes], seq, grid).bins
-    cells = CellQuadrature(E, grid)
+    weights = _cell_weights(grid, _clip_intervals(_set_intervals(E, grid), 0.0, grid.period))
     ends = np.cumsum([0, *(s[0] for s in shapes)])
     W = None
     if _fits_table(bins.size, bins.size, grid):  # the one transform of a split ensemble
-        W = np.fft.fft(cells.set_weights)[(bins[:, None] - bins) % grid.samples]
+        W = np.fft.fft(weights)[(bins[:, None] - bins) % grid.samples]
 
     def check(c) -> SplitCheck:
         norm_sq = grid.period * float(np.sum(np.abs(c) ** 2))
@@ -522,7 +505,7 @@ def _split_form(shapes, seq: Sequence, schedule: TailSchedule, L: int, E: ThickS
         if W is not None:
             restricted = max(float(np.vdot(c, W @ c).real), 0.0)
         else:
-            restricted = float(np.sum(cells.set_weights * np.abs(_samples(grid, bins, c)) ** 2))
+            restricted = float(np.sum(weights * np.abs(_samples(grid, bins, c)) ** 2))
         return SplitCheck(
             math.sqrt(restricted / norm_sq),
             math.sqrt(grid.period * sum(energy[: M - 1]) / norm_sq),

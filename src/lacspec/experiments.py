@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .concentration import (
-    CellQuadrature,
     _lemma_form,
+    _lemma_window,
     _require_measure,
     _split_form,
     _window_sampler,
@@ -521,11 +521,20 @@ def _gaussian_rows(seed: int, trials: int, widths) -> np.ndarray:
     return rows
 
 
+def _profile_of(seq: Sequence) -> SpectralProfile:
+    """The SpectralProfile of seq; an empty seq is a ConfigError naming the
+    sequence, where its profile would be refused as holding no grid
+    frequencies."""
+    if not len(seq):
+        raise ConfigError(["sequence: need at least one frequency"])
+    return SpectralProfile(seq)
+
+
 def _band_widths(seq: Sequence, grid: Grid) -> list:
     """The bins of each band [lambda, lambda + 1], as many coefficients as
     ``synthesize`` takes per block; a ConfigError if the grid does not
     resolve them."""
-    profile = SpectralProfile(seq)
+    profile = _profile_of(seq)
     with _grid_refusals():
         grid.band_bins(profile)
         return [grid.band_bins((lam, lam + 1)).size for lam in seq.values]
@@ -553,13 +562,12 @@ def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
     window [0, T] does not hold [0, 1/L] or is not E's window, or that does
     not resolve the bins the trials fill, is a ConfigError."""
     _ensemble_refusals(E, L)
-    if not SpectralProfile(seq).intervals():  # refuses overlapping bands
-        raise ConfigError(["grid: profile holds no grid frequencies"])
+    _profile_of(seq)  # refuses an empty sequence and overlapping bands
     with _grid_refusals():
-        cells = CellQuadrature(E, grid, (0.0, 1.0 / L))
+        window = _lemma_window(E, grid, (0.0, 1.0 / L))
         band = grid.band_bins((0.0, 1.0))  # nonnegative bins: FFT-order indices as they are
-        piece = (_window_sampler(grid, band, cells.window_samples), band[[0, -1]])
-        terms = _lemma_form(seq.values, cells, [piece] * len(seq))
+        piece = (_window_sampler(grid, band, window[0]), band[[0, -1]])
+        terms = _lemma_form(seq.values, grid, window, [piece] * len(seq))
     coeffs = _gaussian_rows(seed, trials, [band.size] * len(seq))
     return [terms(row) for row in coeffs.reshape(trials, len(seq), band.size)]
 
@@ -627,7 +635,7 @@ def _profile_from(params: dict, base_dir):
     if "band" in profile:
         lo, hi = profile["band"]
         return (float(lo), float(hi))
-    return SpectralProfile(build_sequence(profile["sequence"], base_dir))
+    return _profile_of(build_sequence(profile["sequence"], base_dir))
 
 
 def _run_ls_gamma_sweep(config, base_dir):

@@ -896,8 +896,32 @@ class TestCliMain:
         }
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         assert cli.main(["run", str(tmp_path / "cfg.json"), "--base-dir", str(tmp_path)]) == 2
-        assert "grid: profile holds no grid frequencies" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: sequence: need at least one frequency\n"
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["conc", "lemma", "--input"],
+        ["conc", "theorem", "--input"],
+        ["synth", "check", "--input"],
+        ["conc", "ls", "--freq-sequence"],
+    ])
+    def test_an_empty_sequence_file_is_refused_naming_the_sequence(self, tmp_path, capsys, argv):
+        # each printed "error: grid: profile holds no grid frequencies", conc ls without "grid: "
+        (tmp_path / "empty.txt").write_text("")
+        assert cli.main(argv + [str(tmp_path / "empty.txt")]) == 2
+        assert capsys.readouterr().err == "error: sequence: need at least one frequency\n"
+
+    @pytest.mark.parametrize("kind", ["lemma_margins", "theorem_split", "ls_gamma_sweep_sequence"])
+    def test_a_run_on_an_empty_sequence_file_names_the_sequence(self, tmp_path, capsys, kind):
+        (tmp_path / "empty.txt").write_text("")
+        cfg = small_configs()[kind]
+        if kind == "ls_gamma_sweep_sequence":
+            cfg["params"]["profile"]["sequence"] = {"file": "empty.txt"}
+        else:
+            cfg["sequence"] = {"file": "empty.txt"}
+        assert run_cli(cfg, tmp_path) == 2
+        assert capsys.readouterr().err == "error: sequence: need at least one frequency\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["conc", "theorem", "--delta", "1e-9"],

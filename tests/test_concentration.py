@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lacspec.concentration import (
-    CellQuadrature,
     HermitianForm,
     LemmaTerms,
+    _lemma_window,
     gram_matrix,
     hermitian_eigensystem,
     interval_phase_integral,
@@ -160,6 +160,16 @@ class TestGramMatrix:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianForm(2, np.array([[1.0, 1.0], [0.0, 1.0]]), {})
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        # numpy refused it: "zero-size array to reduction operation maximum ..."
+        message = r"^dimension 0 holds no entries: a form needs dimension >= 1$"
+        with pytest.raises(ValueError, match=message):
+            HermitianForm(0, np.zeros((0, 0)), {})
+        path = tmp_path / "empty.txt"
+        path.write_text("0\n")
+        with pytest.raises(ValueError, match=message):
+            HermitianForm.from_text(path)
 
 
 class TestNazarovConstant:
@@ -350,9 +360,9 @@ class TestLemmaReport:
             assert_terms_match_oracle(fs, seq, E, (start, start + 1 / L), L)
 
     @pytest.mark.parametrize("L, start, transforms", [
-        (4, 0.0, 2),  # |J| = 32 samples: 32 * ~2040 bins > S, one FFT per dense f_n'
-        (1, 2.3, 4),  # |J| = 129: the unit band's 17 bins go past S too, two more FFTs
-        (16, 2.3, 2),
+        (4, 0.0, 4),  # |J| = 32 samples: 32 * ~2040 bins > S, f_n and f_n' of each dense f_n
+        (1, 2.3, 6),  # |J| = 129: the unit band's 17 bins go past S too, two more FFTs
+        (16, 2.3, 4),
         (128, 0.0, 0),  # |J| = 1: ~2040 bins, no more than S, a direct sum even when dense
     ])
     def test_dense_and_zero_functions_match_the_oracle(self, monkeypatch, L, start, transforms):
@@ -367,7 +377,7 @@ class TestLemmaReport:
         seq = Sequence((4, 8, 16, 32))
         assert all(np.count_nonzero(f.spectrum()) > 2000 for f in fs[:2])
         for f in fs[:2]:
-            f.values  # the samples at hand: past the cap only f_n' is transformed
+            f.values  # samples at hand are not read: past the cap f_n is transformed anew
         sizes = fft_spy(monkeypatch)
         lemma_main_report(fs, seq, E, (start, start + 1 / L), L)
         assert sizes == [2048] * transforms
@@ -385,12 +395,13 @@ class TestLemmaReport:
     def test_cell_weights_match_cell_by_cell_oracle(self):
         grid = Grid(4.0, 64)
         E = ThickSet(((0.1, 0.73), (1.0, 1.0625), (2.5, 4.0)), (0.0, 4.0))
-        cells = CellQuadrature(E, grid, (0.0, 2.75))
+        J, window_weights, set_weights = _lemma_window(E, grid, (0.0, 2.75))
+        assert J.tolist() == list(range(44))  # the cells of [0, 2.75], 1/16 wide
         inside = [(0.1, 0.73), (1.0, 1.0625), (2.5, 2.75)]
-        np.testing.assert_allclose(cells.set_weights, cell_weights_oracle(grid, inside),
-                                   rtol=0, atol=1e-15)
-        np.testing.assert_allclose(cells.window_weights,
-                                   cell_weights_oracle(grid, [(0.0, 2.75)]), rtol=0, atol=1e-15)
+        for got, intervals in ((set_weights, inside), (window_weights, [(0.0, 2.75)])):
+            want = cell_weights_oracle(grid, intervals)
+            assert not want[44:].any()  # both weights are zero outside J
+            np.testing.assert_allclose(got, want[J], rtol=0, atol=1e-15)
         rng = np.random.default_rng(4)
         for period, samples in ((7.9999999999, 100), (3.0, 7)):
             grid = Grid(period, samples)
@@ -399,7 +410,9 @@ class TestLemmaReport:
                                                grid.spacing * rng.integers(0, samples + 1, 2)]))
                 E = ThickSet(tuple(zip(cuts[::2], cuts[1::2])), (0.0, period))
                 if E.measure > 0:
-                    np.testing.assert_allclose(CellQuadrature(E, grid).set_weights,
+                    J, _, set_weights = _lemma_window(E, grid, (0.0, period))
+                    assert J.size == samples  # the window is the whole period
+                    np.testing.assert_allclose(set_weights,
                                                cell_weights_oracle(grid, E.intervals),
                                                rtol=0, atol=1e-14)
 
@@ -454,7 +467,7 @@ class TestLemmaReport:
         message = (rf"^interval I = \[{interval[0]}, {interval[1]}\] is not inside "
                    rf"the grid window \[0, T\] = \[0.0, 0.5\]$")
         with pytest.raises(ValueError, match=message):
-            CellQuadrature(E, grid, interval)
+            _lemma_window(E, grid, interval)
         with pytest.raises(ValueError, match=message):
             lemma_main_report([f], Sequence((0,)), E, interval, L)
         lemma_main_report([f], Sequence((0,)), E, (0.25, 0.5), 4)  # I may end at T
@@ -556,7 +569,7 @@ def sampled_split(blocks, seq, schedule, L, E, grid):
     F = synthesize(blocks, seq, grid)
     power = np.abs(F.values) ** 2
     norm_sq = float(np.sum(power) * grid.spacing)
-    restricted = float(np.sum(CellQuadrature(E, grid).set_weights * power))
+    restricted = float(np.sum(_lemma_window(E, grid, (0.0, grid.period))[2] * power))
     energy = [float(np.sum(np.abs(np.asarray(b, dtype=complex)) ** 2)) for b in blocks]
     M = schedule.value(L)
     head = grid.period * sum(energy[: M - 1])

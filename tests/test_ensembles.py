@@ -10,8 +10,8 @@ from test_synthesis import dense_on_window
 
 from lacspec import concentration
 from lacspec.concentration import (
-    CellQuadrature,
     LemmaTerms,
+    _lemma_window,
     lemma_main_report,
     theorem_split_check,
 )
@@ -30,8 +30,8 @@ def per_function_lemma_rows(seq, E, grid, L, seed, trials):
     """Oracle: the lemma loop as it ran before the trials shared one array,
     with one random_band_function per frequency, f_n and f_n' on the window
     samples J from its dense spectrum, and F modulated piece by piece."""
-    cells = CellQuadrature(E, grid, (0.0, 1.0 / L))
-    S, J = grid.samples, cells.window_samples
+    J, w_i, w_e = _lemma_window(E, grid, (0.0, 1.0 / L))
+    S = grid.samples
     rows = []
     for trial in range(trials):
         rng = trial_rng(seed, trial)
@@ -47,8 +47,7 @@ def per_function_lemma_rows(seq, E, grid, L, seed, trials):
                 F += v * np.exp(2j * np.pi * float(lam) * (J * grid.spacing))
             sq += np.abs(v) ** 2
             sob += np.abs(dv) ** 2
-        w_i = cells.window_weights[J]
-        rows.append(LemmaTerms(float(np.sum(cells.set_weights[J] * np.abs(F) ** 2)),
+        rows.append(LemmaTerms(float(np.sum(w_e * np.abs(F) ** 2)),
                                float(np.sum(w_i * sq)), float(np.sum(w_i * (sq + sob)))))
     return rows
 
@@ -62,7 +61,7 @@ def test_lemma_rows_are_the_per_function_ones(period, L, direct):
     grid = Grid(period, 4096)
     E = periodic_comb(0.5, 1.0, (0.0, period))
     seq = Sequence((4, 16))
-    J = CellQuadrature(E, grid, (0.0, 1.0 / L)).window_samples
+    J = _lemma_window(E, grid, (0.0, 1.0 / L))[0]
     assert (J.size * grid.band_bins((0.0, 1.0)).size <= grid.samples) == direct
     assert all((grid.bin_of(lam) / period == lam) == (period == 16.0) for lam in seq.values)
     assert lemma_trials(seq, E, grid, L, 5, 6) == per_function_lemma_rows(seq, E, grid, L, 5, 6)
