@@ -2,22 +2,28 @@
 
 The central device is the compression of multiplication by the indicator of
 a set E to a finite span of exponentials.  Its entries are Gram integrals
-over E, computed in closed form per interval (never by sampled quadrature,
-which is kept only as a cross-check oracle in the tests), so eigenvalues are
-limited by linear-algebra conditioning alone.  The smallest eigenvalue is the
-best concentration constant on the truncated model space, and 1/lambda_min
-the constant of the norm inequality it certifies.
+over E, computed exactly in one of two forms (never by sampled quadrature,
+which is kept only as a cross-check oracle in the tests): a closed form per
+interval and distinct frequency difference, or, for lists whose differences
+are mostly distinct (lacunary and greedy ones), one product of the table of
+exact phases at the interval ends with its adjoint (see ``_gram_entries``).
+So eigenvalues are limited by linear-algebra conditioning alone.  The
+smallest eigenvalue is the best concentration constant on the truncated
+model space, and 1/lambda_min the constant of the norm inequality it
+certifies.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .sequences import Sequence, TailSchedule
+from .sequences import Sequence, TailSchedule, _exact_values
 from .sets import ThickSet
 from .synthesis import LEAKAGE_TOL, BandFunction, Grid, _samples, synthesize
 
@@ -62,7 +68,11 @@ def _phase_integrals(a, b, d: np.ndarray) -> np.ndarray:
 
 
 def interval_phase_integral(a, b, d) -> complex:
-    """Integral of e^{2 pi i d x} over [a, b]: the scalar view of the Gram kernel."""
+    """Integral of e^{2 pi i d x} over [a, b]: the scalar view of the closed
+    form, which the Gram kernel evaluates for lists of few distinct
+    differences and for pairs of frequencies less than 1 apart (see
+    ``_gram_entries``; its other pairs take (e(d b) - e(d a)) / (2 pi i d),
+    e(t) = e^{2 pi i t}, from exact end phases)."""
     return complex(_phase_integrals(a, b, np.array([float(d)]))[0])
 
 
@@ -173,10 +183,9 @@ def _set_intervals(E: ThickSet, grid: Grid | None = None) -> tuple:
     returned as floats.  Either way E must have positive measure.
     """
     if grid is None:
-        for a, b in E.intervals:
-            if a < -1e-12 or b > 1 + 1e-12:
-                raise ValueError("set must lie inside the unit torus [0, 1]")
-        intervals = E.intervals
+        intervals = E.intervals  # sorted and disjoint: the first and last ends bound them
+        if intervals and (intervals[0][0] < -1e-12 or intervals[-1][1] > 1 + 1e-12):
+            raise ValueError("set must lie inside the unit torus [0, 1]")
     else:
         w0, w1 = float(E.window[0]), float(E.window[1])
         if abs(w0) > 1e-9 or abs(w1 - grid.period) > 1e-9 * max(1.0, grid.period):
@@ -191,20 +200,136 @@ def _require_measure(E: ThickSet) -> None:
         raise ValueError("set must have positive measure")
 
 
+def _closed_form(d: np.ndarray, intervals, period) -> np.ndarray:
+    """(1/period) times the sum over the intervals of the closed form
+    (``_phase_integrals``) at each d, evaluated once per distinct d."""
+    distinct, inverse = np.unique(d, return_inverse=True)
+    acc = sum(_phase_integrals(a, b, distinct) for a, b in intervals)
+    # true division: numpy's complex / real multiplies by the reciprocal
+    return (acc.view(float) / period).view(complex)[inverse]
+
+
+def _ratio(x) -> tuple:
+    """x as (numerator, denominator), a float at its exact binary value."""
+    return (int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio()
+
+
+def _end_numerators(freqs, intervals, period) -> np.ndarray:
+    """The n x n matrix sum_x s_x e(f_n x / T) conj(e(f_m x / T)) over the 2J
+    interval ends x, s_x = -1 at a left end and +1 at a right one, with
+    e(t) = e^{2 pi i t} and T the period: P diag(s) P^H for the n x 2J table
+    P of end phases, one BLAS product.
+
+    Each phase t = f x / T is reduced mod 1 exactly before its one rounding
+    to float: with f = F / q and x / T = X / r as integer ratios over one
+    denominator each (a float at its binary value), t mod 1 is
+    (F X mod qr) / qr, taken in [-1/2, 1/2], in int64 while every such
+    product stays below 2**62 and in Python ints beyond.  P is built in
+    blocks of at most n columns (n >= 2 here), so no block holds more
+    entries than the result.
+    """
+    n = len(freqs)
+    ratios = [_ratio(f) for f in freqs]
+    q = math.lcm(*(d for _, d in ratios))
+    t_num, t_den = _ratio(period)
+    ends = tuple(itertools.chain.from_iterable(intervals))
+    r = math.lcm(*{_ratio(x)[1] for x in ends})
+    Q = q * r * t_num
+    dtype = np.int64 if Q <= 2**62 else object
+    F = np.array([p * (q // d) % Q for p, d in ratios], dtype=dtype)
+    X = np.fromiter((p * (r // d) * t_den % Q for p, d in map(_ratio, ends)),
+                    dtype=dtype, count=len(ends))
+    if dtype is np.int64 and int(F.max()) * int(X.max()) >= 2**62:
+        F, X = F.astype(object), X.astype(object)
+    width = n - n % 2  # even, so that each block starts at a left end
+    signs = np.tile([-1.0, 1.0], width // 2)
+    num = np.zeros((n, n), dtype=complex)
+    for lo in range(0, X.size, width):
+        t = (np.multiply.outer(F, X[lo:lo + width]) % Q / Q).astype(float, copy=False)
+        t -= np.round(t)  # exact: t in [-1/2, 1/2]
+        P = np.exp(2j * np.pi * t)
+        num += (P * signs[:P.shape[1]]) @ P.conj().T
+    return num
+
+
+def _endpoint_form(freqs, intervals, period, rows, cols, diffs) -> np.ndarray:
+    """The Gram entries of the pairs (rows, cols), f_rows - f_cols = diffs,
+    from the end phases (``_end_numerators``): for f_n != f_m,
+
+        (1/T) int_E e((f_n - f_m) x / T) dx
+            = sum_x s_x e(f_n x / T) conj(e(f_m x / T)) / (2 pi i (f_n - f_m)).
+
+    The quotient cancels where |f_n - f_m| < 1, so such pairs of a list
+    that is not integer take the closed form, and the diagonal is the sum of
+    the float widths over T, as the closed form gives it."""
+    entries = np.empty(diffs.size, dtype=complex)
+    diagonal = rows == cols
+    entries[diagonal] = sum(float(b - a) for a, b in intervals) / period
+    close = np.abs(diffs) < 1
+    near = close & ~diagonal
+    if near.any():
+        entries[near] = _closed_form(diffs[near] / period, intervals, period)
+    far = ~close
+    if far.any():
+        z = _end_numerators(freqs, intervals, period)[rows[far], cols[far]]
+        w = 2 * np.pi * diffs[far]
+        entries.real[far] = z.imag / w  # z / (i w), in true divisions
+        entries.imag[far] = -z.real / w
+    return entries
+
+
 def _gram_entries(freqs, intervals, period) -> np.ndarray:
     """Gram matrix of e^{2 pi i f x / period} over the intervals, over period.
 
-    Differences are exact (Python ints stay ints) until one conversion to
-    float; the closed form runs once per distinct difference and interval.
+    The differences f_n - f_m are exact until one conversion to float: in
+    int64 for integer frequencies within 2**62 of each other, as Python
+    numbers otherwise (``sequences._exact_values``).  A frequency or a
+    difference past the float range is refused, naming the sequence.  Two
+    forms give the entries of the upper triangle:
+
+    - the closed form (``_closed_form``) runs once per distinct difference
+      and interval: J numpy passes over the distinct differences;
+    - the endpoint form (``_endpoint_form``) builds one n x 2J table of exact
+      end phases and one rank-2J product, whatever the differences.
+
+    The endpoint form is taken when more than half of the n(n+1)/2 pairs of
+    the upper triangle have distinct differences, the closed form otherwise.
+    The first holds for lacunary and greedy lists (19 901 distinct of 20 100
+    pairs at n = 200), where the closed form would run once per pair; the
+    second for one grid band (Toeplitz) or an arithmetic progression of
+    n >= 3 terms, whose increasing list has n distinct differences, where
+    those few closed forms suffice.  Medians timed on a 2-vCPU Xeon: a
+    200-term greedy Gram over 6 intervals took 11.6 ms in the closed form
+    and 1.6 ms in all, endpoint form included.  On arithmetic progressions
+    over torus combs the endpoint form, forced, took 39 ms against the
+    closed form's 22 ms at n = 1000 over 64 blocks, 18 against 18 ms at
+    n = 400 over 256 blocks and 26 against 46 ms at n = 200 over 1024
+    blocks: the rule counts differences, not intervals, and keeps the closed
+    form on all three.  The two forms agree within about J units of
+    rounding per entry, and on the full torus the end phases of integer
+    frequencies are exactly 1, so the Gram matrix is exactly the identity
+    however large the terms.
     """
     n = len(freqs)
     rows, cols = np.triu_indices(n)
-    exact = np.array(freqs, dtype=object)
-    diffs = (exact[rows] - exact[cols]).astype(float) / period
-    distinct, inverse = np.unique(diffs, return_inverse=True)
-    acc = sum(_phase_integrals(a, b, distinct) for a, b in intervals)
-    # true division: numpy's complex / real multiplies by the reciprocal
-    entries = (acc.view(float) / period).view(complex)[inverse]
+    v = _exact_values(freqs)
+    try:
+        with np.errstate(over="ignore"):  # of float terms: refused below
+            diffs = (v[rows] - v[cols]).astype(float)
+        finite = math.isfinite(float(max(freqs, key=abs))) and np.isfinite(diffs).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"sequence: a frequency or a difference of two is past the largest "
+                         f"float {sys.float_info.max!r}")
+    scaled = diffs / period
+    # distinct values counted on a sort: np.unique without an inverse hashes
+    # its input, which left 1-2 MB more of the heap resident at n = 200
+    ordered = np.sort(scaled)
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > scaled.size:
+        entries = _endpoint_form(freqs, intervals, period, rows, cols, diffs)
+    else:
+        entries = _closed_form(scaled, intervals, period)
     m = np.zeros((n, n), dtype=complex)
     m[rows, cols] = entries
     m[cols, rows] = entries.conj()
@@ -215,7 +340,8 @@ def gram_matrix(E: ThickSet, seq: Sequence) -> HermitianForm:
     """Gram matrix of the exponentials of a frequency list restricted to E.
 
     Entry (n, m) is the integral of e^{2 pi i (lambda_n - lambda_m) x} over
-    E inside the unit torus, assembled from the per-interval closed form.
+    E inside the unit torus, assembled in the closed or the endpoint form
+    (see ``_gram_entries``).
     """
     intervals = _set_intervals(E)
     if len(seq) == 0:
@@ -276,7 +402,7 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     _require_dense(n)
     form = HermitianForm(
         n,
-        _gram_entries(bins, intervals, T),
+        _gram_entries(bins.tolist(), intervals, T),
         {
             "kind": "ls_compression",
             "bins": [int(k) for k in bins],

@@ -253,19 +253,22 @@ def _collision_threshold(seq: Sequence, L):
     return L
 
 
-def _differences(seq: Sequence, L=0) -> np.ndarray:
-    """Flat array of v[k] - v[l] over k != l, in row-major (k, l) order.
+def _exact_values(vals, L=0) -> np.ndarray:
+    """The values as an array whose differences, and those moved by L, are
+    exact: int64 for integer values when max - min + L < 2**62, the values
+    moved by the first so that no difference d or d +- L can overflow;
+    otherwise an object array of Python numbers, subtracted and compared
+    exactly as Python does."""
+    if (isinstance(L, int) and all(isinstance(x, int) for x in vals)
+            and max(vals) - min(vals) + L < 2**62):
+        return np.array([x - vals[0] for x in vals], dtype=np.int64)
+    return np.array(vals, dtype=object)
 
-    The dtype keeps every comparison exact: int64 for integer values when
-    max - min + L < 2**62, the values moved by the first so that each lies in
-    [0, 2**62) and d +- L cannot overflow; otherwise an object array of
-    Python numbers, compared exactly as Python compares them.
-    """
-    vals = seq.values
-    if seq.integer_valued and isinstance(L, int) and vals[-1] - vals[0] + L < 2**62:
-        v = np.array([x - vals[0] for x in vals], dtype=np.int64)
-    else:
-        v = np.array(vals, dtype=object)
+
+def _differences(seq: Sequence, L=0) -> np.ndarray:
+    """Flat array of v[k] - v[l] over k != l, in row-major (k, l) order, of
+    the exact values of ``_exact_values``."""
+    v = _exact_values(seq.values, L)
     return (v[:, None] - v[None, :])[~np.eye(v.size, dtype=bool)]
 
 

@@ -595,18 +595,47 @@ class TestCliMain:
         (["conc", "nazarov", "--builder", "arithmetic", "--count", "2500", "--pattern", "full"],
          2500),
         (["conc", "ls", "--period", "8", "--samples", "8192", "--band", "0,300"], 2401),
+        # the cubes have distinct differences, so their Gram takes the endpoint form
+        (["conc", "nazarov", "--input", "CUBES", "--pattern", "full"], 2500),
     ])
     def test_form_over_the_dense_cap_exits_two_unassembled(
-        self, capsys, deadline, monkeypatch, argv, dimension
+        self, tmp_path, capsys, deadline, monkeypatch, argv, dimension
     ):
         def refuse(*args, **kwargs):
             pytest.fail("the form was assembled")
 
-        monkeypatch.setattr(concentration, "_gram_entries", refuse)
+        for name in ("_gram_entries", "_closed_form", "_end_numerators"):
+            monkeypatch.setattr(concentration, name, refuse)
+        (tmp_path / "cubes.txt").write_text("".join(f"{k**3}\n" for k in range(2500)))
+        argv = [str(tmp_path / "cubes.txt") if a == "CUBES" else a for a in argv]
         with deadline(1.0):
             assert cli.main(argv) == 2
         assert (f"error: dimension {dimension} exceeds the dense solver cap 2000"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["nazarov", "gram"])
+    def test_a_difference_past_the_float_range_names_the_sequence(self, tmp_path, capsys,
+                                                                  command):
+        # each term is within the float range, their difference is not: both
+        # printed "error: int too large to convert to float"
+        big = int(1.7e308)
+        (tmp_path / "seq.txt").write_text(f"{-big}\n{big}\n")
+        assert cli.main(["conc", command, "--input", str(tmp_path / "seq.txt")]) == 2
+        assert capsys.readouterr().err == (
+            "error: sequence: a frequency or a difference of two is past the largest float "
+            "1.7976931348623157e+308\n")
+
+    @pytest.mark.parametrize("terms", [(-int(1.7e308), int(1.7e308)), (2**1100, 2**1100 + 1)])
+    def test_a_sweep_past_the_float_range_names_the_sequence(self, tmp_path, capsys, terms):
+        # both printed "error: int too large to convert to float", the first
+        # at the difference, the second at the terms
+        (tmp_path / "seq.txt").write_text("".join(f"{t}\n" for t in terms))
+        cfg = {**nazarov_config("o"), "sequence": {"file": "seq.txt"}}
+        assert run_cli(cfg, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "error: sequence: a frequency or a difference of two is past the largest float "
+            "1.7976931348623157e+308\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["lemma", "theorem"])
     def test_ensemble_refusals_name_the_input_at_fault(self, capsys, command):

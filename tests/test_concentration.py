@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import lacspec.concentration as conc
 from lacspec.concentration import (
     HermitianForm,
     LemmaTerms,
@@ -22,7 +24,7 @@ from lacspec.concentration import (
 )
 from lacspec.errors import NumericalError
 from lacspec.experiments import lemma_trials, split_trials
-from lacspec.sequences import Sequence, TailSchedule, build_counterexample
+from lacspec.sequences import Sequence, TailSchedule, build_counterexample, build_greedy
 from lacspec.sets import ThickSet, periodic_comb
 from lacspec.synthesis import (
     BandFunction,
@@ -51,6 +53,93 @@ def random_torus_set(rng, pieces=3):
     cuts = np.sort(rng.uniform(0, 1, size=2 * pieces))
     intervals = tuple((cuts[2 * i], cuts[2 * i + 1]) for i in range(pieces))
     return ThickSet(intervals, (0.0, 1.0))
+
+
+EPS = np.finfo(float).eps
+
+
+def closed_form_oracle(freqs, intervals, period):
+    """The Gram matrix of the closed form alone, as the kernel assembled
+    every list before the endpoint form: each difference exact in Python
+    numbers until one rounding to float, divided by the period, then
+    e^{i pi d (a+b)} sin(pi d (b-a)) / (pi d) per interval and distinct d
+    (the limit b - a where d (b-a) underflows), summed and divided by the
+    period."""
+    n = len(freqs)
+    rows, cols = np.triu_indices(n)
+    exact = np.array(freqs, dtype=object)
+    distinct, inverse = np.unique((exact[rows] - exact[cols]).astype(float) / period,
+                                  return_inverse=True)
+    acc = 0
+    for a, b in intervals:
+        width, center = float(b - a), float(a + b)
+        dw = distinct * width
+        k = np.round(dw)
+        s = np.sin(np.pi * (dw - k)) * (1 - 2 * (k % 2))
+        phase = distinct * center
+        phase -= 2 * np.round(phase / 2)
+        with np.errstate(invalid="ignore"):
+            z = np.exp(1j * np.pi * phase) * (s / (np.pi * distinct))
+        acc = acc + np.where(np.abs(dw) < np.finfo(float).tiny, width, z)
+    entries = (acc.view(float) / period).view(complex)[inverse]
+    m = np.zeros((n, n), dtype=complex)
+    m[rows, cols] = entries
+    m[cols, rows] = entries.conj()
+    return m
+
+
+def endpoint_entries(freqs, intervals, period):
+    """The upper triangle of the endpoint form, whatever the list, and that
+    of the oracle."""
+    rows, cols = np.triu_indices(len(freqs))
+    exact = np.array(freqs, dtype=object)
+    diffs = (exact[rows] - exact[cols]).astype(float)
+    return (conc._endpoint_form(freqs, intervals, period, rows, cols, diffs),
+            closed_form_oracle(freqs, intervals, period)[rows, cols])
+
+
+def endpoint_spy(monkeypatch):
+    """The list sizes of every Gram assembled in the endpoint form, in call
+    order."""
+    sizes = []
+    end_numerators = conc._end_numerators
+
+    def spy(freqs, *rest):
+        sizes.append(len(freqs))
+        return end_numerators(freqs, *rest)
+
+    monkeypatch.setattr(conc, "_end_numerators", spy)
+    return sizes
+
+
+@st.composite
+def gram_cases(draw):
+    """A frequency list, intervals inside [0, T] and T for the two forms.
+
+    Integer lists in int64 range, and lists spanning more than 2**62 (so
+    the differences are Python ints); Fractions and floats on (1/64)Z, so
+    that every difference is exact in float, with pairs closer than 1.  (A
+    difference that rounds moves the closed form, which evaluates the
+    rounded one, by up to pi |d| eps; the endpoint form keeps the exact
+    phases.)  Ends are exact Fractions or floats of any bits."""
+    period = draw(st.sampled_from([1, 2.0, 8.0, 128.0, 3.0]))
+    kind = draw(st.sampled_from(["int64", "past 2**62", "fraction", "float"]))
+    elements = {
+        "int64": st.integers(-10**6, 10**6),
+        "past 2**62": st.one_of(st.integers(-50, 50), st.integers(2**62, 2**62 + 50),
+                                st.integers(2**80 - 50, 2**80)),
+        "fraction": st.integers(-64000, 64000).map(lambda k: Fraction(k, 64)),
+        "float": st.integers(-64000, 64000).map(lambda k: k / 64),
+    }[kind]
+    freqs = sorted(draw(st.lists(elements, min_size=2, max_size=10, unique=True)))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 1000))
+        ends = st.integers(0, q).map(lambda k: Fraction(k, q) * Fraction(period))
+    else:
+        ends = st.floats(0.0, float(period))
+    cuts = sorted(draw(st.lists(ends, min_size=2, max_size=24, unique=True)))
+    cuts = cuts[: len(cuts) // 2 * 2]
+    return freqs, list(zip(cuts[0::2], cuts[1::2])), period
 
 
 class TestIntervalIntegral:
@@ -84,6 +173,76 @@ class TestGramMatrix:
         seq = Sequence(tuple(base + k for k in sorted(offsets)))
         G = gram_matrix(ThickSet(((0.0, 1.0),), (0.0, 1.0)), seq)
         np.testing.assert_array_equal(G.entries, np.eye(len(seq)))
+
+    @given(gram_cases())
+    @example(([0, 1], [(0.0, 0.5)], 1))
+    @example(([Fraction(0), Fraction(1, 64), Fraction(65, 64)], [(Fraction(1, 3), Fraction(1, 2))],
+              3.0))  # a close pair and a pair 1 + 1/64 apart
+    @example(([-3, 2**62 + 1, 2**80], [(0.0, 0.25), (0.5, 1.0)], 1))
+    @settings(max_examples=300, deadline=None)
+    def test_endpoint_form_matches_the_closed_form(self, case):
+        freqs, intervals, period = case
+        got, want = endpoint_entries(freqs, intervals, period)
+        assert np.max(np.abs(got - want)) <= 2 * len(intervals) * EPS
+        # the diagonal and the pairs closer than 1 are the closed form's bits
+        rows, cols = np.triu_indices(len(freqs))
+        exact = np.array(freqs, dtype=object)
+        close = np.abs((exact[rows] - exact[cols]).astype(float)) < 1
+        np.testing.assert_array_equal(got[close], want[close])
+
+    def test_exact_phases_beat_a_rounded_difference(self):
+        # a difference of 3001/3: the closed form evaluates it rounded to
+        # float, the endpoint form exactly (against mpmath at 40 digits)
+        mpmath = pytest.importorskip("mpmath")
+        freqs = [0, Fraction(3001, 3)]
+        intervals = [(Fraction(1, 8), Fraction(5, 8))]
+        got, want = endpoint_entries(freqs, intervals, 1)
+        with mpmath.workdps(40):
+            d = -mpmath.mpf(3001) / 3
+            exact = complex((mpmath.expjpi(2 * d * mpmath.mpf(5) / 8)
+                             - mpmath.expjpi(2 * d * mpmath.mpf(1) / 8)) / (2j * mpmath.pi * d))
+        assert abs(got[1] - exact) <= EPS * abs(exact)
+        assert abs(want[1] - exact) > 10 * abs(got[1] - exact)
+
+    def test_the_form_follows_the_distinct_differences(self, monkeypatch):
+        sizes = endpoint_spy(monkeypatch)
+        E = ThickSet(((0.0, 0.25), (0.5, 0.75)), (0.0, 1.0))
+        # n distinct differences of n(n+1)/2 pairs: the closed form
+        gram_matrix(E, Sequence(tuple(range(3, 300, 7))))
+        ls_constant(periodic_comb(0.5, 1.0, (0.0, 8.0)), (0.0, 4.0), Grid(8.0, 256))
+        assert sizes == []
+        # lacunary lists: the endpoint form
+        for seq in (build_greedy(60), build_counterexample(5), Sequence((0, 1, 3))):
+            G = gram_matrix(E, seq)
+            np.testing.assert_allclose(G.entries, closed_form_oracle(seq.values, E.intervals, 1),
+                                       rtol=0, atol=4 * EPS)
+        assert sizes == [60, 10, 3]
+
+    def test_a_comb_of_many_blocks_is_assembled_in_blocks(self):
+        # 10**5 exact blocks: a table of all 2 * 10**5 end phases of the 8
+        # frequencies would hold 12.8 MB as floats alone
+        E = periodic_comb(Fraction(1, 2), Fraction(1, 10**5), (0, 1))
+        intervals = E.intervals
+        freqs = (1, 3, 10, 31, 100, 316, 1000, 3162)
+        tracemalloc.start()
+        try:
+            G = conc._gram_entries(freqs, intervals, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(freqs) * 2 * len(intervals) * 8 / 2
+        # no frequency difference is a multiple of the 10**5 blocks: G = I/2
+        np.testing.assert_allclose(G, np.eye(len(freqs)) / 2, rtol=0, atol=1e-10)
+
+    def test_a_difference_past_the_float_range_is_refused(self):
+        message = (r"^sequence: a frequency or a difference of two is past the largest float "
+                   r"1\.7976931348623157e\+308$")
+        E = ThickSet(((0.0, 0.5),), (0.0, 1.0))
+        big = int(1.7e308)
+        for seq in (Sequence((-big, big)), Sequence((0, 2**1100)),
+                    Sequence((-1.7e308, 1.7e308))):
+            with pytest.raises(ValueError, match=message):
+                gram_matrix(E, seq)
 
     def test_two_by_two_half_torus(self):
         # entries checked against adaptive quadrature of the defining
@@ -196,12 +355,15 @@ class TestNazarovConstant:
             assert a <= b + 1e-12
 
     @pytest.mark.parametrize("K", [30, 36])  # 4**36 is past int64
-    def test_counterexample_on_full_torus_is_exact(self, K):
-        E = ThickSet(((0, 1),), (0, 1))
+    def test_counterexample_on_full_torus_is_exact(self, K, monkeypatch):
+        # the endpoint form: every end phase of an integer frequency is 1
+        sizes = endpoint_spy(monkeypatch)
         seq = build_counterexample(K)
-        np.testing.assert_array_equal(gram_matrix(E, seq).entries, np.eye(2 * K))
-        est = nazarov_constant(E, seq)
-        assert est.lambda_min == 1.0 and est.degenerate is False
+        for E in (ThickSet(((0, 1),), (0, 1)), ThickSet(((0.0, 1.0),), (0.0, 1.0))):
+            np.testing.assert_array_equal(gram_matrix(E, seq).entries, np.eye(2 * K))
+            est = nazarov_constant(E, seq)
+            assert est.lambda_min == 1.0 and est.degenerate is False
+        assert sizes == [2 * K] * 4
 
     def test_estimate_record(self):
         E = ThickSet(((0.0, 0.5),), (0.0, 1.0))
@@ -271,17 +433,18 @@ class TestEigensystem:
             hermitian_eigensystem(HermitianForm(2001, m, {}))
 
     def test_one_cap_before_assembly(self, monkeypatch):
-        import lacspec.concentration as conc
-
         def refuse(*args, **kwargs):
             pytest.fail("the form was assembled")
 
         monkeypatch.setattr(conc, "MAX_DENSE_DIM", 2)
         form = HermitianForm(3, np.eye(3), {})  # as read from a file
-        monkeypatch.setattr(conc, "_gram_entries", refuse)
+        for name in ("_gram_entries", "_closed_form", "_end_numerators"):
+            monkeypatch.setattr(conc, name, refuse)
         E = ThickSet(((0.0, 4.0),), (0.0, 4.0))
-        for call in (lambda: nazarov_constant(ThickSet(((0.0, 0.5),), (0.0, 1.0)),
-                                              Sequence((0, 1, 2))),
+        half = ThickSet(((0.0, 0.5),), (0.0, 1.0))
+        # (0, 1, 2) takes the closed form, (0, 1, 3) the endpoint form
+        for call in (lambda: nazarov_constant(half, Sequence((0, 1, 2))),
+                     lambda: nazarov_constant(half, Sequence((0, 1, 3))),
                      lambda: ls_constant(E, (0.0, 0.5), Grid(4.0, 64)),
                      lambda: hermitian_eigensystem(form)):
             with pytest.raises(ValueError, match="^dimension 3 exceeds the dense solver cap 2$"):

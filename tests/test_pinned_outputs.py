@@ -5,8 +5,10 @@ A refactor must leave these bytes alone.  A change that means to move an
 output updates its pin here and says why in CHANGES.md.
 """
 
+import csv
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -46,8 +48,8 @@ CONFIGS = {
 
 PINS = {
     "nazarov_sweep": {
-        "lambda_min_vs_measure.dat": "ae40cfa831d9721bd1f813847e7314a872224d31c15c56448c1474fb3d3b50e2",
-        "nazarov_sweep.csv": "5cb9815938f391af2a168231b991afb6807855021f4266f3dae4a1434d962f9b",
+        "lambda_min_vs_measure.dat": "7e4c0ae61b364a1b43e7429aebef06c00ea3b70ca0f7a479b3b10d37d57482e9",
+        "nazarov_sweep.csv": "d5439725158c8ec2fc2778b79fb0c2448142637ee598cb6c4ff893ca3e549fa0",
     },
     "greedy_growth": {
         "greedy_growth.csv": "518bb567b02861e32cc66a22feb32ea048aac83c74997aecc3659c4fcb096043",
@@ -88,3 +90,23 @@ def run_outputs(kind, base_dir) -> dict:
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_run_outputs_are_the_pinned_bytes(kind, tmp_path):
     assert run_outputs(kind, tmp_path) == PINS[kind]
+
+
+def test_nazarov_sweep_lambda_min_is_the_exact_eigenvalue(tmp_path):
+    """The pinned lambda_min of each measure m lies within 8 eps ||G|| of
+    the least eigenvalue of the exact Gram matrix of 1, 2, ..., 128 on
+    [0, m], an mpmath Hermitian eigensolve at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    run_outputs("nazarov_sweep", tmp_path)
+    with open(tmp_path / "out" / "nazarov_sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    freqs = [2**k for k in range(8)]
+    assert [float(r[0]) for r in rows] == [0.25, 0.5, 0.75]
+    with mpmath.workdps(50):
+        for measure, lambda_min, *_ in rows:
+            m = mpmath.mpf(measure)
+            G = mpmath.matrix([[m if f == g else (mpmath.expjpi(2 * (f - g) * m) - 1)
+                                / (2j * mpmath.pi * (f - g)) for g in freqs] for f in freqs])
+            eigenvalues = mpmath.eighe(G, eigvals_only=True)
+            norm = float(max(eigenvalues))
+            assert abs(float(lambda_min) - min(eigenvalues)) <= 8 * sys.float_info.epsilon * norm
