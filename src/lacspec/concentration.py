@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .sequences import Sequence, TailSchedule, _exact_values
-from .sets import ThickSet
+from .sets import Comb, ThickSet
 from .synthesis import LEAKAGE_TOL, BandFunction, Grid, _samples, synthesize
 
 __all__ = [
@@ -96,8 +96,7 @@ class HermitianForm:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (self.dimension, self.dimension):
             raise ValueError("entries must be a square matrix of the declared size")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
+        _require_hermitian(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -148,6 +147,22 @@ class ConcentrationEstimate:
         }
 
 
+def _require_hermitian(m: np.ndarray) -> None:
+    """Hermitian symmetry of a matrix, or of each of a stack, to HERMITIAN_TOL
+    entrywise."""
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+
+
+def _require_residual(residual: float, scale: float) -> None:
+    """The residual contract: ||G v - lambda v|| <= EIG_RESIDUAL_TOL ||G||."""
+    if scale > 0 and residual > EIG_RESIDUAL_TOL * scale:
+        raise NumericalError(
+            f"eigensolver residual {residual:.3e} exceeds "
+            f"{EIG_RESIDUAL_TOL} * ||G|| = {EIG_RESIDUAL_TOL * scale:.3e}"
+        )
+
+
 def _require_dense(dimension: int) -> None:
     """The dense solver cap, tested before a form is assembled or solved."""
     if dimension > MAX_DENSE_DIM:
@@ -165,12 +180,7 @@ def hermitian_eigensystem(form: HermitianForm):
     vals, vecs = np.linalg.eigh(form.entries)
     v0 = vecs[:, 0]
     residual = float(np.linalg.norm(form.entries @ v0 - vals[0] * v0))
-    scale = float(np.max(np.abs(vals)))
-    if scale > 0 and residual > EIG_RESIDUAL_TOL * scale:
-        raise NumericalError(
-            f"eigensolver residual {residual:.3e} exceeds "
-            f"{EIG_RESIDUAL_TOL} * ||G|| = {EIG_RESIDUAL_TOL * scale:.3e}"
-        )
+    _require_residual(residual, float(np.max(np.abs(vals))))
     return vals, vecs, residual
 
 
@@ -179,20 +189,26 @@ def _set_intervals(E: ThickSet, grid: Grid | None = None) -> tuple:
 
     Without a grid E must lie inside the unit torus [0, 1], and its
     endpoints are returned as given (exact types stay exact).  With a grid
-    E's window must be the grid window [0, T], and the endpoints are
-    returned as floats.  Either way E must have positive measure.
+    E's window must be the grid window [0, T] (``_check_on_grid``), and the
+    endpoints are returned as floats.  Either way E must have positive
+    measure.
     """
     if grid is None:
         intervals = E.intervals  # sorted and disjoint: the first and last ends bound them
         if intervals and (intervals[0][0] < -1e-12 or intervals[-1][1] > 1 + 1e-12):
             raise ValueError("set must lie inside the unit torus [0, 1]")
-    else:
-        w0, w1 = float(E.window[0]), float(E.window[1])
-        if abs(w0) > 1e-9 or abs(w1 - grid.period) > 1e-9 * max(1.0, grid.period):
-            raise ValueError("set window must coincide with the grid window [0, T]")
-        intervals = tuple((float(a), float(b)) for a, b in E.intervals)
+        _require_measure(E)
+        return intervals
+    _check_on_grid(E, grid)
+    return tuple((float(a), float(b)) for a, b in E.intervals)
+
+
+def _check_on_grid(E: ThickSet, grid: Grid) -> None:
+    """E's window is the grid window [0, T] and E has positive measure."""
+    w0, w1 = float(E.window[0]), float(E.window[1])
+    if abs(w0) > 1e-9 or abs(w1 - grid.period) > 1e-9 * max(1.0, grid.period):
+        raise ValueError("set window must coincide with the grid window [0, T]")
     _require_measure(E)
-    return intervals
 
 
 def _require_measure(E: ThickSet) -> None:
@@ -343,6 +359,7 @@ def gram_matrix(E: ThickSet, seq: Sequence) -> HermitianForm:
     E inside the unit torus, assembled in the closed or the endpoint form
     (see ``_gram_entries``).
     """
+    _require_dense(len(seq))
     intervals = _set_intervals(E)
     if len(seq) == 0:
         raise ValueError("need at least one frequency")
@@ -352,14 +369,25 @@ def gram_matrix(E: ThickSet, seq: Sequence) -> HermitianForm:
         {
             "kind": "gram",
             "frequencies": [float(v) for v in seq.values],
-            "set": E.to_dict(),
+            "set": _set_record(E, intervals),
         },
     )
 
 
-def _estimate(form: HermitianForm, discretization: dict) -> ConcentrationEstimate:
-    vals, _, residual = hermitian_eigensystem(form)
-    lam = float(vals[0])
+def _set_record(E: ThickSet, intervals) -> dict:
+    """A form's record of its set: window, measure and interval count, in
+    place of a list per interval, which would outweigh the form."""
+    return {
+        "window": [float(E.window[0]), float(E.window[1])],
+        "measure": float(E.measure),
+        "interval_count": len(intervals),
+        "periodic": E.periodic,
+    }
+
+
+def _estimate(lam: float, residual: float, discretization: dict) -> ConcentrationEstimate:
+    """The estimate of a least eigenvalue lam of a compression: refused when
+    negative beyond rounding, degenerate below DEGENERACY_FLOOR."""
     if lam < -1e-12:
         raise NumericalError(
             f"compression eigenvalue {lam} is negative beyond tolerance"
@@ -373,10 +401,11 @@ def _estimate(form: HermitianForm, discretization: dict) -> ConcentrationEstimat
 def nazarov_constant(E: ThickSet, seq: Sequence) -> ConcentrationEstimate:
     """Best constant of the torus concentration inequality for a finite
     frequency list: the smallest Gram eigenvalue and its reciprocal."""
-    _require_dense(len(seq))
     form = gram_matrix(E, seq)
+    vals, _, residual = hermitian_eigensystem(form)
     return _estimate(
-        form,
+        float(vals[0]),
+        residual,
         {
             "model": "torus_gram",
             "dimension": form.dimension,
@@ -394,24 +423,39 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     the identity.  Returns the smallest eigenvalue and C = 1/lambda_min, the
     best constant of the norm inequality on the truncated model space.  The
     span is over ``grid.band_bins(profile)``, refused unless 2*max|k| < S.
+
+    A set of ``periodic_comb`` whose M blocks of width delta tile the grid
+    period (M delta = T) is solved class by class (``_comb_eigenpair``): the
+    compression is the direct sum of one block per residue class of the bins
+    mod M.  Every other set, a comb rebuilt from its intervals included,
+    gets the dense n x n form.  Either way the dense solver cap applies to
+    the number n of bins, before anything is assembled.
     """
-    intervals = _set_intervals(E, grid)
+    _check_on_grid(E, grid)
     T = grid.period
     bins = grid.band_bins(profile)
     n = bins.size
     _require_dense(n)
-    form = HermitianForm(
-        n,
-        _gram_entries(bins.tolist(), intervals, T),
-        {
-            "kind": "ls_compression",
-            "bins": [int(k) for k in bins],
-            "grid": {"period": T, "samples": grid.samples},
-            "set": E.to_dict(),
-        },
-    )
+    comb = E.comb
+    if comb is not None and comb.blocks * comb.delta == T:
+        lam, residual = _comb_eigenpair(comb, bins)
+    else:
+        intervals = _set_intervals(E, grid)
+        form = HermitianForm(
+            n,
+            _gram_entries(bins.tolist(), intervals, T),
+            {
+                "kind": "ls_compression",
+                "bins": [int(bins[0]), int(bins[-1])],
+                "grid": {"period": T, "samples": grid.samples},
+                "set": _set_record(E, intervals),
+            },
+        )
+        vals, _, residual = hermitian_eigensystem(form)
+        lam = float(vals[0])
     return _estimate(
-        form,
+        lam,
+        residual,
         {
             "model": "ls_compression",
             "dimension": n,
@@ -419,6 +463,54 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
             "grid": {"period": T, "samples": grid.samples},
         },
     )
+
+
+def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
+    """(lambda_min, residual) of the compression to the bins over a comb of
+    M = ``comb.blocks`` blocks that tile the grid period T, M delta = T.
+
+    Entry (k, l) is (1/T) int_E e^{2 pi i (k - l) x / T} dx.  Summed over
+    the blocks it is M times one block's integral when M divides k - l, and
+    0 otherwise, so the compression is the direct sum of one block per
+    residue class of the bins mod M.  With k - l = M j and x = delta u, a
+    class entry is int e^{2 pi i j u} du over [w0, w0 + fill] / delta: one
+    interval's closed form (``_closed_form``) at integer j, so a full comb
+    (fill = delta) gives identity blocks exactly.
+
+    A class's block depends only on its bins' offsets from its first bin,
+    so the classes of one size are stacked by their distinct offset
+    patterns (a contiguous band has one pattern per size, and sizes differ
+    by at most one) and solved by one batched ``eigh`` per size.  Each
+    block is checked Hermitian.  lambda_min is the least eigenvalue of all
+    blocks, the residual is ||G_c v - lambda_min v|| of the block c that
+    attains it, and the residual contract takes max |lambda| over all
+    blocks as ||G||.
+    """
+    M = comb.blocks
+    interval = [(comb.start / comb.delta, (comb.start + comb.fill) / comb.delta)]
+    residues = bins % M
+    ordered = bins[np.lexsort((bins, residues))]  # by class, each class increasing
+    _, first, sizes = np.unique(np.sort(residues), return_index=True, return_counts=True)
+    least, scale = None, 0.0
+    for size in np.unique(sizes):
+        members = ordered[first[sizes == size][:, None] + np.arange(size)]
+        patterns = np.unique((members - members[:, :1]) // M, axis=0)
+        rows, cols = np.triu_indices(size)
+        j = (patterns[:, rows] - patterns[:, cols]).astype(float)
+        entries = _closed_form(j.ravel(), interval, 1).reshape(j.shape)
+        G = np.zeros((len(patterns), size, size), dtype=complex)
+        G[:, rows, cols] = entries
+        G[:, cols, rows] = entries.conj()
+        _require_hermitian(G)
+        vals, vecs = np.linalg.eigh(G)
+        scale = max(scale, float(np.max(np.abs(vals))))
+        c = int(np.argmin(vals[:, 0]))
+        if least is None or vals[c, 0] < least[0]:
+            least = (float(vals[c, 0]), G[c], vecs[c, :, 0])
+    lam, G, v = least
+    residual = float(np.linalg.norm(G @ v - lam * v))
+    _require_residual(residual, scale)
+    return lam, residual
 
 
 def _cell_weights(grid: Grid, intervals) -> np.ndarray:

@@ -62,6 +62,16 @@ def _ratio(num, den):
     return num / den
 
 
+class Comb(NamedTuple):
+    """The structure of a comb of ``periodic_comb``: the blocks
+    [start + k delta, start + k delta + fill] for k < blocks, as given."""
+
+    start: object
+    delta: object
+    fill: object
+    blocks: int
+
+
 class _Frame(NamedTuple):
     """A set in the number frame of one call.
 
@@ -128,11 +138,16 @@ class ThickSet:
     ``partition_good_bad`` are built on first use and kept on the instance,
     outside ==, hash and repr.  An exact comb of ``periodic_comb`` is built
     from its table instead, and its intervals are made on first read.
+
+    ``comb`` is the ``Comb`` a set of ``periodic_comb`` was built from, and
+    None for every other set, one built from a comb's intervals included.
+    Like the tables it is kept outside ==, hash and repr.
     """
 
     intervals: tuple
     window: tuple
     periodic: bool = False
+    comb = None  # not a field: set on the instance by periodic_comb
 
     def __post_init__(self):
         if not isinstance(self.periodic, bool):
@@ -396,6 +411,8 @@ def periodic_comb(gamma, delta, window=(0, 1)) -> ThickSet:
 
     A comb of more than MAX_COMB_BLOCKS blocks is refused before any block
     is built, so that a tiny delta fails at once instead of filling memory.
+    The set records its ``Comb`` (window start, delta, fill, blocks), also
+    when a full comb (gamma = 1) merges into one interval.
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
@@ -417,11 +434,12 @@ def periodic_comb(gamma, delta, window=(0, 1)) -> ThickSet:
         raise ValueError("window must hold an integer number of blocks")
     fill = gamma * delta
     if _is_exact(w0, w1, delta, fill):
-        return _exact_comb(w0, w1, delta, fill, nb)
-    pieces = tuple(
-        (w0 + k * delta, w0 + k * delta + fill) for k in range(nb)
-    )
-    return ThickSet(pieces, (w0, w1), True)
+        E = _exact_comb(w0, w1, delta, fill, nb)
+    else:
+        E = ThickSet(tuple((w0 + k * delta, w0 + k * delta + fill) for k in range(nb)),
+                     (w0, w1), True)
+    object.__setattr__(E, "comb", Comb(w0, delta, fill, nb))
+    return E
 
 
 def _exact_comb(w0, w1, delta, fill, nb: int) -> ThickSet:

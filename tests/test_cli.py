@@ -597,6 +597,8 @@ class TestCliMain:
         (["conc", "ls", "--period", "8", "--samples", "8192", "--band", "0,300"], 2401),
         # the cubes have distinct differences, so their Gram takes the endpoint form
         (["conc", "nazarov", "--input", "CUBES", "--pattern", "full"], 2500),
+        (["conc", "gram", "--builder", "arithmetic", "--count", "2500", "--pattern", "full"],
+         2500),
     ])
     def test_form_over_the_dense_cap_exits_two_unassembled(
         self, tmp_path, capsys, deadline, monkeypatch, argv, dimension

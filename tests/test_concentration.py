@@ -224,15 +224,23 @@ class TestGramMatrix:
         E = periodic_comb(Fraction(1, 2), Fraction(1, 10**5), (0, 1))
         intervals = E.intervals
         freqs = (1, 3, 10, 31, 100, 316, 1000, 3162)
-        tracemalloc.start()
-        try:
-            G = conc._gram_entries(freqs, intervals, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < len(freqs) * 2 * len(intervals) * 8 / 2
+        peaks = []
+        for assemble in (lambda: conc._gram_entries(freqs, intervals, 1),
+                         lambda: gram_matrix(E, Sequence(freqs))):
+            tracemalloc.start()
+            try:
+                G = assemble()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < len(freqs) * 2 * len(intervals) * 8 / 2
         # no frequency difference is a multiple of the 10**5 blocks: G = I/2
-        np.testing.assert_allclose(G, np.eye(len(freqs)) / 2, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(G.entries, np.eye(len(freqs)) / 2, rtol=0, atol=1e-10)
+        # the form records its set in a few numbers: a list per interval
+        # would hold three times what assembly does
+        assert peaks[1] <= 1.5 * peaks[0]
+        assert G.provenance["set"] == {
+            "window": [0.0, 1.0], "measure": 0.5, "interval_count": 10**5, "periodic": True}
 
     def test_a_difference_past_the_float_range_is_refused(self):
         message = (r"^sequence: a frequency or a difference of two is past the largest float "
@@ -424,6 +432,131 @@ class TestLsConstant:
         E = ThickSet(((0.0, 8.0),), (0.0, 8.0))
         with pytest.raises(ValueError, match="Nyquist"):
             ls_constant(E, (0.0, 4.0), grid)
+
+
+@st.composite
+def comb_cases(draw):
+    """A comb of M blocks of width delta on [0, T], T = M delta, with exact
+    (Fraction) or float ends and any fill gamma in (0, 1], and a band or a
+    lacunary profile on a grid that resolves it."""
+    M = draw(st.integers(1, 32))
+    delta = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1, 2, 3]))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 200))
+        E = periodic_comb(Fraction(draw(st.integers(1, q)), q), delta, (0, M * delta))
+    else:
+        gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
+        E = periodic_comb(gamma, float(delta), (0.0, float(M * delta)))
+        assume(E.measure > 0)  # a fill that underflows leaves no block
+    T = float(M * delta)
+    if draw(st.booleans()):
+        lo = draw(st.integers(-3, 3))
+        profile = (float(lo), lo + draw(st.floats(0.5, 6.0)))
+    else:
+        start, ratio = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        count = draw(st.integers(1, 3))
+        profile = SpectralProfile(Sequence(tuple(start * ratio**k for k in range(count))))
+    try:
+        bins = Grid(T, 2**24).band_bins(profile)
+    except ValueError:  # a band narrower than the bin spacing 1/T
+        assume(False)
+    assume(bins.size <= 300)
+    return E, profile, Grid(T, 2 ** (2 * int(np.abs(bins).max()) + 1).bit_length())
+
+
+class TestCombClasses:
+    @given(comb_cases())
+    @example((periodic_comb(1.0, 0.1, (0.0, 1.0)), (0.0, 20.0), Grid(1.0, 64)))
+    @example((periodic_comb(Fraction(1, 3), 1, (0, 8)),
+              SpectralProfile(Sequence((2, 6, 18))), Grid(8.0, 1024)))
+    @example((periodic_comb(0.5, 1.0, (0.0, 64.0)), SpectralProfile(Sequence((2, 8))),
+              Grid(64.0, 2048)))
+    @settings(max_examples=200, deadline=None)
+    def test_classes_match_the_dense_path(self, case):
+        # the dense path on the same set rebuilt from its intervals is the
+        # oracle; over 6000 seeded cases |delta lambda_min| peaked at 0.64
+        # eps (n ||G|| + M), so the bound is 4 eps (n ||G|| + M).  The M eps
+        # term is the oracle's: it sums M intervals whose rounded ends and
+        # phases leave about eps each, where the class path evaluates one
+        # (a comb of fill 1/64 on 12 blocks of 1/4 differs by 28 n eps ||G||)
+        E, profile, grid = case
+        rebuilt = ThickSet(E.intervals, E.window, True)
+        assert E.comb.blocks * E.comb.delta == grid.period and rebuilt.comb is None
+        got, want = ls_constant(E, profile, grid), ls_constant(rebuilt, profile, grid)
+        bins = grid.band_bins(profile)
+        intervals = tuple((float(a), float(b)) for a, b in E.intervals)
+        norm = np.linalg.eigvalsh(conc._gram_entries(bins.tolist(), intervals, grid.period))[-1]
+        assert abs(got.lambda_min - want.lambda_min) <= 4 * EPS * (bins.size * norm
+                                                                   + E.comb.blocks)
+        assert got.residual <= conc.EIG_RESIDUAL_TOL * norm
+        assert got.discretization == want.discretization
+
+    @pytest.mark.parametrize("E, grid", [
+        (periodic_comb(1, Fraction(1, 3), (0, 2)), Grid(2.0, 64)),
+        (periodic_comb(1.0, 0.1, (0.0, 1.0)), Grid(1.0, 64)),
+        (periodic_comb(Fraction(1), 2, (0, 128)), Grid(128.0, 4096)),
+    ])
+    def test_a_full_comb_is_exactly_one(self, E, grid):
+        # the blocks come from the record: the exact combs merge into one
+        # interval, and the float one has a gap of one rounding at 0.6
+        for profile in ((0.0, 3.0), SpectralProfile(Sequence((2, 6)))):
+            est = ls_constant(E, profile, grid)
+            assert est.lambda_min == 1.0 and est.constant_C == 1.0 and est.residual == 0.0
+
+    def test_a_comb_assembles_no_dense_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("a dense form was assembled")
+
+        for name in ("_gram_entries", "_end_numerators", "hermitian_eigensystem"):
+            monkeypatch.setattr(conc, name, refuse)
+        for E, profile, grid in (
+            (periodic_comb(0.5, 1.0, (0.0, 128.0)), (0.0, 8.0), Grid(128.0, 4096)),
+            (periodic_comb(Fraction(3, 16), 2, (0, 64)), (0.0, 1.0), Grid(64.0, 256)),
+            (periodic_comb(0.5, 1.0, (0.0, 256.0)), SpectralProfile(Sequence((2, 4, 8, 16))),
+             Grid(256.0, 16384)),
+        ):
+            est = ls_constant(E, profile, grid)
+            assert 0 < est.lambda_min <= E.measure / grid.period
+
+    def test_other_sets_take_the_dense_path(self, monkeypatch):
+        sizes = []
+        gram_entries = conc._gram_entries
+
+        def spy(freqs, *rest):
+            sizes.append(len(freqs))
+            return gram_entries(freqs, *rest)
+
+        monkeypatch.setattr(conc, "_gram_entries", spy)
+        grid = Grid(8.0, 256)
+        comb = periodic_comb(0.5, 1.0, (0.0, 8.0))
+        ls_constant(comb, (0.0, 1.0), grid)
+        assert sizes == []
+        # a union, the comb rebuilt from its intervals or from its record,
+        # and a comb whose blocks do not tile the grid period
+        off_period = periodic_comb(0.5, 1.0, (0.0, 8.0 + 5e-10))
+        for E, T in ((ThickSet(((0.0, 1.0), (3.0, 5.5)), (0.0, 8.0)), 8.0),
+                     (ThickSet(comb.intervals, comb.window, True), 8.0),
+                     (ThickSet.from_dict(comb.to_dict()), 8.0),
+                     (off_period, 8.0 + 5e-10)):
+            ls_constant(E, (0.0, 1.0), Grid(T, 256))
+        assert sizes == [9, 9, 9, 9]
+
+    def test_the_cap_is_on_every_bin(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("a block was assembled")
+
+        monkeypatch.setattr(conc, "MAX_DENSE_DIM", 8)
+        monkeypatch.setattr(conc, "_closed_form", refuse)
+        # 9 bins in classes of at most 2 mod 8
+        with pytest.raises(ValueError, match="^dimension 9 exceeds the dense solver cap 8$"):
+            ls_constant(periodic_comb(0.5, 1.0, (0.0, 8.0)), (0.0, 1.0), Grid(8.0, 256))
+
+    def test_the_comb_checks_hold(self):
+        E = periodic_comb(0.5, 1.0, (0.0, 8.0))
+        with pytest.raises(ValueError, match="window"):
+            ls_constant(periodic_comb(0.5, 1.0, (0.0, 4.0)), (0.0, 1.0), Grid(8.0, 256))
+        with pytest.raises(ValueError, match="Nyquist"):
+            ls_constant(E, (0.0, 4.0), Grid(8.0, 32))
 
 
 class TestEigensystem:
