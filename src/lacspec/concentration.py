@@ -155,8 +155,9 @@ def _require_hermitian(m: np.ndarray) -> None:
 
 
 def _require_residual(residual: float, scale: float) -> None:
-    """The residual contract: ||G v - lambda v|| <= EIG_RESIDUAL_TOL ||G||."""
-    if scale > 0 and residual > EIG_RESIDUAL_TOL * scale:
+    """The residual contract: ||G v - lambda v|| <= EIG_RESIDUAL_TOL ||G||,
+    which a NaN residual fails."""
+    if scale > 0 and not residual <= EIG_RESIDUAL_TOL * scale:
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds "
             f"{EIG_RESIDUAL_TOL} * ||G|| = {EIG_RESIDUAL_TOL * scale:.3e}"
@@ -170,18 +171,59 @@ def _require_dense(dimension: int) -> None:
 
 
 def hermitian_eigensystem(form: HermitianForm):
-    """Full dense Hermitian decomposition with a residual contract.
+    """Eigenvalues of a dense Hermitian form and its least eigenpair, with a
+    residual contract.
 
-    Returns (eigenvalues ascending, eigenvectors, residual of the smallest
-    pair).  Raises NumericalError when the residual exceeds
+    Returns (eigenvalues ascending, a unit eigenvector v of the least
+    eigenvalue lambda_0, residual ||G v - lambda_0 v||).  The eigenvalues
+    come from ``eigvalsh``, which skips the eigenbasis that ``eigh`` builds
+    (about half of its time at n = 200).  v comes from inverse iteration:
+    solves of (G - sigma I) x = b from a fixed start vector b, with sigma =
+    lambda_0 - eps ||G||.  A solve scales each eigencomponent of b by
+    1 / (lambda_k - sigma), so it shrinks the others against the least one
+    by |lambda_0 - sigma| / (lambda_k - sigma), and leaves a residual of
+    about |lambda_0 - sigma| times their weight in b over the least one's.
+    One solve is not enough: on a 200-term greedy Gram it left 110 eps ||G||
+    (``eigh`` 2 eps ||G||), and from a start vector nearly orthogonal to v
+    it can break the contract (from the all-ones vector, the arithmetic
+    progression 0..79 over [0, 1/8] was left at 2.6e-8 ||G||).  A second
+    solve took both to rounding size (3 eps ||G||, 1.6e-15 ||G||), so it is
+    taken unless the first already left at most eps ||G||, as on the
+    identity.  The shift is at least the smallest normal float, so that a
+    zero or subnormal ||G|| still gives a nonsingular system, and it is
+    doubled while G - sigma I is singular in floating point.  Each iterate
+    is scaled by its largest entry before it is normalized, so its norm
+    cannot overflow.  Raises NumericalError when the residual exceeds
     EIG_RESIDUAL_TOL times the spectral norm.
     """
     _require_dense(form.dimension)
-    vals, vecs = np.linalg.eigh(form.entries)
-    v0 = vecs[:, 0]
-    residual = float(np.linalg.norm(form.entries @ v0 - vals[0] * v0))
-    _require_residual(residual, float(np.max(np.abs(vals))))
-    return vals, vecs, residual
+    G, n = form.entries, form.dimension
+    vals = np.linalg.eigvalsh(G)
+    lam, scale = float(vals[0]), float(max(-vals[0], vals[-1]))
+    eps = np.finfo(float).eps
+    shift = max(eps * scale, np.finfo(float).tiny)
+    # a fixed start vector with no symmetry that a Toeplitz or circulant
+    # form's eigenvectors share: the fractional parts of k sqrt(2), k sqrt(3)
+    k = np.arange(1, n + 1)
+    v = (k * math.sqrt(2)) % 1 - 0.5 + 1j * ((k * math.sqrt(3)) % 1 - 0.5)
+    while True:
+        shifted = G.copy()
+        shifted.flat[::n + 1] -= lam - shift
+        try:
+            x = np.linalg.solve(shifted, v)
+            break
+        except np.linalg.LinAlgError:  # lam - shift is an eigenvalue to working precision
+            shift *= 2
+    for step in range(2):
+        if step:
+            x = np.linalg.solve(shifted, v)
+        x /= np.max(np.abs(x))
+        v = x / np.linalg.norm(x)
+        residual = float(np.linalg.norm(G @ v - lam * v))
+        if residual <= eps * scale:
+            break
+    _require_residual(residual, scale)
+    return vals, v, residual
 
 
 def _set_intervals(E: ThickSet, grid: Grid | None = None) -> tuple:

@@ -281,9 +281,20 @@ def zygmund_constant(
     (k', l'), k' != l', whose difference lies within L of the (k, l)
     difference.  The pair itself is included, so the constant is >= 1 on any
     sequence with two or more terms.  Enumeration is exhaustive over the
-    truncation: the differences are sorted once and each count is two
-    binary searches.  Integer values stay exact, in int64 where the range
-    allows and as Python integers in an object array otherwise.
+    truncation, yet it runs over the n(n - 1)/2 positive differences
+    p = v[l] - v[k], k < l, alone: the values increase strictly, and the
+    count c(d) of a difference d equals c(-d), so for d > 0 it is
+
+        #{p : |p - d| <= L} + #{p : p <= L - d},
+
+    the second term counting the negated differences -p within L of d,
+    and nonzero only when d < L.  The positive differences are sorted once,
+    each count is two binary searches (three for d < L), and the sorted
+    table serves as its own needles, since a count depends only on the
+    value.  The pairs whose difference takes an attaining value, (k, l) and
+    (l, k) alike, form the witness in row-major order.  Integer values stay
+    exact, in int64 where the range allows and as Python integers in an
+    object array otherwise.
     """
     if L < 1:
         raise ValueError("collision threshold L must be >= 1")
@@ -291,18 +302,27 @@ def zygmund_constant(
     if n < 2:
         return LacunarityReport(kind, float(L), 0)
     L = _collision_threshold(seq, L)
-    d = _differences(seq, L)
-    # a count depends only on the value, so the sorted table serves as its
-    # own needles; `order` maps the attaining entries back to (k, l) order
-    order = np.argsort(d)
-    table = d[order]
+    v = _exact_values(seq.values, L)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    p = (v[None, :] - v[:, None])[upper]  # v[l] - v[k] for k < l, row-major
+    table = np.sort(p)
     c = np.searchsorted(table, table + L, side="right") - np.searchsorted(table, table - L)
+    near = np.searchsorted(table, L)  # the differences below L
+    c[:near] += np.searchsorted(table, L - table[:near], side="right")
     best = int(c.max())
-    attained = np.zeros(d.size, dtype=bool)
-    attained[order[c == best]] = True
-    k, l = np.divmod(np.flatnonzero(attained), n - 1)
-    l += l >= k  # the diagonal k == l is skipped
-    witness = np.column_stack((k, l)) + index_offset
+    attained = c == best
+    hit = np.zeros((n, n), dtype=bool)
+    if attained.all():  # as on every greedy list, whose constant is 1
+        hit[upper] = True
+    else:  # membership of each difference among the attaining values
+        values = table[attained]
+        at = np.minimum(np.searchsorted(values, p), values.size - 1)
+        hit[upper] = values[at] == p
+    hit |= hit.T
+    pairs = np.flatnonzero(hit)
+    witness = np.empty((pairs.size, 2), dtype=np.int64)
+    np.divmod(pairs, n, out=(witness[:, 0], witness[:, 1]))
+    witness += index_offset
     witness.flags.writeable = False  # frozen here, the report keeps it uncopied
     return LacunarityReport(kind, float(L), best, witness)
 

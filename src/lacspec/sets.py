@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -436,10 +437,29 @@ def periodic_comb(gamma, delta, window=(0, 1)) -> ThickSet:
     if _is_exact(w0, w1, delta, fill):
         E = _exact_comb(w0, w1, delta, fill, nb)
     else:
-        E = ThickSet(tuple((w0 + k * delta, w0 + k * delta + fill) for k in range(nb)),
-                     (w0, w1), True)
+        E = ThickSet(_float_blocks(w0, delta, fill, nb), (w0, w1), True)
     object.__setattr__(E, "comb", Comb(w0, delta, fill, nb))
     return E
+
+
+def _over_one_denominator(*xs) -> tuple:
+    """(q, numerators): each x as an integer over q, the lcm of the
+    denominators of their exact values (a float at its binary value)."""
+    ratios = [(int(x), 1) if isinstance(x, Integral) else x.as_integer_ratio() for x in xs]
+    q = math.lcm(*(d for _, d in ratios))
+    return q, [p * (q // d) for p, d in ratios]
+
+
+def _float_blocks(w0, delta, fill, nb: int) -> tuple:
+    """The blocks [w0 + k delta, w0 + k delta + fill], k < nb, of a comb
+    with a float among w0, delta and fill: each end is its exact value,
+    from the binary values of the three, rounded once to float (integer
+    true division rounds correctly).  So a full comb's blocks touch and
+    merge into one interval, as an exact comb's do, where summing in float
+    would leave gaps of one rounding (1.0 for 10 x 0.1 in float, but
+    0.6000000000000001 for 6 x 0.1)."""
+    scale, (w0s, step, width) = _over_one_denominator(w0, delta, fill)
+    return tuple((a / scale, (a + width) / scale) for a in range(w0s, w0s + nb * step, step))
 
 
 def _exact_comb(w0, w1, delta, fill, nb: int) -> ThickSet:
@@ -457,9 +477,7 @@ def _exact_comb(w0, w1, delta, fill, nb: int) -> ThickSet:
     b0 = a0 + fill
     if fill == delta:
         return ThickSet(((a0, w0 + (nb - 1) * delta + fill),), (w0, w1), True)
-    ends = (w0, delta, fill)
-    scale = math.lcm(*(Fraction(t).denominator for t in ends))
-    w0s, step, width = ((Fraction(t) * scale).numerator for t in ends)
+    scale, (w0s, step, width) = _over_one_denominator(w0, delta, fill)
     dtype = np.int64 if (w1 - w0) * scale < _INT64_REACH else object
     starts = np.arange(nb, dtype=np.int64).astype(dtype) * step
     E = ThickSet.__new__(ThickSet)

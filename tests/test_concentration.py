@@ -497,11 +497,15 @@ class TestCombClasses:
         (periodic_comb(Fraction(1), 2, (0, 128)), Grid(128.0, 4096)),
     ])
     def test_a_full_comb_is_exactly_one(self, E, grid):
-        # the blocks come from the record: the exact combs merge into one
-        # interval, and the float one has a gap of one rounding at 0.6
+        # the blocks come from the record, and every full comb merges into
+        # one interval, the float one of 10 blocks of 0.1 too, so the dense
+        # path on the comb rebuilt from its intervals is exactly one as well
+        assert E.intervals == ((E.window[0], E.window[1]),)
+        rebuilt = ThickSet(E.intervals, E.window, True)
         for profile in ((0.0, 3.0), SpectralProfile(Sequence((2, 6)))):
-            est = ls_constant(E, profile, grid)
-            assert est.lambda_min == 1.0 and est.constant_C == 1.0 and est.residual == 0.0
+            for F in (E, rebuilt):
+                est = ls_constant(F, profile, grid)
+                assert est.lambda_min == 1.0 and est.constant_C == 1.0 and est.residual == 0.0
 
     def test_a_comb_assembles_no_dense_form(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -559,6 +563,41 @@ class TestCombClasses:
             ls_constant(E, (0.0, 4.0), Grid(8.0, 32))
 
 
+def solve_spy(monkeypatch):
+    """The right-hand side of every np.linalg.solve call, in call order."""
+    rhs = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        rhs.append(b.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return rhs
+
+
+@st.composite
+def eigen_cases(draw):
+    """A random Hermitian matrix scaled by 10^-100 to 10^100, or the Gram
+    matrix over random torus intervals of a random integer list, an
+    arithmetic progression (clustered spectra) or a greedy prefix."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["hermitian", "random", "progression", "greedy"]))
+    if kind == "hermitian":
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return HermitianForm(n, (a + a.conj().T) * 10.0 ** draw(st.integers(-100, 100)), {})
+    E = random_torus_set(rng, pieces=draw(st.integers(1, 5)))
+    if kind == "random":
+        freqs = sorted(int(f) for f in rng.choice(10**6, n, replace=False))
+    elif kind == "progression":
+        freqs = range(0, draw(st.integers(1, 3)) * n, draw(st.integers(1, 3)))[:n]
+    else:
+        freqs = build_greedy(n).values
+    assume(len(freqs) == n)
+    return gram_matrix(E, Sequence(tuple(freqs)))
+
+
 class TestEigensystem:
     def test_dimension_cap(self):
         m = np.eye(2001)
@@ -585,9 +624,100 @@ class TestEigensystem:
 
     def test_residual_reported(self):
         G = gram_matrix(ThickSet(((0.0, 0.5),), (0.0, 1.0)), Sequence((0, 1, 2)))
-        vals, vecs, residual = hermitian_eigensystem(G)
+        vals, v, residual = hermitian_eigensystem(G)
         assert residual <= 1e-10
         assert list(vals) == sorted(vals)
+        assert residual == np.linalg.norm(G.entries @ v - vals[0] * v)
+
+    @given(eigen_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_least_pair_matches_eigh(self, form):
+        # over 3000 seeded cases of these kinds |delta lambda_0| peaked at
+        # 0.98 n eps ||G||, the residual at 3.1e-15 ||G|| and the Rayleigh
+        # quotient's distance to lambda_0, past the residual, at 0.93 n eps ||G||
+        G, n = form.entries, form.dimension
+        vals, v, residual = hermitian_eigensystem(form)
+        want = np.linalg.eigh(G)[0]
+        norm = max(-want[0], want[-1])
+        np.testing.assert_array_equal(vals, np.linalg.eigvalsh(G))
+        assert abs(vals[0] - want[0]) <= 4 * n * EPS * norm
+        assert residual <= conc.EIG_RESIDUAL_TOL * norm
+        assert residual == np.linalg.norm(G @ v - vals[0] * v)
+        assert abs(np.linalg.norm(v) - 1) <= 4 * EPS
+        assert abs(np.vdot(v, G @ v).real - vals[0]) <= residual + 4 * n * EPS * norm
+
+    def test_a_clustered_progression_meets_the_contract_at_rounding_size(self, monkeypatch):
+        # from an all-ones start vector one solve left 2.6e-8 ||G|| here
+        solves = solve_spy(monkeypatch)
+        form = gram_matrix(ThickSet(((0, Fraction(1, 8)),), (0, 1)), Sequence(tuple(range(80))))
+        vals, v, residual = hermitian_eigensystem(form)
+        assert len(solves) == 2
+        assert residual <= 8 * EPS * vals[-1]
+        assert abs(vals[0] - np.linalg.eigh(form.entries)[0][0]) <= 80 * EPS * vals[-1]
+
+    def test_one_solve_fails_from_a_start_nearly_orthogonal_to_v(self, monkeypatch):
+        # G has the eigenvector v = w + 1e-9 b of its least eigenvalue, w
+        # orthogonal to the start vector b: the first iterate keeps about
+        # (eps ||G|| / 1e-9) of the other components, past the contract
+        n = 40
+        solves = solve_spy(monkeypatch)
+        hermitian_eigensystem(HermitianForm(n, np.eye(n), {}))
+        assert len(solves) == 1  # the identity stops after one solve, at residual 0
+        b = solves[0] / np.linalg.norm(solves[0])
+        rng = np.random.default_rng(2)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        w = q[:, 0] - np.vdot(b, q[:, 0]) * b
+        basis, _ = np.linalg.qr(np.column_stack((w / np.linalg.norm(w) + 1e-9 * b, q[:, 1:])))
+        G = basis @ np.diag(np.linspace(0.1, 1.0, n)) @ basis.conj().T
+        form = HermitianForm(n, (G + G.conj().T) / 2, {})
+        solves.clear()
+        vals, v, residual = hermitian_eigensystem(form)
+        first = solves[1]  # the first iterate, normalized, is the second right-hand side
+        assert len(solves) == 2
+        assert np.linalg.norm(form.entries @ first - vals[0] * first) > conc.EIG_RESIDUAL_TOL
+        assert residual <= n * EPS
+
+    def test_a_nan_residual_breaks_the_contract(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        with pytest.raises(NumericalError, match="residual nan exceeds"), \
+                np.errstate(invalid="ignore"):
+            hermitian_eigensystem(HermitianForm(3, np.diag([1.0, 2.0, 3.0]), {}))
+
+    def test_a_singular_shift_is_doubled(self, monkeypatch):
+        shifts = []
+        solve = np.linalg.solve
+
+        def singular_once(a, b):
+            shifts.append(1.0 - a[0, 0].real)  # sigma, on the identity
+            if len(shifts) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        vals, v, residual = hermitian_eigensystem(HermitianForm(5, np.eye(5), {}))
+        assert shifts == [1.0 - EPS, 1.0 - 2 * EPS] and residual == 0.0
+
+    @pytest.mark.parametrize("entries, least", [
+        (np.array([[5e-324]]), 5e-324),  # a shift of n eps ||G|| underflows to 0 here
+        (np.zeros((3, 3)), 0.0),
+        (np.eye(72), 1.0),
+        (np.array([[-2.5]]), -2.5),
+        (np.array([[0.3]]), 0.3),
+    ], ids=["subnormal", "zero", "identity", "n1_negative", "n1"])
+    def test_tiny_zero_identity_and_one_by_one(self, entries, least):
+        vals, v, residual = hermitian_eigensystem(HermitianForm(len(entries), entries, {}))
+        assert vals[0] == least and residual == 0.0
+        assert np.isfinite(v).all() and abs(np.linalg.norm(v) - 1) <= 4 * EPS
+
+    def test_the_torus_and_dense_constants_call_no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("np.linalg.eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        E = random_torus_set(np.random.default_rng(5))
+        assert 0 < nazarov_constant(E, build_greedy(50)).lambda_min < 1
+        union = ThickSet(((0.0, 1.0), (3.0, 5.5)), (0.0, 8.0))
+        assert 0 < ls_constant(union, (0.0, 2.0), Grid(8.0, 256)).lambda_min < 1
 
 
 def cell_weights_oracle(grid, intervals):

@@ -48,8 +48,8 @@ CONFIGS = {
 
 PINS = {
     "nazarov_sweep": {
-        "lambda_min_vs_measure.dat": "7e4c0ae61b364a1b43e7429aebef06c00ea3b70ca0f7a479b3b10d37d57482e9",
-        "nazarov_sweep.csv": "d5439725158c8ec2fc2778b79fb0c2448142637ee598cb6c4ff893ca3e549fa0",
+        "lambda_min_vs_measure.dat": "96d3f1f9d86ac40b879d6df0ebe1a1bcb118aa558e994c11cecb69aaf730c4c3",
+        "nazarov_sweep.csv": "5425ca1763589e828f148a72bc4b77cbac40d00baa5ee7b473da0dac2847753e",
     },
     "greedy_growth": {
         "greedy_growth.csv": "518bb567b02861e32cc66a22feb32ea048aac83c74997aecc3659c4fcb096043",

@@ -70,6 +70,28 @@ def bisect_zygmund(seq, L=1, *, kind="zygmund", index_offset=0):
     return LacunarityReport(kind, float(L), best, tuple(witness))
 
 
+def ordered_pairs_zygmund(seq, L=1, *, kind="zygmund", index_offset=0):
+    """Oracle: the kernel over all n(n - 1) ordered differences, sorted once,
+    each count two binary searches of its own value, mapped back to (k, l)
+    order by the sort's permutation."""
+    if L < 1:
+        raise ValueError("collision threshold L must be >= 1")
+    n = len(seq)
+    if n < 2:
+        return LacunarityReport(kind, float(L), 0)
+    L = sequences._collision_threshold(seq, L)
+    d = sequences._differences(seq, L)
+    order = np.argsort(d)
+    table = d[order]
+    c = np.searchsorted(table, table + L, side="right") - np.searchsorted(table, table - L)
+    best = int(c.max())
+    attained = np.zeros(d.size, dtype=bool)
+    attained[order[c == best]] = True
+    k, l = np.divmod(np.flatnonzero(attained), n - 1)
+    l += l >= k  # the diagonal k == l is skipped
+    return LacunarityReport(kind, float(L), best, np.column_stack((k, l)) + index_offset)
+
+
 def set_difference_set(seq):
     """Oracle: the distinct nonzero differences by a set comprehension."""
     vals = seq.values
@@ -434,6 +456,37 @@ class TestCollisionKernel:
             M = sch.value(L)
             assert_same_report(rep, bisect_zygmund(
                 seq.tail(M), L, kind="strong_zygmund", index_offset=M - 1))
+
+    @pytest.mark.parametrize("L", [1, 2, 4, 1.5])
+    def test_positive_differences_match_all_ordered_pairs(self, L):
+        sch = TailSchedule(((1, 1), (2, 87)))
+        scheduled = build_greedy(300, sch)
+        cases = [(build_greedy(400), 0), (Sequence((3, 10)), 0), (Sequence((0.5, 0.75)), 0),
+                 (Sequence((Fraction(1, 3), 2)), 0)]
+        cases += [(scheduled.tail(M), M - 1) for M in (sch.value(1), sch.value(2))]
+        cases += [(build_counterexample(K), 0) for K in (14, 20, 33)]  # 4**33 is past int64
+        for seq, offset in cases:
+            got = zygmund_constant(seq, L, kind="strong_zygmund", index_offset=offset)
+            want = ordered_pairs_zygmund(seq, L, kind="strong_zygmund", index_offset=offset)
+            assert_same_report(got, want)
+
+    def test_strong_profile_matches_all_ordered_pairs(self):
+        sch = TailSchedule(((1, 1), (2, 87)))
+        seq = build_greedy(300, sch)
+        for rep, L in zip(strong_zygmund_profile(seq, sch, [1, 2]), (1, 2)):
+            M = sch.value(L)
+            assert_same_report(rep, ordered_pairs_zygmund(
+                seq.tail(M), L, kind="strong_zygmund", index_offset=M - 1))
+
+    @given(st.sampled_from(["int", "fraction", "float"]).flatmap(lambda kind: st.lists(
+               {"int": st.integers(-60, 60) | st.integers(-10**6, 10**6),
+                "fraction": st.builds(Fraction, st.integers(-400, 400), st.integers(1, 9)),
+                "float": st.floats(-100.0, 100.0)}[kind], min_size=2, max_size=40)),
+           st.sampled_from([1, 2, 4, 1.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_lists_match_all_ordered_pairs(self, vals, L):
+        seq = Sequence(tuple(sorted({v: v for v in vals}.values())))
+        assert_same_report(zygmund_constant(seq, L), ordered_pairs_zygmund(seq, L))
 
     @given(collision_inputs())
     @settings(max_examples=200, deadline=None)

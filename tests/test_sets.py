@@ -175,6 +175,24 @@ class TestThickSet:
         with pytest.raises(ValueError, match="delta .* more than .* comb blocks"):
             periodic_comb(0.5, Fraction(1, 10**400), (0.0, 4.0))
 
+    @given(st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+           st.sampled_from([0.1, 0.3, 0.7, 1 / 3, 0.25, 2.0]), st.integers(1, 40),
+           st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    @example(1.0, 0.1, 10, 0.0)  # summed in float: a gap at 0.6000000000000001
+    @example(0.5, 0.1, 10, 0.0)  # summed in float: measure 0.5000000000000002
+    @settings(max_examples=200, deadline=None)
+    def test_float_comb_ends_are_exact_values_rounded_once(self, gamma, delta, nb, w0):
+        fill = gamma * delta
+        exact = [Fraction(w0) + k * Fraction(delta) for k in range(nb + 1)]
+        E = periodic_comb(gamma, delta, (w0, float(exact[-1])))
+        want = ThickSet(tuple((float(a), float(a + Fraction(fill))) for a in exact[:-1]),
+                        E.window, True)
+        assert E == want and E.intervals == want.intervals
+        if gamma == 1.0:
+            assert E.intervals == (E.window,)
+        if (gamma, w0, delta, nb) in ((1.0, 0.0, 0.1, 10), (0.5, 0.0, 0.1, 10)):
+            assert E.measure == gamma
+
     def test_dict_roundtrip(self):
         E = ThickSet(((0.0, 0.25), (0.5, 0.6)), (0.0, 1.0), periodic=True)
         assert ThickSet.from_dict(E.to_dict()) == E

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lacspec import uniqueness
+from lacspec.errors import NumericalError
 from lacspec.sequences import Sequence
 from lacspec.uniqueness import (
     MAX_MOMENT_ORDER,
@@ -194,6 +196,28 @@ def report():
     return carleman_denjoy_partial(200, 1e4)
 
 
+def scalar_moment_argmax(n: int) -> float:
+    """Oracle: the maximizer of n*log(xi) - log W(xi) over xi >= 1 by a
+    bisection of this n alone, in Python floats and math.log."""
+
+    def slope(xi):
+        lg = math.log(E + xi)
+        return n / xi - (lg - xi / (E + xi)) / (lg * lg)
+
+    if n == 0 or slope(1.0) <= 0:
+        return 1.0
+    lo, hi = 1.0, 2.0
+    while slope(hi) > 0:
+        lo, hi = hi, hi * 2
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestCarlemanDenjoy:
     def test_first_moment_is_weight_at_left_endpoint(self, report):
         # the n = 0 objective decreases in xi, so the sup sits at xi = 1
@@ -222,6 +246,17 @@ class TestCarlemanDenjoy:
         assert [t for t, _ in proxy] == sorted(t for t, _ in proxy)
         vals = [v for _, v in proxy]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_maximizers_are_those_of_the_scalar_bisection(self):
+        got = uniqueness._moment_argmaxes(5000)
+        want = np.array([scalar_moment_argmax(n) for n in range(5001)])
+        assert np.array_equal(got, want)  # bit for bit
+
+    def test_a_diverging_bracket_is_refused(self, monkeypatch):
+        # with a flat log W the objective n log(xi) rises for ever
+        monkeypatch.setattr(uniqueness, "_log_weight_slope", np.zeros_like)
+        with pytest.raises(NumericalError, match="bracket diverged at n = 1: "):
+            carleman_denjoy_partial(3, 100.0)
 
     def test_long_run_growth(self):
         rep = carleman_denjoy_partial(10_000, 1e4)
