@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .sequences import Sequence, TailSchedule, _exact_values
 from .sets import Comb, ThickSet
-from .synthesis import LEAKAGE_TOL, BandFunction, Grid, _samples, synthesize
+from .synthesis import LEAKAGE_TOL, BandFunction, Grid, synthesize
 
 __all__ = [
     "HermitianForm",
@@ -164,6 +164,15 @@ def _require_residual(residual: float, scale: float) -> None:
         )
 
 
+def _residual(G: np.ndarray, v: np.ndarray, lam: float, scale: float) -> float:
+    """||G v - lam v|| of a form of spectral norm ``scale`` = m 2^e, 1/2 <= m < 1,
+    taken of the vector times 2^-e and scaled back, for e > 0: exactly the
+    norm, yet no square overflows (||G|| past 1e154 read inf)."""
+    e = max(math.frexp(scale)[1], 0)
+    r = (G @ v - lam * v).view(float)
+    return math.ldexp(float(np.linalg.norm(np.ldexp(r, -e).view(complex))), e)
+
+
 def _require_dense(dimension: int) -> None:
     """The dense solver cap, tested before a form is assembled or solved."""
     if dimension > MAX_DENSE_DIM:
@@ -219,7 +228,7 @@ def hermitian_eigensystem(form: HermitianForm):
             x = np.linalg.solve(shifted, v)
         x /= np.max(np.abs(x))
         v = x / np.linalg.norm(x)
-        residual = float(np.linalg.norm(G @ v - lam * v))
+        residual = _residual(G, v, lam, scale)
         if residual <= eps * scale:
             break
     _require_residual(residual, scale)
@@ -550,67 +559,79 @@ def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
         if least is None or vals[c, 0] < least[0]:
             least = (float(vals[c, 0]), G[c], vecs[c, :, 0])
     lam, G, v = least
-    residual = float(np.linalg.norm(G @ v - lam * v))
+    residual = _residual(G, v, lam, scale)
     _require_residual(residual, scale)
     return lam, residual
 
 
-def _cell_weights(grid: Grid, intervals) -> np.ndarray:
-    """Lebesgue measure of each grid cell [x_j, x_{j+1}) inside the intervals."""
-    edges = np.arange(grid.samples + 1) * grid.spacing
-    w = np.zeros(grid.samples)
-    for a, b in intervals:
-        w += np.clip(
-            np.minimum(float(b), edges[1:]) - np.maximum(float(a), edges[:-1]),
-            0.0,
-            None,
-        )
-    return w
-
-
-def _clip_intervals(intervals, lo, hi):
-    out = []
-    for a, b in intervals:
-        a2, b2 = max(float(a), lo), min(float(b), hi)
-        if b2 > a2:
-            out.append((a2, b2))
-    return out
-
-
 def _lemma_window(E: ThickSet, grid: Grid, interval) -> tuple:
-    """The trial-independent part of the lemma's sampled quadratures over the
-    window I and over I ∩ E.
-
-    An integral over I, or over I ∩ E, is a sum of grid samples times the
-    Lebesgue measure of each cell [x_j, x_{j+1}) inside it (exact for
-    integrands constant on each cell).  Returns J, the indices of the cells
-    of positive measure inside I (one contiguous run), and the cell weights
-    of I and of I ∩ E on J; both are zero outside J.  E is checked against
-    the grid and I against [0, T] (no tolerance: the cells cover [0, T]
-    only, so the part of I outside it would be dropped from every integral
-    without a word).
-    """
+    """The lemma's domains of integration: the window I = [lo, hi] as one
+    interval, and I ∩ E.  E is checked against the grid and I against
+    [0, T], with no tolerance: F is a function on the period [0, T]."""
     trace = _set_intervals(E, grid)
     lo, hi = float(interval[0]), float(interval[1])
     if not 0.0 <= lo <= hi <= grid.period:
         raise ValueError(f"interval I = [{lo}, {hi}] is not inside the grid window "
                          f"[0, T] = [0.0, {grid.period}]")
-    window_weights = _cell_weights(grid, [(lo, hi)])
-    J = np.flatnonzero(window_weights)
-    set_weights = _cell_weights(grid, _clip_intervals(trace, lo, hi))
-    return J, window_weights[J], set_weights[J]
+    return [(lo, hi)], [(max(a, lo), min(b, hi)) for a, b in trace if min(b, hi) > max(a, lo)]
+
+
+def _forms(pieces, intervals, period, cap: int, X: np.ndarray) -> np.ndarray:
+    """Re(x^T G conj(x)) for each row x of each trial's X[t] (trials x r x n),
+    G the Gram matrix over the intervals of the frequencies s + k of the
+    pieces (s, k), k integer bins and s a shift: T times it is the integral
+    of |sum_l x_l e^{2 pi i f_l x / T}|^2 over them.  An entry depends only
+    on the difference of its two frequencies and takes the closed form once
+    per distinct one.  When G holds at most cap entries it is built, and
+    each trial takes one product with it.  Past that, for each pair of
+    shifts (an integer shift is folded into its bins) the closed form is
+    taken on the range of the differences, at most 2S - 1 numbers for
+    |k + s| < S/2, and dotted with the correlation of a trial's
+    coefficients on those bins.
+    Each trial takes the same calls whatever the others, so a row has the
+    same bits alone or in a batch.  No intervals or no frequencies give 0."""
+    out = np.zeros(X.shape[:2])
+    if not intervals or not X.shape[2]:
+        return out
+    ints = [isinstance(s, int) for s, _ in pieces]
+    shift = np.concatenate([np.full(len(b), 0 if i else s) for i, (s, b) in zip(ints, pieces)])
+    k = np.concatenate([np.asarray(b, dtype=np.int64) + (s if i else 0)
+                        for i, (s, b) in zip(ints, pieces)])
+    if k.size ** 2 <= cap:
+        d = (shift[:, None] - shift) + (k[:, None] - k)
+        G = _closed_form(d.ravel() / period, intervals, period).reshape(d.shape)
+        for acc, x, xc in zip(out, X, X.conj()):
+            acc += np.add.reduce((x @ G) * xc, axis=-1).real
+        return out
+    shifts, group = np.unique(shift, return_inverse=True)
+    members = [np.flatnonzero(group == g) for g in range(len(shifts))]
+    low = [int(k[m].min()) for m in members]
+    for (p, s), (q, t) in itertools.product(enumerate(shifts), repeat=2):
+        kp, kq = k[members[p]] - low[p], k[members[q]] - low[q]  # bins from the lowest
+        lo = low[p] - low[q] - int(kq.max())
+        table = _closed_form(((s - t) + np.arange(lo, lo + kp.max() + kq.max() + 1)) / period,
+                             intervals, period)
+        for acc, x in zip(out, X):
+            a = np.zeros((len(x), kp.max() + 1), dtype=complex)
+            b = np.zeros((len(x), kq.max() + 1), dtype=complex)
+            rows = np.arange(len(x))[:, None]  # bins of two pieces may coincide: add
+            np.add.at(a, (rows, kp), x[:, members[p]])
+            np.add.at(b, (rows, kq), x[:, members[q]])
+            acc += [np.dot(table, np.correlate(u, v, "full")).real for u, v in zip(a, b)]
+    return out
 
 
 @dataclass(frozen=True)
 class LemmaTerms:
-    """Quadrature record of the local concentration inequality's three terms."""
+    """The local concentration inequality's three terms, as exact integrals."""
 
     lhs: float
     term_density: float
     term_sobolev: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"lhs": self.lhs, "term_density": self.term_density,
+                "term_sobolev": self.term_sobolev}
 
 
 def _end_bins(f: BandFunction) -> tuple:
@@ -627,64 +648,36 @@ def _end_bins(f: BandFunction) -> tuple:
     return (int(bins.min()), int(bins.max())) if bins.size else ()
 
 
-def _fits_table(rows: int, cols: int, grid: Grid) -> bool:
-    """The cap of every direct sum over nonzero bins: a rows x cols table of
-    phases or weights is built only while it holds at most S entries, so it
-    never holds more than a few S-length arrays, as an FFT does."""
-    return rows * cols <= grid.samples
-
-
-def _window_sampler(grid: Grid, bins: np.ndarray, J: np.ndarray):
-    """The map c -> (f, f') at the grid samples J, for each f = sum_i c_i
-    e^{2 pi i k_i x / T} on the FFT-order bins k_i.
-
-    A direct sum over the bins: c_i e^{2 pi i k_i j / S}, and for f' the same
-    terms times 2 pi i k_i / T, with k j reduced mod S in integers.  Its
-    |J| x (number of bins) phase table is capped by ``_fits_table``; past
-    that (a dense spectrum, as one taken from samples, or a wide band on a
-    wide window) one inverse FFT each (``_samples``) is taken and sliced to
-    J.  The cost of the two paths crosses near the cap too: timed on one
-    Xeon core at S = 16384 and 32768 with the |J| of L = 1, 8 and 16 at T =
-    16, the direct sum was about 3.5 times faster at a table of S/8 entries
-    (a lemma trial's unit bands at L = 8), 1.4-2.4 times faster at S/3 to
-    S/2 and 1.2-1.5 times slower at S.
-    """
-    S = grid.samples
-    derivative = 2j * np.pi * grid.frequencies(bins)
-    if _fits_table(J.size, bins.size, grid):
-        phases = np.exp((2j * np.pi / S) * ((J[:, None] * bins) % S))
-        return lambda c: (phases @ c, phases @ (c * derivative))
-    return lambda c: (_samples(grid, bins, c)[J], _samples(grid, bins, c * derivative)[J])
-
-
 def _lemma_form(lams, grid: Grid, window, pieces):
-    """The map from a trial's coefficient vectors, one per f_n, to its
-    LemmaTerms (see ``lemma_main_report``).  ``window`` is the
-    ``_lemma_window`` (J, w_i, w_e) of I, and ``pieces[n]`` is
-    (``_window_sampler`` of f_n on J, f_n's end bins); the Nyquist tests of
-    the end bins moved by k_n and the modulation vectors on J are made once
-    per run."""
-    J, w_i, w_e = window
-    S = grid.samples
-    modulations = []
-    for lam, (_, ends) in zip(lams, pieces):
+    """The map from the coefficient rows of trials (trials x the bins of all
+    f_n, end to end) to their LemmaTerms (see ``lemma_main_report``).
+    ``window`` is the ``_lemma_window`` (I, I ∩ E), and ``pieces[n]`` is
+    (f_n's FFT-order bins, its end bins); the Nyquist tests of the end bins
+    moved by k_n, and the frequencies of each form, are made once per run.
+    Pieces of one bin list share one density form."""
+    I, inside = window
+    T, S = grid.period, grid.samples
+    shifted, groups, ends = [], {}, np.cumsum([0, *(len(bins) for bins, _ in pieces)])
+    for n, (lam, (bins, end_bins)) in enumerate(zip(lams, pieces)):
         k = grid.bin_of(lam)  # refuses off-grid modulation
-        for b in ends:
+        for b in end_bins:
             grid._check_bin(b + k)
-        if k / grid.period == float(lam):
-            modulations.append(np.exp((2j * np.pi / S) * ((k * J) % S)))
-        else:  # off bin k within the snap tolerance: keep lambda exact
-            modulations.append(np.exp(2j * np.pi * float(lam) * (J * grid.spacing)))
+        # off bin k within the snap tolerance: lambda T as it is, not the bin k
+        shifted.append((k if k / T == float(lam) else float(lam) * T, grid.signed_bins(bins)))
+        groups.setdefault(bins.tobytes(), (bins, []))[1].append(n)
 
-    def terms(row) -> LemmaTerms:
-        F, sq, sob = np.zeros(J.size, dtype=complex), np.zeros(J.size), np.zeros(J.size)
-        for (sample, _), modulation, c in zip(pieces, modulations, row):
-            v, dv = sample(c)
-            F += v * modulation
-            sq += np.abs(v) ** 2
-            sob += np.abs(dv) ** 2
-        return LemmaTerms(float(np.sum(w_e * np.abs(F) ** 2)), float(np.sum(w_i * sq)),
-                          float(np.sum(w_i * (sq + sob))))
+    def terms(C) -> list:
+        lhs = _forms(shifted, inside, T, S, C[:, None])[:, 0]
+        density, derivative = np.zeros(len(C)), np.zeros(len(C))
+        for bins, members in groups.values():
+            X = np.stack([C[:, ends[n]:ends[n + 1]] for n in members], axis=1)
+            q = _forms([(0, grid.signed_bins(bins))], I, T, S,
+                       np.concatenate([X, X * (2j * np.pi * grid.frequencies(bins))], axis=1))
+            for j in range(len(members)):  # piece by piece, in one order for any batch
+                density += q[:, j]
+                derivative += q[:, len(members) + j]
+        return [LemmaTerms(T * max(a, 0.0), T * max(b, 0.0), T * max(b, 0.0) + T * max(c, 0.0))
+                for a, b, c in zip(lhs.tolist(), density.tolist(), derivative.tolist())]
 
     return terms
 
@@ -697,20 +690,19 @@ def lemma_main_report(f_list, seq_tail: Sequence, E: ThickSet, interval, L: int)
     term_sobolev  integral over I of sum (|f_n|^2 + |f_n'|^2)
 
     The interval I must have length exactly 1/L and lie inside [0, T].
-    Integrals use cell-measure weights on the sampling grid (exact for
-    integrands constant on each cell), and these are zero outside the
-    samples J of the cells that meet I, so every term is computed on J
-    alone: f_n and f_n' from the kept bins of f_n (see ``_window_sampler``;
-    past its table cap each is one inverse FFT, as ``f_n.values`` is, taken
-    anew), and F from them.  Each lambda_n must lie on the grid (1/T)Z, as
-    bin k_n = lambda_n T, and f_n is modulated at x_j by
-    e^{2 pi i (k_n j mod S) / S}: on the sampling grid this is the circular
-    shift of its spectrum by k_n bins.  A lambda_n that misses k_n/T by less
-    than the snap tolerance is modulated by e^{2 pi i lambda_n x_j} instead,
-    so it is never rounded to its bin.  A function whose bins, moved by k_n,
-    reach a bin the grid does not resolve (2|k| >= S) is refused, since its
-    shifted spectrum would alias (see ``_end_bins``).  This is one trial of
-    the kernel that ``lemma_trials`` runs on a whole ensemble.
+    Each term is the exact integral of a trigonometric polynomial, nothing
+    sampled: a Hermitian form in the coefficients c of the f_n, whose
+    entries take the closed form of the Gram kernel (``_forms``).  lhs
+    is T c^T A conj(c), A the Gram matrix of the modulated frequencies
+    k/T + lambda_n over I ∩ E; the density and Sobolev terms apply the Gram
+    matrix D of f_n's bins over I to c_n and to c_n 2 pi i k/T.  A form of
+    more than S entries, as of a dense spectrum taken from samples, is never
+    built.  Each lambda_n must lie on the grid (1/T)Z within the
+    snap tolerance, as bin k_n = lambda_n T; one that misses k_n/T keeps its
+    value in A, never rounded to its bin.  A function whose bins, moved by
+    k_n, reach a bin the grid does not resolve (2|k| >= S) is refused, as
+    its shifted spectrum would alias on the grid (see ``_end_bins``).  This
+    is one trial of the forms that ``lemma_trials`` evaluates on an ensemble.
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
@@ -725,8 +717,9 @@ def lemma_main_report(f_list, seq_tail: Sequence, E: ThickSet, interval, L: int)
     if any(f.grid != grid for f in f_list):
         raise ValueError("band functions must share one grid")
     window = _lemma_window(E, grid, (i0, i1))
-    pieces = [(_window_sampler(grid, f.bins, window[0]), _end_bins(f)) for f in f_list]
-    return _lemma_form(seq_tail.values, grid, window, pieces)([f.coeffs for f in f_list])
+    terms = _lemma_form(seq_tail.values, grid, window, [(f.bins, _end_bins(f)) for f in f_list])
+    coeffs = np.concatenate([np.empty(0, dtype=complex), *(f.coeffs for f in f_list)])
+    return terms(coeffs[None])[0]
 
 
 @dataclass(frozen=True)
@@ -738,41 +731,35 @@ class SplitCheck:
     ratio_tail: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"ratio": self.ratio, "ratio_head": self.ratio_head, "ratio_tail": self.ratio_tail}
 
 
 def _split_form(shapes, seq: Sequence, schedule: TailSchedule, L: int, E: ThickSet, grid: Grid):
-    """The map from a trial's coefficient blocks, held end to end, to its
-    SplitCheck (see ``theorem_split_check``).  The refusals of
-    ``synthesize`` on blocks of these ``shapes``, the cell weights of E on
-    [0, T] and the form W on F's bins (the blocks' order: positive
-    frequencies increase) are made once per run."""
+    """The map from the coefficient rows of trials (the blocks held end to
+    end) to their SplitChecks (see ``theorem_split_check``).  The refusals
+    of ``synthesize`` on blocks of these ``shapes``, and F's bins (the
+    blocks' order: positive frequencies increase), are made once per run."""
     if not seq.positive:
         raise ValueError("hypothesis violation: frequencies must be positive")
     M = schedule.value(L)
     bins = synthesize([np.ones(s) for s in shapes], seq, grid).bins
-    weights = _cell_weights(grid, _clip_intervals(_set_intervals(E, grid), 0.0, grid.period))
     ends = np.cumsum([0, *(s[0] for s in shapes)])
-    W = None
-    if _fits_table(bins.size, bins.size, grid):  # the one transform of a split ensemble
-        W = np.fft.fft(weights)[(bins[:, None] - bins) % grid.samples]
+    pieces = [(0, bins[a:b]) for a, b in zip(ends, ends[1:])]
+    intervals = _set_intervals(E, grid)
+    head = ends[min(M, len(ends)) - 1]
 
-    def check(c) -> SplitCheck:
-        norm_sq = grid.period * float(np.sum(np.abs(c) ** 2))
-        if norm_sq == 0:
+    def checks(C) -> list:
+        X = C[:, None]
+        restricted = _forms(pieces, intervals, grid.period, grid.samples, X)[:, 0]
+        power = X * X.conj()  # summed as the form sums, so a full set gives ratio 1
+        norm, h, t = (np.add.reduce(p, axis=-1)[:, 0].real.tolist()
+                      for p in (power, power[..., :head], power[..., head:]))
+        if not all(norm):
             raise ValueError("concentration ratio undefined for the zero function")
-        energy = [float(np.sum(np.abs(c[a:b]) ** 2)) for a, b in zip(ends, ends[1:])]
-        if W is not None:
-            restricted = max(float(np.vdot(c, W @ c).real), 0.0)
-        else:
-            restricted = float(np.sum(weights * np.abs(_samples(grid, bins, c)) ** 2))
-        return SplitCheck(
-            math.sqrt(restricted / norm_sq),
-            math.sqrt(grid.period * sum(energy[: M - 1]) / norm_sq),
-            math.sqrt(grid.period * sum(energy[M - 1:]) / norm_sq),
-        )
+        return [SplitCheck(math.sqrt(max(r, 0.0) / n), math.sqrt(a / n), math.sqrt(b / n))
+                for r, a, b, n in zip(restricted.tolist(), h, t, norm)]
 
-    return check
+    return checks
 
 
 def theorem_split_check(
@@ -783,16 +770,16 @@ def theorem_split_check(
     Requires strictly positive frequencies.  Returns the ratio of the norm of
     the synthesized function F restricted to E over its full norm, along
     with the head and tail norm fractions.  F is never sampled: by Parseval
-    its squared norm is T sum |c_k|^2 over its coefficients c_k, and head and
-    tail hold disjoint blocks of its spectrum, so the squared norm of each
-    is T times the sum of |c|^2 over its blocks and the squares of the two
-    fractions sum to one.  The restricted energy sum_j w_j |F(x_j)|^2 over
-    the cell weights w of E is the quadratic form c^H W c, with W[l, k] =
-    fft(w)[(k_l - k_k) mod S] on F's bins k_l; it is clamped at 0 against
-    rounding.  A table of more than S entries (see ``_fits_table``) samples
-    F by one inverse FFT instead.  This is one trial of the form that
-    ``split_trials`` builds once for a whole ensemble.
+    its squared norm is T c^H c over its coefficients c, and head and tail
+    hold disjoint blocks of its spectrum, so the squared norm of each is T
+    times the sum of |c|^2 over its blocks and the squares of the two
+    fractions sum to one.  The restricted energy, the integral of |F|^2
+    over E, is exactly T c^T G conj(c), G the compression of E to F's bins
+    that ``ls_constant`` solves, in the closed form of the Gram kernel
+    (``_forms``).  So ratio^2 = c^T G conj(c) / c^H c, clamped at 0 against
+    rounding.  This is one trial of the form that ``split_trials``
+    evaluates on an ensemble.
     """
     blocks = [np.asarray(b, dtype=complex) for b in coefficient_blocks]
-    check = _split_form([b.shape for b in blocks], seq, schedule, L, E, grid)
-    return check(np.concatenate([np.empty(0, dtype=complex), *blocks]))
+    checks = _split_form([b.shape for b in blocks], seq, schedule, L, E, grid)
+    return checks(np.concatenate([np.empty(0, dtype=complex), *blocks])[None])[0]

@@ -32,7 +32,6 @@ from .concentration import (
     _lemma_window,
     _require_measure,
     _split_form,
-    _window_sampler,
     ls_constant,
     nazarov_constant,
 )
@@ -512,12 +511,20 @@ def _gaussian_rows(seed: int, trials: int, widths) -> np.ndarray:
     """Standard complex Gaussian coefficients of trials 0..trials-1, one row
     per trial: row t draws from ``Philox(key=[seed, t])`` one block per
     width, real parts then imaginary parts, and holds the blocks end to end.
-    The generator is keyed by the trial, so no row depends on another."""
-    rows = np.empty((trials, sum(widths)), dtype=complex)
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-        rows[trial] = np.concatenate([rng.standard_normal(w) + 1j * rng.standard_normal(w)
-                                      for w in widths])
+    The generator is keyed by the trial, so no row depends on another; one is
+    reset to each key and draws a trial's normals in one call, dealt out."""
+    widths = np.asarray(widths, dtype=np.int64)
+    real = np.repeat(np.cumsum(widths) - widths, widths) + np.arange(widths.sum())
+    imag = real + np.repeat(widths, widths)
+    normals = np.empty((trials, 2 * widths.sum()))
+    bits = np.random.Philox(key=[seed, 0])
+    rng, state = np.random.Generator(bits), bits.state
+    for trial, row in enumerate(normals):
+        state["state"]["key"][1] = trial
+        bits.state = state
+        rng.standard_normal(out=row)
+    rows = np.empty((trials, widths.sum()), dtype=complex)
+    rows.real, rows.imag = normals[:, real], normals[:, imag]
     return rows
 
 
@@ -558,24 +565,22 @@ def _ensemble_refusals(E: ThickSet, L: int) -> None:
 def lemma_trials(seq, E, grid: Grid, L: int, seed: int, trials: int) -> list:
     """Local-lemma terms on [0, 1/L] of trials 0..trials-1: trial t draws the
     coefficients of ``random_band_function`` on the m bins of [0, 1], one
-    (N, m) block, and all pieces share one window sampler.  A grid whose
-    window [0, T] does not hold [0, 1/L] or is not E's window, or that does
-    not resolve the bins the trials fill, is a ConfigError."""
+    (N, m) block, and all trials share the exact forms of ``lemma_main_report``.
+    A grid whose window [0, T] does not hold [0, 1/L] or is not E's window,
+    or that does not resolve the bins the trials fill, is a ConfigError."""
     _ensemble_refusals(E, L)
     _profile_of(seq)  # refuses an empty sequence and overlapping bands
     with _grid_refusals():
         window = _lemma_window(E, grid, (0.0, 1.0 / L))
         band = grid.band_bins((0.0, 1.0))  # nonnegative bins: FFT-order indices as they are
-        piece = (_window_sampler(grid, band, window[0]), band[[0, -1]])
-        terms = _lemma_form(seq.values, grid, window, [piece] * len(seq))
-    coeffs = _gaussian_rows(seed, trials, [band.size] * len(seq))
-    return [terms(row) for row in coeffs.reshape(trials, len(seq), band.size)]
+        terms = _lemma_form(seq.values, grid, window, [(band, band[[0, -1]])] * len(seq))
+    return terms(_gaussian_rows(seed, trials, [band.size] * len(seq)))
 
 
 def split_trials(seq, E, grid: Grid, L: int, schedule, seed: int, trials: int) -> list:
     """Head/tail split checks of trials 0..trials-1, the blocks of
-    ``trial_blocks`` held end to end as one coefficient array, against one
-    form W (see ``theorem_split_check``).  A sequence with a frequency <= 0
+    ``trial_blocks`` held end to end as one coefficient array, on one exact
+    form G (see ``theorem_split_check``).  A sequence with a frequency <= 0
     is a ConfigError naming the sequence; a grid refused by
     ``theorem_split_check``, one naming the grid."""
     if not seq.positive:
@@ -583,8 +588,8 @@ def split_trials(seq, E, grid: Grid, L: int, schedule, seed: int, trials: int) -
     _ensemble_refusals(E, L)
     widths = _band_widths(seq, grid)
     with _grid_refusals():
-        check = _split_form([(w,) for w in widths], seq, schedule, L, E, grid)
-    return [check(c) for c in _gaussian_rows(seed, trials, widths)]
+        checks = _split_form([(w,) for w in widths], seq, schedule, L, E, grid)
+    return checks(_gaussian_rows(seed, trials, widths))
 
 
 def _grid(config: ExperimentConfig) -> Grid:

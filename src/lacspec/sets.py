@@ -437,7 +437,7 @@ def periodic_comb(gamma, delta, window=(0, 1)) -> ThickSet:
     if _is_exact(w0, w1, delta, fill):
         E = _exact_comb(w0, w1, delta, fill, nb)
     else:
-        E = ThickSet(_float_blocks(w0, delta, fill, nb), (w0, w1), True)
+        E = ThickSet(_float_blocks(w0, w1, delta, fill, nb), (w0, w1), True)
     object.__setattr__(E, "comb", Comb(w0, delta, fill, nb))
     return E
 
@@ -450,7 +450,7 @@ def _over_one_denominator(*xs) -> tuple:
     return q, [p * (q // d) for p, d in ratios]
 
 
-def _float_blocks(w0, delta, fill, nb: int) -> tuple:
+def _float_blocks(w0, w1, delta, fill, nb: int) -> tuple:
     """The blocks [w0 + k delta, w0 + k delta + fill], k < nb, of a comb
     with a float among w0, delta and fill: each end is its exact value,
     from the binary values of the three, rounded once to float (integer
@@ -459,7 +459,12 @@ def _float_blocks(w0, delta, fill, nb: int) -> tuple:
     would leave gaps of one rounding (1.0 for 10 x 0.1 in float, but
     0.6000000000000001 for 6 x 0.1)."""
     scale, (w0s, step, width) = _over_one_denominator(w0, delta, fill)
-    return tuple((a / scale, (a + width) / scale) for a in range(w0s, w0s + nb * step, step))
+    blocks = [(a / scale, (a + width) / scale) for a in range(w0s, w0s + nb * step, step)]
+    # the block count is accepted within a tolerance: the last end of a full
+    # comb, or one past the window end (7 x 0.1 > 0.7), snaps to the window end
+    if fill == delta or blocks[-1][1] > w1:
+        blocks[-1] = (blocks[-1][0], float(w1))
+    return tuple(blocks)
 
 
 def _exact_comb(w0, w1, delta, fill, nb: int) -> ThickSet:

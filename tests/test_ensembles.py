@@ -6,17 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from test_synthesis import dense_on_window
+from test_concentration import lemma_oracle
 
 from lacspec import concentration
-from lacspec.concentration import (
-    LemmaTerms,
-    _lemma_window,
-    lemma_main_report,
-    theorem_split_check,
-)
+from lacspec.concentration import lemma_main_report, theorem_split_check
 from lacspec.errors import ConfigError
-from lacspec.experiments import lemma_trials, schedule_from, split_trials, trial_blocks
+from lacspec.experiments import (
+    _gaussian_rows,
+    lemma_trials,
+    schedule_from,
+    split_trials,
+    trial_blocks,
+)
 from lacspec.sequences import Sequence
 from lacspec.sets import periodic_comb
 from lacspec.synthesis import BandFunction, Grid, random_band_function
@@ -27,44 +28,59 @@ def trial_rng(seed, trial):
 
 
 def per_function_lemma_rows(seq, E, grid, L, seed, trials):
-    """Oracle: the lemma loop as it ran before the trials shared one array,
-    with one random_band_function per frequency, f_n and f_n' on the window
-    samples J from its dense spectrum, and F modulated piece by piece."""
-    J, w_i, w_e = _lemma_window(E, grid, (0.0, 1.0 / L))
-    S = grid.samples
+    """Oracle: the lemma loop with one random_band_function per frequency,
+    each trial's terms by Gauss-Legendre quadrature (``lemma_oracle``)."""
     rows = []
     for trial in range(trials):
         rng = trial_rng(seed, trial)
-        F = np.zeros(J.size, dtype=complex)
-        sq = np.zeros(J.size)
-        sob = np.zeros(J.size)
-        for f, lam in [(random_band_function(grid, rng), lam) for lam in seq.values]:
-            k = grid.bin_of(lam)
-            v, dv = dense_on_window(f, J)
-            if k / grid.period == float(lam):
-                F += v * np.exp((2j * np.pi / S) * ((k * J) % S))
-            else:
-                F += v * np.exp(2j * np.pi * float(lam) * (J * grid.spacing))
-            sq += np.abs(v) ** 2
-            sob += np.abs(dv) ** 2
-        rows.append(LemmaTerms(float(np.sum(w_e * np.abs(F) ** 2)),
-                               float(np.sum(w_i * sq)), float(np.sum(w_i * (sq + sob)))))
+        f_list = [random_band_function(grid, rng) for _ in seq.values]
+        rows.append(lemma_oracle(f_list, seq, E, (0.0, 1.0 / L)))
     return rows
 
 
 @pytest.mark.parametrize("period, L, direct", [
-    (16.0, 4, True),  # |J| = 64 samples times 17 bins: a direct sum
-    (16.0, 1, False),  # |J| = 256: past the cap, one inverse FFT each of f_n and f_n'
+    (16.0, 4, True),  # the 34 x 34 form A of two unit bands fits S = 4096 entries
+    (16.0, 1, False),  # ... not S = 1024: A is assembled in row blocks
     (15.9999999999, 4, True),  # 4 T and 16 T within the snap tolerance of bins 64 and 256
 ])
 def test_lemma_rows_are_the_per_function_ones(period, L, direct):
-    grid = Grid(period, 4096)
+    grid = Grid(period, 4096 if direct else 1024)
     E = periodic_comb(0.5, 1.0, (0.0, period))
     seq = Sequence((4, 16))
-    J = _lemma_window(E, grid, (0.0, 1.0 / L))[0]
-    assert (J.size * grid.band_bins((0.0, 1.0)).size <= grid.samples) == direct
+    n = len(seq) * grid.band_bins((0.0, 1.0)).size
+    assert (n * n <= grid.samples) == direct
     assert all((grid.bin_of(lam) / period == lam) == (period == 16.0) for lam in seq.values)
-    assert lemma_trials(seq, E, grid, L, 5, 6) == per_function_lemma_rows(seq, E, grid, L, 5, 6)
+    rows = lemma_trials(seq, E, grid, L, 5, 6)
+    for row, oracle in zip(rows, per_function_lemma_rows(seq, E, grid, L, 5, 6), strict=True):
+        got = (row.lhs, row.term_density, row.term_sobolev)
+        np.testing.assert_allclose(got, oracle, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("widths", [[9] * 4, [17] * 3, [1], [3, 1, 5, 2], [33, 9]])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+def test_gaussian_rows_are_the_per_block_draws(widths, seed):
+    # one normal draw per trial, dealt out by index, is the stream of one
+    # draw per block and part
+    rows = _gaussian_rows(seed, 5, widths)
+    for trial, row in enumerate(rows):
+        rng = trial_rng(seed, trial)
+        want = np.concatenate([rng.standard_normal(w) + 1j * rng.standard_normal(w)
+                               for w in widths])
+        assert row.tobytes() == want.tobytes()
+
+
+def test_ensembles_transform_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("numpy.fft was called")
+
+    for name in np.fft.__all__:
+        if callable(getattr(np.fft, name)):
+            monkeypatch.setattr(np.fft, name, refuse)
+    grid = Grid(16.0, 16384)
+    E = periodic_comb(0.5, 1.0, (0.0, 16.0))
+    assert len(lemma_trials(Sequence((3, 9, 27)), E, grid, 8, 7, 4)) == 4
+    assert len(lemma_trials(Sequence((3, 9, 27)), E, grid, 1, 7, 4)) == 4
+    assert len(split_trials(Sequence((2, 8, 32)), E, grid, 1, schedule_from([[1, 2]]), 7, 4)) == 4
 
 
 def test_trials_build_no_band_function_and_synthesize_once(monkeypatch):
@@ -117,14 +133,14 @@ def traced_peak_mib(call) -> float:
 
 
 def test_ensemble_peak_allocations():
-    # one trial's arrays at a time, plus the per-run cell weights: no table
-    # may grow with the number of trials
-    split_grid = Grid(8.0, 32768)
+    # one trial's arrays at a time, plus the forms the trials share: no table
+    # may grow with the number of trials or with the grid's samples
+    split_grid = Grid(8.0, 2**22)
     split_set = periodic_comb(0.5, 1.0, (0.0, 8.0))
     schedule = schedule_from([[1, 2]])
     split_peak = traced_peak_mib(lambda: split_trials(
         Sequence((3, 9, 27, 81)), split_set, split_grid, 1, schedule, 7, 60))
-    lemma_grid = Grid(16.0, 32768)
+    lemma_grid = Grid(16.0, 2**22)
     lemma_set = periodic_comb(0.5, 1.0, (0.0, 16.0))
     lemma_peak = traced_peak_mib(lambda: lemma_trials(
         Sequence((3, 9, 27)), lemma_set, lemma_grid, 8, 7, 30))

@@ -10,6 +10,7 @@ import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from lacspec import cli
@@ -60,13 +61,13 @@ PINS = {
         "ls_gamma_sweep.csv": "2399a818448a5dd12b93a1771eb6fd75ede6939af4acafc6ea4fa9447db5baf5",
     },
     "lemma_margins": {
-        "lemma_margin_summary.csv": "34cbd36407fb2db9aa9f3e77d9b1cb950a9f5dbdb856d0d7c33d231080c303bf",
-        "lemma_margins.csv": "6000c5a3f5aa33e7f5d58f167b9d7a2a1f3ef56a4987ab6ec21bc903b196f4c9",
-        "min_margin_vs_c2.dat": "a37a42287475b8b406e49c463d58d8768153758cfc3c3823758e39801e832d01",
+        "lemma_margin_summary.csv": "3ce8fde4561d9bdf9d0b7a407796f7cd00e6582e12ed54d3913004bc52018f8f",
+        "lemma_margins.csv": "9206b097a7273b36776f757b756e2f3b1e61865f515831255008b127bfe81f36",
+        "min_margin_vs_c2.dat": "8f0762ff4285945624a164bee5d7a34ef8d1112ec62d9a4b6d5ff08a6d1416a0",
     },
     "theorem_split": {
-        "ratio_per_trial.dat": "dbc3db0711b89645f942cca52f5a773a94da17daffcae18680b3bac61d0109fa",
-        "theorem_split.csv": "75721ecd20f79c2c20c40296b3669c3c7093c5eeac4e0889c4be69574387c4a3",
+        "ratio_per_trial.dat": "4e41701372f0eb0cfd718ce7e54b65e21981dbf633c28f4c56acd16e960ac1f3",
+        "theorem_split.csv": "ed230065de78faa5bbb49a23fe4cefff00d2d52bc16a807e48e02d4dfadfa824",
     },
     "carleman_denjoy": {
         "carleman_denjoy.csv": "3ffb61efb3594606f3f1bb23772b2b937c533bc2c7daea310dd832e41624f0e2",
@@ -140,3 +141,71 @@ def test_ls_sweep_lambda_min_is_the_exact_eigenvalue(tmp_path):
                 eigenvalues.extend(mpmath.eighe(G, eigvals_only=True))
             norm = float(max(eigenvalues))
             assert abs(float(lambda_min) - min(eigenvalues)) <= 8 * sys.float_info.epsilon * norm
+
+
+def mp_quadratic_form(mpmath, coeffs, freqs, intervals):
+    """sum_{p,q} c_p conj(c_q) times the integral of e^{2 pi i (f_p - f_q) x}
+    over the intervals, each integral in closed form at the working
+    precision: (e^{2 pi i d b} - e^{2 pi i d a}) / (2 pi i d), or b - a at d = 0."""
+    cache = {}
+
+    def integral(d):
+        if d not in cache:
+            cache[d] = sum(b - a if d == 0 else (mpmath.expjpi(2 * d * b) - mpmath.expjpi(2 * d * a))
+                           / (2j * mpmath.pi * d) for a, b in intervals)
+        return cache[d]
+
+    c = [mpmath.mpc(z) for z in coeffs]
+    return mpmath.re(sum(cp * mpmath.conj(cq) * integral(fp - fq)
+                         for cp, fp in zip(c, freqs) for cq, fq in zip(c, freqs)))
+
+
+def pinned_rows(kind, tmp_path):
+    run_outputs(kind, tmp_path)
+    with open(tmp_path / "out" / f"{kind}.csv", newline="") as fh:
+        return [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+
+
+def trial_normals(seed, trial, widths):
+    rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
+    return [rng.standard_normal(w) + 1j * rng.standard_normal(w) for w in widths]
+
+
+def test_lemma_margins_terms_are_the_exact_integrals(tmp_path):
+    """Each pinned trial's three terms are within 4e-15 (relative) of the
+    integrals over I = [0, 1/4], inside the first block of the comb [0, 1/2]
+    of the set, of the trial's functions at 50 digits: f_n on the 17 bins
+    k/16 of [0, 1], modulated by lambda_n = 4, 16, 64.  Measured: 4.0e-16 at
+    most."""
+    mpmath = pytest.importorskip("mpmath")
+    rows = pinned_rows("lemma_margins", tmp_path)
+    with mpmath.workdps(50):
+        I = [(mpmath.mpf(0), mpmath.mpf(1) / 4)]
+        nus = [mpmath.mpf(k) / 16 for k in range(17)]
+        for trial, lhs, density, sobolev, *_ in rows:
+            coeffs = trial_normals(7, int(trial), [17] * 3)
+            exact_lhs = mp_quadratic_form(
+                mpmath, np.concatenate(coeffs), [lam + nu for lam in (4, 16, 64) for nu in nus], I)
+            exact_density = sum(mp_quadratic_form(mpmath, c, nus, I) for c in coeffs)
+            exact_sobolev = exact_density + sum(mp_quadratic_form(
+                mpmath, c * (2j * np.pi * np.arange(17) / 16), nus, I) for c in coeffs)
+            for got, want in ((lhs, exact_lhs), (density, exact_density),
+                              (sobolev, exact_sobolev)):
+                assert abs(got - float(want)) <= 4e-15 * float(want)
+
+
+def test_theorem_split_ratios_are_the_exact_integrals(tmp_path):
+    """Each pinned trial's ratio^2 is within 4e-15 (relative) of the integral
+    of |F|^2 over the comb of 8 blocks [j, j + 1/2] of [0, 8] over its
+    squared norm, at 50 digits: F on the 9 bins of each of [4, 5], [16, 17],
+    [64, 65] and [256, 257] at T = 8.  Measured: 3.3e-16 at most."""
+    mpmath = pytest.importorskip("mpmath")
+    rows = pinned_rows("theorem_split", tmp_path)
+    with mpmath.workdps(50):
+        E = [(mpmath.mpf(j), mpmath.mpf(j) + mpmath.mpf(1) / 2) for j in range(8)]
+        freqs = [lam + mpmath.mpf(k) / 8 for lam in (4, 16, 64, 256) for k in range(9)]
+        for trial, ratio, *_ in rows:
+            c = np.concatenate(trial_normals(7, int(trial), [9] * 4))
+            norm = 8 * sum(abs(mpmath.mpc(z)) ** 2 for z in c.tolist())
+            exact = mp_quadratic_form(mpmath, c, freqs, E) / norm
+            assert abs(mpmath.mpf(ratio) ** 2 - exact) <= 4e-15 * exact

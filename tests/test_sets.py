@@ -193,6 +193,18 @@ class TestThickSet:
         if (gamma, w0, delta, nb) in ((1.0, 0.0, 0.1, 10), (0.5, 0.0, 0.1, 10)):
             assert E.measure == gamma
 
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.7])
+    def test_comb_on_a_decimal_window_ends_at_it(self, delta):
+        # 7 x 0.1 rounds one ulp above the window end 0.7 and 3 x 0.3 one
+        # below 0.9: a block count accepted within its tolerance snaps the
+        # last end to the window end (periodic_comb(1.0, 0.1, (0.0, 0.7))
+        # was refused as leaving the window)
+        for nb in range(1, 31):
+            w1 = float(f"{nb * delta:.12g}")
+            full, half = (periodic_comb(g, delta, (0.0, w1)) for g in (1.0, 0.5))
+            assert full.intervals == ((0.0, w1),) and full.measure == w1
+            assert half.intervals[-1][1] < w1 and len(half.intervals) == nb
+
     def test_dict_roundtrip(self):
         E = ThickSet(((0.0, 0.25), (0.5, 0.6)), (0.0, 1.0), periodic=True)
         assert ThickSet.from_dict(E.to_dict()) == E
