@@ -45,10 +45,13 @@ HERMITIAN_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-10
 DEGENERACY_FLOOR = 1e-13
 MAX_DENSE_DIM = 2000
+_BLOCK_ENTRIES = 2**16  # entries of one block of the closed form (``_closed_form``)
 
 
-def _phase_integrals(a, b, d: np.ndarray) -> np.ndarray:
-    """Closed form of the integral of e^{2 pi i d x} over [a, b], for each d.
+def _phase_integrals(width, center, d: np.ndarray) -> np.ndarray:
+    """Closed form of the integral of e^{2 pi i d x} over [a, b], for each d,
+    given width = b - a and center = a + b (floats, or a column of them
+    against a row d: one row per interval).
 
     Written as e^{i pi d (a+b)} * sin(pi d (b-a)) / (pi d) with both phases
     range-reduced, so the result is exactly zero wherever d*(b-a) is an
@@ -56,7 +59,6 @@ def _phase_integrals(a, b, d: np.ndarray) -> np.ndarray:
     exactly diagonal.  Where d*(b-a) is zero or subnormal, the sine has lost
     its digits and the d -> 0 limit b - a is returned instead.
     """
-    width, center = float(b - a), float(a + b)
     dw = d * width
     k = np.round(dw)
     s = np.sin(np.pi * (dw - k)) * (1 - 2 * (k % 2))
@@ -73,7 +75,7 @@ def interval_phase_integral(a, b, d) -> complex:
     differences and for pairs of frequencies less than 1 apart (see
     ``_gram_entries``; its other pairs take (e(d b) - e(d a)) / (2 pi i d),
     e(t) = e^{2 pi i t}, from exact end phases)."""
-    return complex(_phase_integrals(a, b, np.array([float(d)]))[0])
+    return complex(_phase_integrals(float(b - a), float(a + b), np.array([float(d)]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +271,21 @@ def _require_measure(E: ThickSet) -> None:
 
 def _closed_form(d: np.ndarray, intervals, period) -> np.ndarray:
     """(1/period) times the sum over the intervals of the closed form
-    (``_phase_integrals``) at each d, evaluated once per distinct d."""
+    (``_phase_integrals``) at each d, evaluated once per distinct d.
+
+    One array pass per block of intervals: their widths float(b - a) and
+    centres float(a + b), each of the exact ends, as a column against the
+    row of the D distinct d.  The rows are summed in interval order from 0,
+    so each entry has the bits of a sum over the intervals one by one.  A
+    block holds max(_BLOCK_ENTRIES, D) entries at most."""
     distinct, inverse = np.unique(d, return_inverse=True)
-    acc = sum(_phase_integrals(a, b, distinct) for a, b in intervals)
+    width = np.array([float(b - a) for a, b in intervals])[:, None]
+    center = np.array([float(a + b) for a, b in intervals])[:, None]
+    step = max(1, _BLOCK_ENTRIES // distinct.size)
+    acc = np.zeros(distinct.size, dtype=complex)
+    for lo in range(0, len(width), step):
+        for row in _phase_integrals(width[lo:lo + step], center[lo:lo + step], distinct):
+            acc += row
     # true division: numpy's complex / real multiplies by the reciprocal
     return (acc.view(float) / period).view(complex)[inverse]
 
@@ -355,7 +369,7 @@ def _gram_entries(freqs, intervals, period) -> np.ndarray:
     forms give the entries of the upper triangle:
 
     - the closed form (``_closed_form``) runs once per distinct difference
-      and interval: J numpy passes over the distinct differences;
+      and interval, in one array pass per block of intervals;
     - the endpoint form (``_endpoint_form``) builds one n x 2J table of exact
       end phases and one rank-2J product, whatever the differences.
 
@@ -526,7 +540,11 @@ def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
     residue class of the bins mod M.  With k - l = M j and x = delta u, a
     class entry is int e^{2 pi i j u} du over [w0, w0 + fill] / delta: one
     interval's closed form (``_closed_form``) at integer j, so a full comb
-    (fill = delta) gives identity blocks exactly.
+    (fill = delta) gives identity blocks exactly.  The closed form is taken
+    once, as a table over j = -span..0 (span the bins' range over M), and
+    every block is gathered from it: entry (a, b) of a class of offsets
+    o_1 < o_2 < ... is the table at j = o_a - o_b <= 0 above the diagonal,
+    and the conjugate of that at o_b - o_a on and below it.
 
     A class's block depends only on its bins' offsets from its first bin,
     so the classes of one size are stacked by their distinct offset
@@ -539,19 +557,21 @@ def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
     """
     M = comb.blocks
     interval = [(comb.start / comb.delta, (comb.start + comb.fill) / comb.delta)]
-    residues = bins % M
-    ordered = bins[np.lexsort((bins, residues))]  # by class, each class increasing
-    _, first, sizes = np.unique(np.sort(residues), return_index=True, return_counts=True)
+    ordered = bins[np.lexsort((bins, bins % M))]  # by class, each class increasing
+    residues = ordered % M
+    first = np.flatnonzero(np.r_[True, residues[1:] != residues[:-1]])
+    sizes = np.diff(first, append=ordered.size)
+    span = int(bins.max() - bins.min()) // M  # the widest class's offset range
+    table = _closed_form(np.arange(-span, 1, dtype=float), interval, 1)  # at j = -span..0
     least, scale = None, 0.0
-    for size in np.unique(sizes):
+    for size in sorted(set(sizes.tolist())):
         members = ordered[first[sizes == size][:, None] + np.arange(size)]
-        patterns = np.unique((members - members[:, :1]) // M, axis=0)
-        rows, cols = np.triu_indices(size)
-        j = (patterns[:, rows] - patterns[:, cols]).astype(float)
-        entries = _closed_form(j.ravel(), interval, 1).reshape(j.shape)
-        G = np.zeros((len(patterns), size, size), dtype=complex)
-        G[:, rows, cols] = entries
-        G[:, cols, rows] = entries.conj()
+        offsets = (members - members[:, :1]) // M
+        offsets = offsets[np.lexsort(offsets.T[::-1])]  # rows in lexicographic order
+        patterns = offsets[np.r_[True, (offsets[1:] != offsets[:-1]).any(axis=1)]]
+        j = patterns[:, :, None] - patterns[:, None, :]  # <= 0 on and above the diagonal
+        G = table[span - np.abs(j)]
+        np.conjugate(G, out=G, where=j >= 0)  # the lower triangle and diagonal, mirrored
         _require_hermitian(G)
         vals, vecs = np.linalg.eigh(G)
         scale = max(scale, float(np.max(np.abs(vals))))
@@ -587,7 +607,7 @@ def _forms(pieces, intervals, period, cap: int, X: np.ndarray) -> np.ndarray:
     shifts (an integer shift is folded into its bins) the closed form is
     taken on the range of the differences, at most 2S - 1 numbers for
     |k + s| < S/2, and dotted with the correlation of a trial's
-    coefficients on those bins.
+    coefficients on those bins (``_correlate_rows``, by FFT).
     Each trial takes the same calls whatever the others, so a row has the
     same bits alone or in a batch.  No intervals or no frequencies give 0."""
     out = np.zeros(X.shape[:2])
@@ -617,8 +637,19 @@ def _forms(pieces, intervals, period, cap: int, X: np.ndarray) -> np.ndarray:
             rows = np.arange(len(x))[:, None]  # bins of two pieces may coincide: add
             np.add.at(a, (rows, kp), x[:, members[p]])
             np.add.at(b, (rows, kq), x[:, members[q]])
-            acc += [np.dot(table, np.correlate(u, v, "full")).real for u, v in zip(a, b)]
+            acc += (_correlate_rows(a, b) @ table).real
     return out
+
+
+def _correlate_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.correlate(u, v, "full") of each row u of a with the same row v of
+    b: the convolution of u with conj(v) reversed, from one product of
+    their FFTs zero-padded to a power of two, O(S log S) for S bins where
+    the direct sums cost O(S^2)."""
+    size = a.shape[1] + b.shape[1] - 1
+    n = 1 << (size - 1).bit_length()
+    product = np.fft.fft(a, n) * np.fft.fft(b[:, ::-1].conj(), n)
+    return np.fft.ifft(product)[:, :size]
 
 
 @dataclass(frozen=True)

@@ -512,12 +512,14 @@ def _gaussian_rows(seed: int, trials: int, widths) -> np.ndarray:
     per trial: row t draws from ``Philox(key=[seed, t])`` one block per
     width, real parts then imaginary parts, and holds the blocks end to end.
     The generator is keyed by the trial, so no row depends on another; one is
-    reset to each key and draws a trial's normals in one call, dealt out."""
+    reset to each key and draws a trial's normals in one call, dealt out.
+    The key is built as uint64 words: a list would pass a seed >= 2**63
+    through float64, which merges neighbouring seeds."""
     widths = np.asarray(widths, dtype=np.int64)
     real = np.repeat(np.cumsum(widths) - widths, widths) + np.arange(widths.sum())
     imag = real + np.repeat(widths, widths)
     normals = np.empty((trials, 2 * widths.sum()))
-    bits = np.random.Philox(key=[seed, 0])
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng, state = np.random.Generator(bits), bits.state
     for trial, row in enumerate(normals):
         state["state"]["key"][1] = trial

@@ -161,6 +161,89 @@ class TestIntervalIntegral:
             assert interval_phase_integral(0.0, 1.0, k) == 0.0
 
 
+def one_interval_closed_form(a, b, d):
+    """The closed form over one interval [a, b] at each d, evaluated for that
+    interval alone."""
+    width, center = float(b - a), float(a + b)
+    dw = d * width
+    k = np.round(dw)
+    s = np.sin(np.pi * (dw - k)) * (1 - 2 * (k % 2))
+    phase = d * center
+    phase -= 2 * np.round(phase / 2)
+    with np.errstate(invalid="ignore"):
+        z = np.exp(1j * np.pi * phase) * (s / (np.pi * d))
+    return np.where(np.abs(dw) < np.finfo(float).tiny, width, z)
+
+
+def per_interval_closed_form(d, intervals, period):
+    """Oracle of ``_closed_form``'s bits: one numpy pass per interval, summed
+    by ``sum`` in interval order."""
+    distinct, inverse = np.unique(d, return_inverse=True)
+    acc = sum(one_interval_closed_form(a, b, distinct) for a, b in intervals)
+    return (acc.view(float) / period).view(complex)[inverse]
+
+
+TINY_ENDS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1.0 + EPS]
+
+
+@st.composite
+def closed_form_cases(draw):
+    """Intervals with float, Fraction or int ends (zero and subnormal widths
+    among the floats), 1 to 3000 distinct d with repeats, a period, and a
+    block size that may split the intervals at any count."""
+    kind = draw(st.sampled_from(["float", "fraction", "int"]))
+    if kind == "float":
+        end = st.one_of(st.sampled_from(TINY_ENDS), st.floats(-64, 64))
+    elif kind == "fraction":
+        end = st.builds(Fraction, st.integers(-4096, 4096), st.integers(1, 97))
+    else:
+        end = st.integers(-64, 64)
+    intervals = [tuple(sorted(pair)) for pair in
+                 draw(st.lists(st.tuples(end, end), min_size=1, max_size=48))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 3000))
+    d = rng.standard_normal(count) * draw(st.sampled_from([1.0, 64.0, 1e6]))
+    if draw(st.booleans()):  # rational differences: zeros and integer cycle counts
+        d = np.round(d) / draw(st.sampled_from([1, 3, 1024]))
+    d = np.concatenate([d, d[: draw(st.integers(0, count))]])
+    period = draw(st.sampled_from([1, 2.0, 16.0, 3.7]))
+    block = draw(st.sampled_from([conc._BLOCK_ENTRIES, 1, 64, 1000]))
+    return d, intervals, period, block
+
+
+class TestClosedForm:
+    @given(closed_form_cases())
+    @example((np.array([0.0, 1.0, -1.0]), [(0.0, 5e-324), (1.0, 1.0), (0.25, 0.75)], 1, 1))
+    @example((np.arange(-1500.0, 1500.0) / 7, [(Fraction(k, 3), Fraction(k + 1, 3))
+                                                for k in range(40)], 16.0, conc._BLOCK_ENTRIES))
+    @settings(max_examples=200, deadline=None)
+    def test_array_pass_has_the_bits_of_the_per_interval_sum(self, case):
+        # 2**16 // 3000 = 21 intervals a block at 3000 distinct d, and the
+        # smaller blocks split every interval count
+        d, intervals, period, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conc, "_BLOCK_ENTRIES", block)
+            got = conc._closed_form(d, intervals, period)
+        assert got.tobytes() == per_interval_closed_form(d, intervals, period).tobytes()
+
+    @pytest.mark.parametrize("count, width", [(4096, 401), (3, 70001)])
+    def test_a_block_bounds_the_temporaries(self, count, width):
+        # 4096 intervals against 401 distinct d would be 1.6e6 entries, 26 MB
+        # a complex array, in one pass; a block holds 2**16 entries (1 MB), or
+        # one row of d when d has more
+        E = periodic_comb(0.5, 1.0, (0.0, float(count)))
+        intervals = E.intervals
+        assert len(intervals) == count
+        d = np.arange(width) / count
+        tracemalloc.start()
+        try:
+            conc._closed_form(d, intervals, float(count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 16 * max(conc._BLOCK_ENTRIES, width)
+
+
 class TestGramMatrix:
     @given(
         st.integers(2**53, 2**80),
@@ -563,6 +646,80 @@ class TestCombClasses:
             ls_constant(E, (0.0, 4.0), Grid(8.0, 32))
 
 
+def per_pattern_comb_eigenpair(comb, bins):
+    """Oracle of ``_comb_eigenpair``'s bits: each class size's pattern
+    triangle takes its own per-interval closed form, mirrored into blocks
+    that one batched ``eigh`` per size solves."""
+    M = comb.blocks
+    interval = [(comb.start / comb.delta, (comb.start + comb.fill) / comb.delta)]
+    residues = bins % M
+    ordered = bins[np.lexsort((bins, residues))]
+    _, first, sizes = np.unique(np.sort(residues), return_index=True, return_counts=True)
+    least, scale = None, 0.0
+    for size in np.unique(sizes):
+        members = ordered[first[sizes == size][:, None] + np.arange(size)]
+        patterns = np.unique((members - members[:, :1]) // M, axis=0)
+        rows, cols = np.triu_indices(size)
+        j = (patterns[:, rows] - patterns[:, cols]).astype(float)
+        entries = per_interval_closed_form(j.ravel(), interval, 1).reshape(j.shape)
+        G = np.zeros((len(patterns), size, size), dtype=complex)
+        G[:, rows, cols] = entries
+        G[:, cols, rows] = entries.conj()
+        vals, vecs = np.linalg.eigh(G)
+        scale = max(scale, float(np.max(np.abs(vals))))
+        c = int(np.argmin(vals[:, 0]))
+        if least is None or vals[c, 0] < least[0]:
+            least = (float(vals[c, 0]), G[c], vecs[c, :, 0])
+    lam, G, v = least
+    return lam, conc._residual(G, v, lam, scale)
+
+
+@st.composite
+def class_cases(draw):
+    """A comb on [0, T], T <= 256, of blocks of width 1/2, 1 or 2, full or
+    of an exact or float fill, and the bins of a band or a geometric
+    profile."""
+    delta = draw(st.sampled_from([Fraction(1, 2), 1, 2]))
+    T = delta * draw(st.integers(1, int(256 / delta)))
+    fill = draw(st.sampled_from(["full", "exact", "float"]))
+    if fill == "full":
+        E = periodic_comb(1, delta, (0, T))
+    elif fill == "exact":
+        q = draw(st.integers(1, 64))
+        E = periodic_comb(Fraction(draw(st.integers(1, q)), q), delta, (0, T))
+    else:
+        gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
+        E = periodic_comb(gamma, float(delta), (0.0, float(T)))
+        assume(E.measure > 0)
+    if draw(st.booleans()):
+        lo = draw(st.integers(-4, 4))
+        profile = (float(lo), lo + draw(st.floats(0.5, 4.0)))
+    else:
+        start, ratio = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        count = draw(st.integers(1, 3))
+        profile = SpectralProfile(Sequence(tuple(start * ratio**k for k in range(count))))
+    try:
+        bins = Grid(float(T), 2**24).band_bins(profile)
+    except ValueError:  # a band narrower than the bin spacing 1/T
+        assume(False)
+    assume(bins.size <= 800)
+    return E.comb, bins
+
+
+class TestClassGather:
+    @given(class_cases())
+    @example((periodic_comb(Fraction(5, 16), 2, (0, 64)).comb,
+              Grid(64.0, 256).band_bins((0.0, 1.0))))
+    @example((periodic_comb(1, Fraction(1, 2), (0, 256)).comb,
+              Grid(256.0, 2**16).band_bins(SpectralProfile(Sequence((2, 8, 32))))))
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_from_one_table_have_the_per_pattern_bits(self, case):
+        comb, bins = case
+        got = conc._comb_eigenpair(comb, bins)
+        want = per_pattern_comb_eigenpair(comb, bins)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def solve_spy(monkeypatch):
     """The right-hand side of every np.linalg.solve call, in call order."""
     rhs = []
@@ -911,7 +1068,8 @@ class TestLemmaReport:
     @pytest.mark.parametrize("L, start", [(4, 0.0), (1, 2.3), (16, 2.3), (128, 0.0)])
     def test_dense_and_zero_functions_match_the_oracle(self, monkeypatch, L, start):
         # two dense spectra of ~2040 bins each: A and their D hold more than
-        # S entries and are assembled in row blocks; nothing is transformed
+        # S entries and are never built; the only transforms are those of
+        # the correlations past the cap, two forward and one inverse each
         grid = Grid(16.0, 2048)
         E = periodic_comb(0.5, 0.5, (0.0, 16.0))
         rng = np.random.Generator(np.random.Philox(22))
@@ -922,9 +1080,12 @@ class TestLemmaReport:
               random_band_function(grid, rng)]
         seq = Sequence((4, 8, 16, 32))
         assert all(np.count_nonzero(f.spectrum()) > 2000 for f in fs[:2])
-        sizes = fft_spy(monkeypatch)
+        sizes, correlations = fft_spy(monkeypatch), []
+        correlate = conc._correlate_rows
+        monkeypatch.setattr(conc, "_correlate_rows",
+                            lambda a, b: correlations.append(a.shape) or correlate(a, b))
         lemma_main_report(fs, seq, E, (start, start + 1 / L), L)
-        assert sizes == []
+        assert correlations and len(sizes) == 3 * len(correlations)
         assert_terms_match_oracle(fs, seq, E, (start, start + 1 / L), L, rel=1e-11)
 
     def test_trials_transform_no_array_of_the_grid(self, monkeypatch):
@@ -1234,13 +1395,28 @@ class TestSplitQuadraticForm:
         closed_form = conc._closed_form
         monkeypatch.setattr(conc, "_closed_form",
                             lambda d, *args: evaluated.append(d.size) or closed_form(d, *args))
-        for width, entries in ((8, [64]), (9, [17])):
+        for width, entries, transforms in ((8, [64], []), (9, [17], [9, 9, 32])):
             blocks = [np.arange(1, width + 1) * (1 - 2j)]
             rec = theorem_split_check(blocks, seq, TailSchedule.constant(1), 1, E, grid)
-            assert sizes == [] and evaluated == entries
+            # past the cap the correlation is one FFT product, padded to 32
+            assert sizes == transforms and evaluated == entries
+            sizes.clear()
             evaluated.clear()
             restricted, _, _ = sampled_split(blocks, seq, TailSchedule.constant(1), 1, E, grid)
             assert rec.ratio ** 2 == pytest.approx(restricted, rel=1e-13)
+
+    @given(st.integers(1, 400), st.integers(1, 400), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.sampled_from([1e-200, 1.0, 1e200]))
+    @settings(max_examples=100, deadline=None)
+    def test_fft_correlation_is_np_correlate(self, width_a, width_b, rows, seed, scale):
+        rng = np.random.default_rng(seed)
+        a, b = ((rng.standard_normal((rows, w)) + 1j * rng.standard_normal((rows, w)))
+                * (rng.random((rows, w)) < 0.7) for w in (width_a, width_b))
+        got = conc._correlate_rows(a * scale, b)
+        assert got.shape == (rows, width_a + width_b - 1)
+        for g, u, v in zip(got, a * scale, b):
+            bound = 1e-12 * np.abs(u).sum() * np.abs(v).sum()
+            assert np.max(np.abs(g - np.correlate(u, v, "full"))) <= bound
 
     def test_an_ensemble_transforms_nothing(self, monkeypatch):
         grid = Grid(16.0, 16384)

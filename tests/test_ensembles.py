@@ -24,7 +24,7 @@ from lacspec.synthesis import BandFunction, Grid, random_band_function
 
 
 def trial_rng(seed, trial):
-    return np.random.Generator(np.random.Philox(key=[seed, trial]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 def per_function_lemma_rows(seq, E, grid, L, seed, trials):
@@ -67,6 +67,26 @@ def test_gaussian_rows_are_the_per_block_draws(widths, seed):
         want = np.concatenate([rng.standard_normal(w) + 1j * rng.standard_normal(w)
                                for w in widths])
         assert row.tobytes() == want.tobytes()
+
+
+def test_seeds_past_2_63_key_their_own_generators():
+    # a key given as a list passed through float64 from 2**63 on: 2**63 + 5
+    # and 2**63 + 6 both keyed [2**63, t], and 2**64 - 1 warned of an
+    # invalid cast.  Below 2**63 the list and the uint64 words are one key.
+    for seed in (0, 5, 2**31 - 1, 2**62 + 3, 2**63 - 1):
+        for trial in (0, 3):
+            listed = np.random.Philox(key=[seed, trial]).state["state"]["key"]
+            words = np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
+            assert listed.tolist() == words.state["state"]["key"].tolist() == [seed, trial]
+    seeds = (2**63 - 1, 2**63, 2**63 + 5, 2**63 + 6, 2**64 - 1)
+    rows = [_gaussian_rows(seed, 3, [4, 2]) for seed in seeds]
+    assert len({r.tobytes() for r in rows}) == len(seeds)
+    for seed, r in zip(seeds, rows):
+        for trial, row in enumerate(r):
+            rng = trial_rng(seed, trial)
+            want = np.concatenate([rng.standard_normal(w) + 1j * rng.standard_normal(w)
+                                   for w in (4, 2)])
+            assert row.tobytes() == want.tobytes()
 
 
 def test_ensembles_transform_nothing(monkeypatch):
