@@ -541,10 +541,11 @@ def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
     class entry is int e^{2 pi i j u} du over [w0, w0 + fill] / delta: one
     interval's closed form (``_closed_form``) at integer j, so a full comb
     (fill = delta) gives identity blocks exactly.  The closed form is taken
-    once, as a table over j = -span..0 (span the bins' range over M), and
+    once, at -|j| for the offset differences j that occur in the blocks of
+    all sizes (so its size follows the blocks, not the bins' range), and
     every block is gathered from it: entry (a, b) of a class of offsets
-    o_1 < o_2 < ... is the table at j = o_a - o_b <= 0 above the diagonal,
-    and the conjugate of that at o_b - o_a on and below it.
+    o_1 < o_2 < ... is the closed form at j = o_a - o_b <= 0 above the
+    diagonal, and the conjugate of that at o_b - o_a on and below it.
 
     A class's block depends only on its bins' offsets from its first bin,
     so the classes of one size are stacked by their distinct offset
@@ -557,20 +558,21 @@ def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
     """
     M = comb.blocks
     interval = [(comb.start / comb.delta, (comb.start + comb.fill) / comb.delta)]
-    ordered = bins[np.lexsort((bins, bins % M))]  # by class, each class increasing
-    residues = ordered % M
-    first = np.flatnonzero(np.r_[True, residues[1:] != residues[:-1]])
-    sizes = np.diff(first, append=ordered.size)
-    span = int(bins.max() - bins.min()) // M  # the widest class's offset range
-    table = _closed_form(np.arange(-span, 1, dtype=float), interval, 1)  # at j = -span..0
-    least, scale = None, 0.0
-    for size in sorted(set(sizes.tolist())):
+    residues = bins % M
+    ordered = bins[np.lexsort((bins, residues))]  # by class, each class increasing
+    _, first, sizes = np.unique(np.sort(residues), return_index=True, return_counts=True)
+    diffs = []  # per size, the offset differences of its distinct patterns
+    for size in np.unique(sizes):
         members = ordered[first[sizes == size][:, None] + np.arange(size)]
-        offsets = (members - members[:, :1]) // M
-        offsets = offsets[np.lexsort(offsets.T[::-1])]  # rows in lexicographic order
-        patterns = offsets[np.r_[True, (offsets[1:] != offsets[:-1]).any(axis=1)]]
-        j = patterns[:, :, None] - patterns[:, None, :]  # <= 0 on and above the diagonal
-        G = table[span - np.abs(j)]
+        patterns = np.unique((members - members[:, :1]) // M, axis=0)
+        # j = o_a - o_b: <= 0 on and above the diagonal
+        diffs.append(patterns[:, :, None] - patterns[:, None, :])
+    table = _closed_form(np.concatenate([-np.abs(j).ravel() for j in diffs]).astype(float),
+                         interval, 1)
+    least, scale, lo = None, 0.0, 0
+    for j in diffs:
+        G = table[lo:lo + j.size].reshape(j.shape)
+        lo += j.size
         np.conjugate(G, out=G, where=j >= 0)  # the lower triangle and diagonal, mirrored
         _require_hermitian(G)
         vals, vecs = np.linalg.eigh(G)

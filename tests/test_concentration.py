@@ -719,6 +719,28 @@ class TestClassGather:
         want = per_pattern_comb_eigenpair(comb, bins)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
+    def test_wide_bins_cost_memory_in_their_count(self):
+        # one block (M = 1) under the bands 2^k, k = 1..23: 46 bins spread
+        # over about 2^23, so a table over the whole range of differences would
+        # hold 2^23 entries; the differences that occur are n^2 at most
+        E = periodic_comb(0.5, 1, (0, 1))
+        profile = SpectralProfile(Sequence(tuple(2**k for k in range(1, 24))))
+        grid = Grid(1.0, 2**26)
+        bins = grid.band_bins(profile)
+        n = bins.size
+        assert E.comb.blocks == 1 and n == 46 and bins.max() - bins.min() > 2**22
+        got = conc._comb_eigenpair(E.comb, bins)
+        want = per_pattern_comb_eigenpair(E.comb, bins)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        tracemalloc.start()
+        try:
+            est = ls_constant(E, profile, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.lambda_min == got[0]
+        assert peak <= 10 * 16 * n**2  # measured 4.8 n^2 complex entries
+
 
 def solve_spy(monkeypatch):
     """The right-hand side of every np.linalg.solve call, in call order."""
