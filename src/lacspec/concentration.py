@@ -158,7 +158,10 @@ def _require_hermitian(m: np.ndarray) -> None:
 
 def _require_residual(residual: float, scale: float) -> None:
     """The residual contract: ||G v - lambda v|| <= EIG_RESIDUAL_TOL ||G||,
-    which a NaN residual fails."""
+    which a NaN residual fails.  Below ||G|| = tiny / EIG_RESIDUAL_TOL, about
+    2.2e-298 (tiny the smallest normal float), the bound is subnormal or
+    zero and the contract holds vacuously; that is harmless, since there
+    lambda_min <= ||G|| < DEGENERACY_FLOOR and every estimate is degenerate."""
     if scale > 0 and not residual <= EIG_RESIDUAL_TOL * scale:
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds "
@@ -457,7 +460,7 @@ def _estimate(lam: float, residual: float, discretization: dict) -> Concentratio
         raise NumericalError(
             f"compression eigenvalue {lam} is negative beyond tolerance"
         )
-    lam = max(lam, 0.0)
+    lam = max(lam, 0.0) + 0.0  # + 0.0 turns a -0.0 into +0.0
     degenerate = lam < DEGENERACY_FLOOR
     constant = math.inf if degenerate else 1.0 / lam
     return ConcentrationEstimate(lam, constant, residual, discretization, degenerate)
@@ -505,17 +508,8 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     if comb is not None and comb.blocks * comb.delta == T:
         lam, residual = _comb_eigenpair(comb, bins)
     else:
-        intervals = _set_intervals(E, grid)
-        form = HermitianForm(
-            n,
-            _gram_entries(bins.tolist(), intervals, T),
-            {
-                "kind": "ls_compression",
-                "bins": [int(bins[0]), int(bins[-1])],
-                "grid": {"period": T, "samples": grid.samples},
-                "set": _set_record(E, intervals),
-            },
-        )
+        form = HermitianForm(n, _gram_entries(bins.tolist(), _set_intervals(E, grid), T),
+                             {"kind": "ls_compression"})
         vals, _, residual = hermitian_eigensystem(form)
         lam = float(vals[0])
     return _estimate(
@@ -537,44 +531,37 @@ def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
     Entry (k, l) is (1/T) int_E e^{2 pi i (k - l) x / T} dx.  Summed over
     the blocks it is M times one block's integral when M divides k - l, and
     0 otherwise, so the compression is the direct sum of one block per
-    residue class of the bins mod M.  With k - l = M j and x = delta u, a
-    class entry is int e^{2 pi i j u} du over [w0, w0 + fill] / delta: one
-    interval's closed form (``_closed_form``) at integer j, so a full comb
-    (fill = delta) gives identity blocks exactly.  The closed form is taken
-    once, at -|j| for the offset differences j that occur in the blocks of
-    all sizes (so its size follows the blocks, not the bins' range), and
-    every block is gathered from it: entry (a, b) of a class of offsets
-    o_1 < o_2 < ... is the closed form at j = o_a - o_b <= 0 above the
-    diagonal, and the conjugate of that at o_b - o_a on and below it.
+    residue class of the bins mod M.  With x = delta u, a class's block is
+    the torus Gram matrix of its offsets (k - k_0) / M from its first bin
+    k_0 over the one interval [w0, w0 + fill] / delta, so a full comb
+    (fill = delta) gives identity blocks exactly.  A Gram entry depends only
+    on the difference of its two frequencies, so every block is the
+    principal submatrix, at its class's offsets, of one Gram matrix
+    (``_gram_entries``) of the sorted distinct offsets of all classes, at
+    most n of them.
 
-    A class's block depends only on its bins' offsets from its first bin,
-    so the classes of one size are stacked by their distinct offset
-    patterns (a contiguous band has one pattern per size, and sizes differ
-    by at most one) and solved by one batched ``eigh`` per size.  Each
-    block is checked Hermitian.  lambda_min is the least eigenvalue of all
-    blocks, the residual is ||G_c v - lambda_min v|| of the block c that
-    attains it, and the residual contract takes max |lambda| over all
-    blocks as ||G||.
+    The classes of one size are stacked, less each class whose offsets
+    repeat the previous class's (a band has one pattern per size, and a
+    lacunary profile's pattern changes only where a band edge falls), and
+    solved by one batched ``eigh`` per size.  lambda_min is the least
+    eigenvalue of all blocks, the residual is ||G_c v - lambda_min v|| of
+    the block c that attains it, and the residual contract takes max
+    |lambda| over all blocks as ||G||.
     """
     M = comb.blocks
-    interval = [(comb.start / comb.delta, (comb.start + comb.fill) / comb.delta)]
     residues = bins % M
     ordered = bins[np.lexsort((bins, residues))]  # by class, each class increasing
     _, first, sizes = np.unique(np.sort(residues), return_index=True, return_counts=True)
-    diffs = []  # per size, the offset differences of its distinct patterns
+    offsets, index = np.unique((ordered - np.repeat(ordered[first], sizes)) // M,
+                               return_inverse=True)
+    table = _gram_entries(offsets.tolist(), [(comb.start / comb.delta,
+                                              (comb.start + comb.fill) / comb.delta)], 1)
+    _require_hermitian(table)
+    least, scale = None, 0.0
     for size in np.unique(sizes):
-        members = ordered[first[sizes == size][:, None] + np.arange(size)]
-        patterns = np.unique((members - members[:, :1]) // M, axis=0)
-        # j = o_a - o_b: <= 0 on and above the diagonal
-        diffs.append(patterns[:, :, None] - patterns[:, None, :])
-    table = _closed_form(np.concatenate([-np.abs(j).ravel() for j in diffs]).astype(float),
-                         interval, 1)
-    least, scale, lo = None, 0.0, 0
-    for j in diffs:
-        G = table[lo:lo + j.size].reshape(j.shape)
-        lo += j.size
-        np.conjugate(G, out=G, where=j >= 0)  # the lower triangle and diagonal, mirrored
-        _require_hermitian(G)
+        rows = index[first[sizes == size][:, None] + np.arange(size)]
+        rows = rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
+        G = table[rows[:, :, None], rows[:, None, :]]
         vals, vecs = np.linalg.eigh(G)
         scale = max(scale, float(np.max(np.abs(vals))))
         c = int(np.argmin(vals[:, 0]))
