@@ -3,8 +3,9 @@
 A run parses a strict JSON config (unknown keys are errors), drives the
 library over the requested parameter grid, and writes CSV tables plus
 whitespace-separated plot-data files atomically; the manifest (config hash,
-tool version, per-file checksums) is written last, so an interrupted run
-leaves no manifest.  Random ensembles use the counter-based Philox
+tool version, per-file checksums) is written last, and a previous run's
+manifest is removed before the first file, so an interrupted run leaves no
+manifest.  Random ensembles use the counter-based Philox
 generator, which makes every derived number reproducible from the seed.
 """
 
@@ -439,16 +440,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", text=True)
+def _column(values: list) -> list[str]:
+    """The cells of one column: ``float.__repr__`` over a column of plain
+    floats, ``_fmt`` per cell otherwise (the same text either way)."""
+    if all(type(v) is float for v in values):
+        return list(map(float.__repr__, values))
+    return list(map(_fmt, values))
+
+
+def _atomic_write(path: Path, text: str) -> str:
+    """Write ``text`` as UTF-8 through a temporary file renamed onto
+    ``path``, and return the sha256 of the bytes written."""
+    data = text.encode("utf-8")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def csv_text(rows: list[dict]) -> str:
@@ -457,14 +470,13 @@ def csv_text(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([_COLUMN_LABELS.get(c, c) for c in cols])
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in cols])
+    writer.writerows(zip(*(_column([row[c] for row in rows]) for c in cols)))
     return buf.getvalue()
 
 
-def emit_plot_data(rows: list[dict], columns: tuple, path) -> Path:
-    """Write two or three columns of ``rows``, sorted by the first, as a
-    whitespace-separated data file."""
+def _plot_text(rows: list[dict], columns: tuple) -> str:
+    """Two or three columns of ``rows``, sorted by the first, as the text of
+    a whitespace-separated data file."""
     if not rows:
         raise ValueError("empty result table")
     if len(columns) not in (2, 3):
@@ -472,11 +484,17 @@ def emit_plot_data(rows: list[dict], columns: tuple, path) -> Path:
     for col in columns:
         if col not in rows[0]:
             raise ValueError(f"missing column '{col}'")
+    ordered = sorted(rows, key=lambda r: r[columns[0]])
     lines = ["# " + " ".join(columns)]
-    for row in sorted(rows, key=lambda r: r[columns[0]]):
-        lines.append(" ".join(_fmt(row[c]) for c in columns))
+    lines += map(" ".join, zip(*(_column([row[c] for row in ordered]) for c in columns)))
+    return "\n".join(lines) + "\n"
+
+
+def emit_plot_data(rows: list[dict], columns: tuple, path) -> Path:
+    """Write two or three columns of ``rows``, sorted by the first, as a
+    whitespace-separated data file."""
     path = Path(path)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _plot_text(rows, columns))
     return path
 
 
@@ -747,18 +765,18 @@ def run(config: ExperimentConfig, base_dir=".") -> RunManifest:
 
     All results are computed in memory first; files are then written
     atomically and the manifest last, so a failed run leaves no manifest.
+    A previous run's manifest in the output directory is removed before the
+    first file is written, so a rerun that fails there leaves none either.
     """
     tables, plots = _KINDS[config.kind](config, base_dir)
     outdir = Path(base_dir, config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
     outputs = {}
     for fname, rows in tables.items():
-        path = outdir / fname
-        _atomic_write(path, csv_text(rows))
-        outputs[fname] = hashlib.sha256(path.read_bytes()).hexdigest()
+        outputs[fname] = _atomic_write(outdir / fname, csv_text(rows))
     for fname, (table_name, columns) in plots.items():
-        path = emit_plot_data(tables[table_name], columns, outdir / fname)
-        outputs[fname] = hashlib.sha256(path.read_bytes()).hexdigest()
+        outputs[fname] = _atomic_write(outdir / fname, _plot_text(tables[table_name], columns))
     manifest = RunManifest(
         config_hash=config.digest(),
         tool_version=TOOL_VERSION,

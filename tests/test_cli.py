@@ -266,6 +266,28 @@ class TestRun:
         assert on_disk["outputs"] == manifest.outputs
         assert on_disk["generator"] == "philox4x64"
 
+    def test_a_rerun_that_fails_while_writing_leaves_no_manifest(self, tmp_path, monkeypatch):
+        config = ExperimentConfig.from_dict(nazarov_config())
+        run(config, tmp_path)
+        manifest = tmp_path / "out" / "manifest.json"
+        assert manifest.exists()
+        write, calls = experiments._atomic_write, []
+
+        def fail_second(path, text):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return write(path, text)
+
+        monkeypatch.setattr(experiments, "_atomic_write", fail_second)
+        with pytest.raises(OSError, match="disk full"):
+            run(config, tmp_path)
+        assert calls == ["nazarov_sweep.csv", "lambda_min_vs_measure.dat"]
+        assert not manifest.exists()  # the old one no longer matched the files
+        monkeypatch.setattr(experiments, "_atomic_write", write)
+        outputs = run(config, tmp_path).outputs
+        assert json.loads(manifest.read_text())["outputs"] == outputs
+
     def test_nyquist_violation_writes_nothing(self, tmp_path):
         cfg = theorem_config("nyq")
         cfg["grid"] = {"period": 8.0, "samples": 16}
@@ -328,6 +350,18 @@ class TestEmitPlotData:
         rows = [{"n": 1, "v": 2.0, "b": 4.0}]
         path = emit_plot_data(rows, ("n", "v", "b"), tmp_path / "p.dat")
         assert path.read_text().splitlines()[1] == "1 2.0 4.0"
+
+    def test_cells_are_formatted_one_by_one_in_any_column(self, tmp_path):
+        # a column of plain floats takes float.__repr__, any other _fmt per
+        # cell: the same text as _fmt over every cell
+        rows = [{"x": float(i) / 3, "y": v, "z": w} for i, (v, w) in enumerate(
+            [(np.float64(0.1), None), (2, "a,b"), (True, 1e-300), (float("inf"), -0.0)])]
+        columns = [[experiments._fmt(row[c]) for row in rows] for c in ("x", "y", "z")]
+        text = experiments.csv_text(rows)
+        assert text.splitlines()[1:] == [",".join(f'"{c}"' if "," in c else c for c in cells)
+                                         for cells in zip(*columns)]
+        path = emit_plot_data(rows, ("x", "y", "z"), tmp_path / "p.dat")
+        assert path.read_text().splitlines()[1:] == [" ".join(cells) for cells in zip(*columns)]
 
     def test_missing_column(self, tmp_path):
         with pytest.raises(ValueError, match="missing column"):

@@ -49,8 +49,8 @@ CONFIGS = {
 
 PINS = {
     "nazarov_sweep": {
-        "lambda_min_vs_measure.dat": "96d3f1f9d86ac40b879d6df0ebe1a1bcb118aa558e994c11cecb69aaf730c4c3",
-        "nazarov_sweep.csv": "5425ca1763589e828f148a72bc4b77cbac40d00baa5ee7b473da0dac2847753e",
+        "lambda_min_vs_measure.dat": "51580c5ca2ce90df006fdc1c423ede8f001f17901275134e709af6818de5660f",
+        "nazarov_sweep.csv": "47a5436bf0687b47b066aa537e1128b4594bcf90e0b52e34aad110688a02c49b",
     },
     "greedy_growth": {
         "greedy_growth.csv": "518bb567b02861e32cc66a22feb32ea048aac83c74997aecc3659c4fcb096043",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lacspec import cli, sequences
@@ -79,7 +79,7 @@ def ordered_pairs_zygmund(seq, L=1, *, kind="zygmund", index_offset=0):
     n = len(seq)
     if n < 2:
         return LacunarityReport(kind, float(L), 0)
-    L = sequences._collision_threshold(seq, L)
+    parameter, L = float(L), sequences._collision_threshold(seq, L)
     d = sequences._differences(seq, L)
     order = np.argsort(d)
     table = d[order]
@@ -89,7 +89,55 @@ def ordered_pairs_zygmund(seq, L=1, *, kind="zygmund", index_offset=0):
     attained[order[c == best]] = True
     k, l = np.divmod(np.flatnonzero(attained), n - 1)
     l += l >= k  # the diagonal k == l is skipped
-    return LacunarityReport(kind, float(L), best, np.column_stack((k, l)) + index_offset)
+    return LacunarityReport(kind, parameter, best, np.column_stack((k, l)) + index_offset)
+
+
+def full_search_zygmund(seq, L=1, *, kind="zygmund", index_offset=0):
+    """Oracle: the kernel with two binary searches for every entry of the
+    positive-difference table, and the witness read off an n x n mask of the
+    pairs whose difference attains the constant, at the threshold of
+    ``_collision_threshold``."""
+    if L < 1:
+        raise ValueError("collision threshold L must be >= 1")
+    n = len(seq)
+    if n < 2:
+        return LacunarityReport(kind, float(L), 0)
+    parameter, L = float(L), sequences._collision_threshold(seq, L)
+    v = sequences._exact_values(seq.values, L)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    p = (v[None, :] - v[:, None])[upper]
+    table = np.sort(p)
+    c = np.searchsorted(table, table + L, side="right") - np.searchsorted(table, table - L)
+    near = np.searchsorted(table, L)
+    c[:near] += np.searchsorted(table, L - table[:near], side="right")
+    best = int(c.max())
+    values = table[c == best]
+    at = np.minimum(np.searchsorted(values, p), values.size - 1)
+    hit = np.zeros((n, n), dtype=bool)
+    hit[upper] = values[at] == p
+    hit |= hit.T
+    k, l = np.divmod(np.flatnonzero(hit), n)
+    return LacunarityReport(kind, parameter, best, np.column_stack((k, l)) + index_offset)
+
+
+@st.composite
+def crowded_inputs(draw):
+    """A sequence of 2 to 60 terms and a threshold L, int or float: small
+    ints (many equal differences, and many exactly L or L + 1 apart), ints
+    past the int64 values, floats on (1/8)Z and of any bits, Fractions."""
+    kind = draw(st.sampled_from(["ties", "past_int64", "eighths", "float", "fraction"]))
+    elems = {
+        "ties": st.integers(0, draw(st.sampled_from([70, 200, 10**4]))),
+        "past_int64": st.sampled_from([2**63, 4**40, -2**64]).flatmap(
+            lambda c: st.integers(c, c + 150)),
+        "eighths": st.integers(-400, 400).map(lambda k: k / 8),
+        "float": st.floats(-1e3, 1e3),
+        "fraction": st.builds(Fraction, st.integers(-300, 300), st.integers(1, 7)),
+    }[kind]
+    vals = draw(st.lists(elems, min_size=2, max_size=60, unique=True))
+    assume(len({v: v for v in vals}) >= 2)
+    L = draw(st.sampled_from([1, 2, 3, 1.5, 2.25, 4.0]))
+    return Sequence(tuple(sorted({v: v for v in vals}.values()))), L
 
 
 def set_difference_set(seq):
@@ -501,6 +549,44 @@ class TestCollisionKernel:
     def test_difference_set_of_paired_powers(self, K):
         seq = build_counterexample(K)
         assert repr(difference_set(seq)) == repr(set_difference_set(seq))
+
+
+class TestCrowdedDifferences:
+    """Binary searches on the crowded entries of the table only, and the
+    witness of an all-attaining table written directly, against the search
+    of every entry and the witness mask."""
+
+    @given(crowded_inputs(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_search(self, case, offset):
+        seq, L = case
+        assert_same_report(zygmund_constant(seq, L, index_offset=offset),
+                           full_search_zygmund(seq, L, index_offset=offset))
+
+    @pytest.mark.parametrize("seq", [build_greedy(1000), build_counterexample(14),
+                                     build_counterexample(40)],
+                             ids=["greedy1000", "K14", "K40"])
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    def test_large_lists_match_the_full_search(self, seq, L):
+        assert_same_report(zygmund_constant(seq, L), full_search_zygmund(seq, L))
+
+    @given(st.lists(st.sampled_from([0, 2**63, 4**40, -2**70]).flatmap(
+               lambda c: st.integers(c, c + 9)), min_size=2, max_size=6, unique=True),
+           st.sampled_from([1.5, 2.5, 3.75]))
+    @settings(max_examples=100, deadline=None)
+    @example(vals=[0, 2**70 + 1, 2**71 + 3], L=1.5)  # read constant 0 at d +- L in floats
+    def test_a_float_threshold_on_huge_integers_is_exact(self, vals, L):
+        vals = sorted(vals)
+        rep = zygmund_constant(Sequence(tuple(vals)), L)
+        assert rep.constant == zygmund_brute(vals, L) >= 1
+        assert rep.parameter == L
+
+    def test_the_witness_of_a_greedy_list_is_every_ordered_pair(self):
+        seq = build_greedy(50)
+        rep = zygmund_constant(seq, 1, index_offset=3)
+        assert rep.constant == 1
+        assert rep.witness.tolist() == [[k + 3, l + 3] for k in range(50)
+                                        for l in range(50) if k != l]
 
 
 class TestStrongProfile:
