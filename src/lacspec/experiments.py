@@ -440,14 +440,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _column(values: list) -> list[str]:
-    """The cells of one column: ``float.__repr__`` over a column of plain
-    floats, ``_fmt`` per cell otherwise (the same text either way)."""
-    if all(type(v) is float for v in values):
-        return list(map(float.__repr__, values))
-    return list(map(_fmt, values))
-
-
 def _atomic_write(path: Path, text: str) -> str:
     """Write ``text`` as UTF-8 through a temporary file renamed onto
     ``path``, and return the sha256 of the bytes written."""
@@ -470,7 +462,7 @@ def csv_text(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([_COLUMN_LABELS.get(c, c) for c in cols])
-    writer.writerows(zip(*(_column([row[c] for row in rows]) for c in cols)))
+    writer.writerows(zip(*([_fmt(row[c]) for row in rows] for c in cols)))
     return buf.getvalue()
 
 
@@ -486,7 +478,7 @@ def _plot_text(rows: list[dict], columns: tuple) -> str:
             raise ValueError(f"missing column '{col}'")
     ordered = sorted(rows, key=lambda r: r[columns[0]])
     lines = ["# " + " ".join(columns)]
-    lines += map(" ".join, zip(*(_column([row[c] for row in ordered]) for c in columns)))
+    lines += map(" ".join, zip(*([_fmt(row[c]) for row in ordered] for c in columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -352,8 +352,8 @@ class TestEmitPlotData:
         assert path.read_text().splitlines()[1] == "1 2.0 4.0"
 
     def test_cells_are_formatted_one_by_one_in_any_column(self, tmp_path):
-        # a column of plain floats takes float.__repr__, any other _fmt per
-        # cell: the same text as _fmt over every cell
+        # the tables are formatted column by column: each cell has the text
+        # of _fmt, whatever the other cells of its column
         rows = [{"x": float(i) / 3, "y": v, "z": w} for i, (v, w) in enumerate(
             [(np.float64(0.1), None), (2, "a,b"), (True, 1e-300), (float("inf"), -0.0)])]
         columns = [[experiments._fmt(row[c]) for row in rows] for c in ("x", "y", "z")]

@@ -567,6 +567,30 @@ class TestOneIntervalRealForm:
             est = nazarov_constant(E, seq)
             assert est.lambda_min == 1.0 and est.residual == 0.0
 
+    @pytest.mark.parametrize("n, width", [(500, 1e-6), (1000, 1e-6), (1500, 1e-6),
+                                          (500, 0.0222), (500, 0.03)])
+    def test_large_lists_on_narrow_intervals_keep_the_verdict(self, n, width):
+        # the end phases at -h and h are exact to absolute rounding only;
+        # n eps would pass DEGENERACY_FLOOR from n = 450, but the measured
+        # gap is at most 1.6e-16 (complex lambda_min ~0, 7e-15 and 1.1e-11)
+        E, seq = ThickSet(((0.0, width),), (0, 1)), build_greedy(n)
+        est = nazarov_constant(E, seq)
+        lam = float(hermitian_eigensystem(gram_matrix(E, seq))[0][0])
+        assert est.degenerate == (lam < conc.DEGENERACY_FLOOR)
+        assert abs(est.lambda_min - max(lam, 0.0)) <= 1e-2 * conc.DEGENERACY_FLOOR
+
+    @pytest.mark.parametrize("a, b", [(0.1, 0.7), (1e-20, 0.5), (0.3, 0.9)])
+    def test_the_half_width_is_taken_of_the_exact_ends(self, monkeypatch, a, b):
+        # float(b - a) rounds for each of these ends
+        seen = []
+        gram_entries = conc._gram_entries
+        monkeypatch.setattr(conc, "_gram_entries",
+                            lambda f, intervals, T: seen.append(intervals) or
+                            gram_entries(f, intervals, T))
+        nazarov_constant(ThickSet(((a, b),), (0.0, 1.0)), build_greedy(8))
+        h = (Fraction(b) - Fraction(a)) / 2
+        assert seen == [[(-h, h)]] and h != Fraction(b - a) / 2
+
     @pytest.mark.parametrize("pieces", [2, 3, 6])
     def test_several_intervals_keep_the_complex_path_bits(self, pieces):
         rng = np.random.default_rng(pieces)
@@ -812,19 +836,23 @@ def class_view(comb, bins):
     class's offsets from its first bin over [w0, w0 + fill] / delta, the
     largest |eigenvalue| of them, and whether every class of two or more
     offsets took the form, closed or endpoint, that the one table of
-    ``_comb_eigenpair`` took."""
+    ``_comb_eigenpair`` took.  The classes are visited in
+    ``_comb_eigenpair``'s order, by size and then by residue, and the first
+    least value is kept, so that a tie of -0.0 and +0.0 keeps its sign."""
     M = comb.blocks
     E = ThickSet(((comb.start / comb.delta, (comb.start + comb.fill) / comb.delta),), (0, 1))
+    classes = sorted((np.sort(bins[bins % M == r]) for r in np.unique(bins % M)), key=len)
     with mock.patch.object(conc, "_endpoint_form", wraps=conc._endpoint_form) as spy:
         got = conc._comb_eigenpair(comb, bins)
         table_form = spy.called
         least, norm, same = math.inf, 0.0, True
-        for r in np.unique(bins % M):
-            members = np.sort(bins[bins % M == r])
+        for members in classes:
             spy.reset_mock()
             vals = np.linalg.eigh(gram_matrix(E, Sequence(tuple((members - members[0]) // M)))
                                   .entries)[0]
-            least, norm = min(least, float(vals[0])), max(norm, float(np.max(np.abs(vals))))
+            if vals[0] < least:
+                least = float(vals[0])
+            norm = max(norm, float(np.max(np.abs(vals))))
             same &= members.size == 1 or spy.called == table_form
     return got, least, norm, same
 
@@ -870,6 +898,9 @@ class TestClassGather:
     # bands that start off a multiple of M: classes of one size in several patterns
     @example((periodic_comb(Fraction(3, 4), Fraction(1, 2), (0, 14)).comb,
               Grid(14.0, 2048).band_bins(SpectralProfile(Sequence((3, 12, 48))))))
+    # a subnormal fill: the class of 4 offsets reads -0.0 and that of 5 +0.0
+    @example((periodic_comb(1e-323, 1.0, (0.0, 2.0)).comb,
+              Grid(2.0, 2**24).band_bins((0.0, 4.0))))
     @settings(max_examples=150, deadline=None)
     def test_blocks_are_the_torus_grams_of_the_classes(self, case):
         # bit for bit where a class's Gram takes the table's form (a single
@@ -877,8 +908,8 @@ class TestClassGather:
         # TestCombClasses otherwise
         comb, bins = case
         (lam, residual), least, norm, same = class_view(comb, bins)
-        if same:  # a least eigenvalue 0 may be -0.0 in one class and +0.0 in another
-            assert lam.hex() == least.hex() or lam == least == 0
+        if same:
+            assert lam.hex() == least.hex()
         else:
             assert abs(lam - least) <= 4 * EPS * (bins.size * norm + comb.blocks)
         assert residual <= conc.EIG_RESIDUAL_TOL * norm
