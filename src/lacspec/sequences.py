@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -248,11 +249,17 @@ def check_hadamard(seq: Sequence, q: float) -> LacunarityReport:
 def _collision_threshold(seq: Sequence, L):
     """The threshold that the counts of ``seq`` are taken at: floor(L) as an
     int on an integer sequence, whose differences lie within L of each other
-    iff they lie within floor(L), and L otherwise.  So integer differences
-    stay exact: a float L would make each search bound d +- L a float,
-    which for d past 2**53 may leave out d itself ((0, 2**70 + 1, 2**71 + 3)
-    at L = 1.5 read constant 0 that way)."""
-    return math.floor(L) if seq.integer_valued else L
+    iff they lie within floor(L); a float L as the Fraction of its exact
+    value on a sequence of ints and Fractions; and L otherwise, so a float
+    sequence keeps its bits.  So exact differences stay exact: a float L
+    would make each search bound d +- L a float, which for d past 2**53 may
+    leave out d itself ((0, 2**70 + 1, 2**71 + 3) at L = 1.5 read constant
+    0 that way, and as Fractions constant 1 where the count is 2)."""
+    if seq.integer_valued:
+        return math.floor(L)
+    if isinstance(L, float) and all(isinstance(v, (int, Fraction)) for v in seq.values):
+        return Fraction(L)
+    return L
 
 
 def _exact_values(vals, L=0) -> np.ndarray:

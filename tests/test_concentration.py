@@ -572,7 +572,8 @@ class TestOneIntervalRealForm:
     def test_large_lists_on_narrow_intervals_keep_the_verdict(self, n, width):
         # the end phases at -h and h are exact to absolute rounding only;
         # n eps would pass DEGENERACY_FLOOR from n = 450, but the measured
-        # gap is at most 1.6e-16 (complex lambda_min ~0, 7e-15 and 1.1e-11)
+        # gap is at most 2e-16 (complex lambda_min ~0, 7e-15 and 1.1e-11),
+        # through the Lanczos kernel (1.6e-16 through eigvalsh)
         E, seq = ThickSet(((0.0, width),), (0, 1)), build_greedy(n)
         est = nazarov_constant(E, seq)
         lam = float(hermitian_eigensystem(gram_matrix(E, seq))[0][0])
@@ -592,21 +593,45 @@ class TestOneIntervalRealForm:
         assert seen == [[(-h, h)]] and h != Fraction(b - a) / 2
 
     @pytest.mark.parametrize("pieces", [2, 3, 6])
-    def test_several_intervals_keep_the_complex_path_bits(self, pieces):
+    def test_several_intervals_keep_the_complex_path_bits(self, monkeypatch, pieces):
+        # the complex Gram matrix keeps hermitian_eigensystem's bits where the
+        # Lanczos kernel falls back (short lists, progressions), and is within
+        # the certificate's 4 n eps ||G|| where it does not (long lacunary lists)
+        fallbacks = eigvalsh_spy(monkeypatch)
         rng = np.random.default_rng(pieces)
-        for seq in (build_greedy(80), Sequence(tuple(range(0, 120, 3))), build_counterexample(33)):
+        routes = set()
+        for seq in (build_greedy(80), Sequence(tuple(range(0, 120, 3))), build_counterexample(33),
+                    Sequence(tuple(range(0, 600, 3))), build_greedy(200),
+                    build_counterexample(60)):
             E = random_torus_set(rng, pieces)
-            vals, _, residual = hermitian_eigensystem(gram_matrix(E, seq))
+            fallbacks.clear()
             est = nazarov_constant(E, seq)
-            assert (est.lambda_min, est.residual) == (float(vals[0]), residual)
+            vals, _, residual = hermitian_eigensystem(gram_matrix(E, seq))
+            if len(fallbacks) == 2:  # nazarov_constant's eigvalsh, then the oracle's
+                routes.add("fallback")
+                assert (est.lambda_min, est.residual) == (max(float(vals[0]), 0.0), residual)
+            else:
+                routes.add("lanczos")
+                norm, n = float(vals[-1]), len(seq)
+                assert abs(est.lambda_min - max(float(vals[0]), 0.0)) <= 4 * n * EPS * norm
+                assert est.residual <= conc.EIG_RESIDUAL_TOL * norm
+        assert routes == {"fallback", "lanczos"}
 
     def test_eigvalsh_is_real_on_one_interval_only(self, monkeypatch):
+        # one interval is solved in real arithmetic on both routes: by the
+        # Lanczos kernel (200 terms) and by its eigvalsh fallback (40 terms)
         dtypes = eigvalsh_spy(monkeypatch)
-        seq = build_greedy(40)
-        nazarov_constant(ThickSet(((0.2, 0.7),), (0.0, 1.0)), seq)
-        nazarov_constant(ThickSet(((0.1, 0.2), (0.5, 0.7)), (0.0, 1.0)), seq)
-        hermitian_eigensystem(gram_matrix(ThickSet(((0.2, 0.7),), (0.0, 1.0)), seq))
+        kernel = []
+        lanczos_pair = conc._lanczos_pair
+        monkeypatch.setattr(conc, "_lanczos_pair",
+                            lambda G, budget: kernel.append(G.dtype) or lanczos_pair(G, budget))
+        one = ThickSet(((0.2, 0.7),), (0.0, 1.0))
+        for seq in (build_greedy(40), build_greedy(200)):
+            nazarov_constant(one, seq)
+            nazarov_constant(ThickSet(((0.1, 0.2), (0.5, 0.7)), (0.0, 1.0)), seq)
+        hermitian_eigensystem(gram_matrix(one, build_greedy(40)))
         assert dtypes == [np.float64, np.complex128, np.complex128]
+        assert kernel == [np.float64, np.complex128]
 
     def test_an_imaginary_part_past_the_tolerance_is_refused(self, monkeypatch):
         gram_entries = conc._gram_entries
@@ -1135,15 +1160,178 @@ class TestEigensystem:
         assert math.isfinite(est.residual) and est.residual <= 1e-10 * 1e200
 
     def test_the_torus_and_dense_constants_call_no_eigh(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            pytest.fail("np.linalg.eigh was called")
+        # no eigenbasis of an n x n form: the Lanczos kernel solves its k x k
+        # tridiagonal matrix alone, k at most its budget n // 4
+        sizes = []
+        eigh = np.linalg.eigh
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        def tridiagonal_only(a, *args, **kwargs):
+            k = a.shape[-1]
+            if a.ndim != 2 or k > 200 // conc._LANCZOS_SHARE or np.tril(a, -2).any():
+                pytest.fail("np.linalg.eigh was called on a form")
+            sizes.append(k)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", tridiagonal_only)
         E = random_torus_set(np.random.default_rng(5))
         assert 0 < nazarov_constant(E, build_greedy(50)).lambda_min < 1
+        assert not sizes  # the fallback, eigvalsh and inverse iteration
+        assert 0 < nazarov_constant(E, build_greedy(200)).lambda_min < 1
+        assert sizes and max(sizes) < 200
+        sizes.clear()
         union = ThickSet(((0.0, 1.0), (3.0, 5.5)), (0.0, 8.0))
         assert 0 < ls_constant(union, (0.0, 2.0), Grid(8.0, 256)).lambda_min < 1
+        assert not sizes
 
+
+def solved_form(E, seq):
+    """nazarov_constant's estimate and the matrix it hands ``_least_value``:
+    the real Gram matrix of the centred interval on one interval, the Gram
+    matrix on more."""
+    forms = []
+    least_value = conc._least_value
+    with mock.patch.object(conc, "_least_value", lambda G: forms.append(G) or least_value(G)):
+        est = nazarov_constant(E, seq)
+    return est, forms[0]
+
+
+def cholesky_spy(monkeypatch):
+    """True for each np.linalg.cholesky call that factors its matrix, False
+    for each that raises, in call order."""
+    outcomes = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return outcomes
+
+
+@st.composite
+def lanczos_cases(draw):
+    """A torus set of one to six intervals (float ends) and a list long
+    enough for the Lanczos kernel: a greedy prefix, paired powers, an
+    arithmetic progression or random integers, 96 to 240 terms."""
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12, unique=True)))
+    E = ThickSet(tuple(zip(cuts[0::2], cuts[1::2])), (0.0, 1.0))
+    n = draw(st.integers(96, 240))
+    kind = draw(st.sampled_from(["greedy", "pairs", "progression", "random"]))
+    if kind == "greedy":
+        freqs = build_greedy(240).values[:n]
+    elif kind == "pairs":
+        freqs = build_counterexample(n // 2).values
+    elif kind == "progression":
+        freqs = tuple(range(draw(st.integers(-50, 50)), 10**4, draw(st.integers(1, 5))))[:n]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        freqs = tuple(sorted(int(f) for f in rng.choice(10**6, n, replace=False)))
+    return E, Sequence(freqs)
+
+
+class TestLanczosKernel:
+    """``nazarov_constant``'s least eigenpair: Lanczos with a Cholesky
+    certificate (``_lanczos_pair``), or the eigvalsh route where it falls
+    back."""
+
+    @given(lanczos_cases())
+    @settings(max_examples=60, deadline=None)
+    @example(case=(random_torus_set(np.random.default_rng(5), 4), build_greedy(200)))
+    @example(case=(ThickSet(((0.0, 0.3),), (0, 1)), Sequence(tuple(range(200)))))
+    def test_within_the_certified_bound_of_eigvalsh(self, case):
+        E, seq = case
+        est, G = solved_form(E, seq)
+        n = len(seq)
+        vals = np.linalg.eigvalsh(G)
+        norm = float(max(-vals[0], vals[-1]))
+        lam, residual = conc._least_value(G)
+        assert abs(lam - vals[0]) <= 4 * n * EPS * norm
+        assert residual <= conc.EIG_RESIDUAL_TOL * norm
+        assert (est.lambda_min, est.residual) == (max(lam, 0.0) + 0.0, residual)
+        found = conc._lanczos_pair(G, n // conc._LANCZOS_SHARE)
+        if found is None:  # the fallback: the eigvalsh route's eigenvalue and residual
+            old, _, old_residual = conc._least_eigenpair(G)
+            assert (lam, residual) == (float(old[0]), old_residual)
+        else:
+            assert (lam, residual) == found
+
+    @given(one_interval_cases(max_terms=12), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_an_exact_eigensolve(self, case, pieces):
+        # the kernel itself at a full budget of n steps, on the Gram matrix
+        # of one to three intervals, against 50 digits of the least
+        # eigenvalue of the same floating-point entries
+        mpmath = pytest.importorskip("mpmath")
+        (a, b), = case[0].intervals
+        seq, n = case[1], len(case[1])
+        cuts = [a + (b - a) * Fraction(k, 2 * pieces) for k in range(2 * pieces)]
+        intervals = tuple(zip(cuts[0::2], cuts[1::2]))
+        assume(all(hi > lo for lo, hi in intervals))
+        G = gram_matrix(ThickSet(intervals, (0, 1)), seq).entries
+        found = conc._lanczos_pair(G, n)
+        with mpmath.workdps(50):
+            exact = mpmath.eighe(mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row]
+                                                for row in G]), eigvals_only=True)
+            least, norm = float(min(exact)), float(max(abs(x) for x in exact))
+        if found is None:  # only a nearly singular G, where the factorization's rounding decides
+            assert least <= 4 * n * EPS * norm
+        else:
+            assert abs(found[0] - least) <= 4 * n * EPS * norm
+
+    @pytest.mark.parametrize("seq", [build_counterexample(60), build_counterexample(100),
+                                     build_greedy(300)], ids=["K60", "K100", "greedy300"])
+    def test_the_full_torus_is_exactly_one(self, monkeypatch, seq):
+        dtypes = eigvalsh_spy(monkeypatch)
+        for E in (ThickSet(((0, 1),), (0, 1)), ThickSet(((0.0, 1.0),), (0.0, 1.0))):
+            est = nazarov_constant(E, seq)
+            assert est.lambda_min == 1.0 and est.residual == 0.0
+        assert not dtypes  # certified by the kernel, no fallback
+
+    @pytest.mark.parametrize("E, seq", [
+        (random_torus_set(np.random.default_rng(6), 6), Sequence(tuple(range(200)))),
+        (ThickSet(((0.0, 0.05),), (0, 1)), build_greedy(150)),
+        (ThickSet(((0.0, 0.01),), (0, 1)), build_greedy(150)),
+    ], ids=["progression_six_intervals", "greedy_width_0.05", "greedy_width_0.01"])
+    def test_a_fallback_keeps_the_bits_of_the_eigvalsh_route(self, monkeypatch, E, seq):
+        # a progression over several intervals, and a greedy list on a
+        # narrow interval, decay too slowly and stop at the third check
+        found, kernel = [], conc._lanczos_pair
+        monkeypatch.setattr(conc, "_lanczos_pair",
+                            lambda G, budget: found.append(kernel(G, budget)) or found[-1])
+        est, G = solved_form(E, seq)
+        vals, _, residual = conc._least_eigenpair(G)
+        assert found == [None]
+        assert est.lambda_min == max(float(vals[0]), 0.0) and est.residual == residual
+
+    def test_the_certificate_catches_a_start_orthogonal_to_the_least_eigenvector(
+            self, monkeypatch):
+        # G's least eigenvector w is orthogonal to the start vector b, so the
+        # steps converge on the next eigenvalue 0.2; the Cholesky
+        # factorization of G - (0.2 - 4 n eps ||G||) I fails on 0.1 - 0.2 < 0,
+        # and the fallback finds 0.1
+        n = 120
+        outcomes = cholesky_spy(monkeypatch)
+        b = conc._start_vector(np.zeros((n, n), dtype=complex))
+        b /= np.linalg.norm(b)
+        rng = np.random.default_rng(2)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        w = q[:, 0] - np.vdot(b, q[:, 0]) * b
+        basis, _ = np.linalg.qr(np.column_stack((w / np.linalg.norm(w), q[:, 1:])))
+        spectrum = np.concatenate(([0.1, 0.2], np.linspace(0.99, 1.0, n - 2)))
+        G = basis @ np.diag(spectrum) @ basis.conj().T
+        G = (G + G.conj().T) / 2
+        assert conc._lanczos_pair(G, n // conc._LANCZOS_SHARE) is None
+        assert outcomes == [False]  # converged, then refused by the certificate
+        lam, residual = conc._least_value(G)
+        vals, _, old_residual = conc._least_eigenpair(G)
+        assert (lam, residual) == (float(vals[0]), old_residual)
+        assert abs(lam - 0.1) <= 4 * n * EPS and residual <= conc.EIG_RESIDUAL_TOL
 
 def cell_weights_oracle(grid, intervals):
     """Measure of each cell [x_j, x_{j+1}) inside the intervals, cell by cell."""

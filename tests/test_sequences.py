@@ -581,6 +581,34 @@ class TestCrowdedDifferences:
         assert rep.constant == zygmund_brute(vals, L) >= 1
         assert rep.parameter == L
 
+    def test_a_float_threshold_on_huge_fractions_is_exact(self):
+        # d +- L in floats left d itself out of its own count
+        seq = Sequence((Fraction(0), Fraction(2**70 + 1), Fraction(2**71 + 3)))
+        rep = zygmund_constant(seq, 1.5)
+        assert rep.constant == zygmund_constant(seq, Fraction(3, 2)).constant == 2
+        assert rep.parameter == 1.5
+
+    @given(st.lists(st.sampled_from([0, 2**63, 4**40, -2**70]).flatmap(
+               lambda c: st.integers(4 * c, 4 * c + 30).map(lambda k: Fraction(k, 4))),
+               min_size=2, max_size=6, unique=True),
+           st.sampled_from([1.0, 1.5, 2.5, 3.75]))
+    @settings(max_examples=100, deadline=None)
+    def test_a_float_threshold_on_fractions_matches_the_exact_count(self, vals, L):
+        # Python compares a Fraction with a float at the float's exact value
+        vals = sorted(vals)
+        rep = zygmund_constant(Sequence(tuple(vals)), L)
+        assert rep.constant == zygmund_brute(vals, L) >= 1
+        assert rep.parameter == L
+
+    def test_a_float_sequence_keeps_the_float_threshold(self, monkeypatch):
+        seen = []
+        exact_values = sequences._exact_values
+        monkeypatch.setattr(sequences, "_exact_values",
+                            lambda vals, L: seen.append(L) or exact_values(vals, L))
+        zygmund_constant(Sequence((0.0, 0.5, 1.25, 7.0)), 1.5)
+        zygmund_constant(Sequence((Fraction(0), 0.5, 1.25)), 1.5)
+        assert seen == [1.5, 1.5] and all(type(L) is float for L in seen)
+
     def test_the_witness_of_a_greedy_list_is_every_ordered_pair(self):
         seq = build_greedy(50)
         rep = zygmund_constant(seq, 1, index_offset=3)
