@@ -406,81 +406,126 @@ def _ratio(x) -> tuple:
     return (int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio()
 
 
-def _end_numerators(freqs, intervals, period) -> np.ndarray:
+def _end_numerators(freqs, v: np.ndarray, intervals, period) -> np.ndarray:
     """The n x n matrix sum_x s_x e(f_n x / T) conj(e(f_m x / T)) over the 2J
     interval ends x, s_x = -1 at a left end and +1 at a right one, with
     e(t) = e^{2 pi i t} and T the period: P diag(s) P^H for the n x 2J table
-    P of end phases, one BLAS product.
+    P of end phases, one BLAS product.  v is ``_exact_values(freqs)``.
 
     Each phase t = f x / T is reduced mod 1 exactly before its one rounding
     to float: with f = F / q and x / T = X / r as integer ratios over one
     denominator each (a float at its binary value), t mod 1 is
     (F X mod qr) / qr, taken in [-1/2, 1/2], in int64 while every such
-    product stays below 2**62 and in Python ints beyond.  P is built in
-    blocks of at most n columns (n >= 2 here), so no block holds more
-    entries than the result.
+    product stays below 2**62 and in Python ints beyond.  F of an integer
+    list in int64 (q = 1) is reduced from v in numpy, as v mod Q plus
+    f_0 mod Q, f_0 the first term.  P is built in blocks of at most n
+    columns (n >= 2 here), so no block holds more entries than the result.
     """
     n = len(freqs)
-    ratios = [_ratio(f) for f in freqs]
-    q = math.lcm(*(d for _, d in ratios))
+    integer = v.dtype == np.int64  # Python ints within 2**62 of each other: q = 1
+    ratios = None if integer else [_ratio(f) for f in freqs]
+    q = 1 if integer else math.lcm(*(d for _, d in ratios))
     t_num, t_den = _ratio(period)
     ends = tuple(itertools.chain.from_iterable(intervals))
     r = math.lcm(*{_ratio(x)[1] for x in ends})
     Q = q * r * t_num
     dtype = np.int64 if Q <= 2**62 else object
-    F = np.array([p * (q // d) % Q for p, d in ratios], dtype=dtype)
+    if integer and dtype is np.int64:
+        F = (v % Q + freqs[0] % Q) % Q  # each sum below 2**63
+    else:
+        F = np.array([p * (q // d) % Q for p, d in ratios or map(_ratio, freqs)], dtype=dtype)
     X = np.fromiter((p * (r // d) * t_den % Q for p, d in map(_ratio, ends)),
                     dtype=dtype, count=len(ends))
     if dtype is np.int64 and int(F.max()) * int(X.max()) >= 2**62:
         F, X = F.astype(object), X.astype(object)
     width = n - n % 2  # even, so that each block starts at a left end
     signs = np.tile([-1.0, 1.0], width // 2)
-    num = np.zeros((n, n), dtype=complex)
+    num = 0.0  # a sum from 0, as the blocks' own bits: a -0.0 reads +0.0
     for lo in range(0, X.size, width):
         t = (np.multiply.outer(F, X[lo:lo + width]) % Q / Q).astype(float, copy=False)
         t -= np.round(t)  # exact: t in [-1/2, 1/2]
         P = np.exp(2j * np.pi * t)
-        num += (P * signs[:P.shape[1]]) @ P.conj().T
+        block = (P * signs[:P.shape[1]]) @ P.conj().T
+        num = np.add(num, block, out=block)  # no zeros: each fresh n x n array is faulted in
     return num
 
 
-def _endpoint_form(freqs, intervals, period, rows, cols, diffs) -> np.ndarray:
-    """The Gram entries of the pairs (rows, cols), f_rows - f_cols = diffs,
-    from the end phases (``_end_numerators``): for f_n != f_m,
+def _difference_matrix(freqs) -> tuple:
+    """(v, D): v the exact values (``sequences._exact_values``) and D the
+    n x n float matrix whose upper triangle, diagonal included, holds each
+    f_n - f_m exact until one conversion to float.  An int64 v is
+    differenced as one outer difference, so D is the whole antisymmetric
+    matrix; Python numbers are differenced on the upper triangle alone, and
+    the strict lower triangle of D is 0.  A frequency or a difference past
+    the float range is refused, naming the sequence."""
+    n = len(freqs)
+    v = _exact_values(freqs)
+    D = np.zeros((n, n))
+    try:
+        with np.errstate(over="ignore"):  # of float terms: refused below
+            if v.dtype == object:
+                rows, cols = np.triu_indices(n)
+                D[rows, cols] = (v[rows] - v[cols]).astype(float)
+            else:
+                np.subtract.outer(v, v, out=D)  # in int64, cast once to float
+        finite = math.isfinite(float(max(freqs, key=abs))) and np.isfinite(D).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"sequence: a frequency or a difference of two is past the largest "
+                         f"float {sys.float_info.max!r}")
+    return v, D
+
+
+def _endpoint_form(freqs, v: np.ndarray, D: np.ndarray, intervals, period) -> np.ndarray:
+    """An n x n matrix whose upper triangle, diagonal included, holds the
+    Gram entries in the endpoint form, given (v, D) =
+    ``_difference_matrix(freqs)``; its strict lower triangle is left
+    unspecified, and D is spent (it holds other values on return).  For
+    f_n != f_m,
 
         (1/T) int_E e((f_n - f_m) x / T) dx
-            = sum_x s_x e(f_n x / T) conj(e(f_m x / T)) / (2 pi i (f_n - f_m)).
+            = sum_x s_x e(f_n x / T) conj(e(f_m x / T)) / (2 pi i (f_n - f_m)),
 
-    The quotient cancels where |f_n - f_m| < 1, so such pairs of a list
-    that is not integer take the closed form, and the diagonal is the sum of
-    the float widths over T, as the closed form gives it."""
-    entries = np.empty(diffs.size, dtype=complex)
-    diagonal = rows == cols
-    entries[diagonal] = sum(float(b - a) for a, b in intervals) / period
-    close = np.abs(diffs) < 1
-    near = close & ~diagonal
-    if near.any():
-        entries[near] = _closed_form(diffs[near] / period, intervals, period)
-    far = ~close
-    if far.any():
-        z = _end_numerators(freqs, intervals, period)[rows[far], cols[far]]
-        w = 2 * np.pi * diffs[far]
-        entries.real[far] = z.imag / w  # z / (i w), in true divisions
-        entries.imag[far] = -z.real / w
-    return entries
+    the numerators from the end phases (``_end_numerators``), divided in
+    place over the whole matrix.  The quotient cancels where |f_n - f_m| <
+    1, so such pairs of a list that is not integer take the closed form,
+    and the diagonal is the sum of the float widths over T, as the closed
+    form gives it.  A list with no pair 1 or more apart (one term, say)
+    builds no end phases."""
+    n = len(freqs)
+    close = (D > -1) & (D < 1)
+    near = np.triu(close, 1)
+    entries = _closed_form(D[near] / period, intervals, period) if near.any() else None
+    if close.all():
+        m = np.empty((n, n), dtype=complex)
+    else:
+        m = _end_numerators(freqs, v, intervals, period)
+        w = np.multiply(D, 2 * np.pi, out=D)
+        with np.errstate(divide="ignore", invalid="ignore"):  # close pairs: replaced below
+            m.real /= w
+            m.imag /= w
+        # z / (i w) = z.imag / w - i z.real / w, swapped through the spent w
+        np.copyto(w, m.real)
+        m.real = m.imag
+        np.negative(w, out=m.imag)
+    if entries is not None:
+        m[near] = entries
+    m.flat[::n + 1] = sum(float(b - a) for a, b in intervals) / period
+    return m
 
 
 def _gram_entries(freqs, intervals, period) -> np.ndarray:
     """Gram matrix of e^{2 pi i f x / period} over the intervals, over period.
 
-    The differences f_n - f_m are exact until one conversion to float: in
-    int64 for integer frequencies within 2**62 of each other, as Python
-    numbers otherwise (``sequences._exact_values``).  A frequency or a
-    difference past the float range is refused, naming the sequence.  Two
-    forms give the entries of the upper triangle:
+    The differences f_n - f_m are exact until one conversion to float
+    (``_difference_matrix``): in int64 for integer frequencies within 2**62
+    of each other, as Python numbers otherwise.  Two forms give the entries
+    of the upper triangle, diagonal included:
 
     - the closed form (``_closed_form``) runs once per distinct difference
-      and interval, in one array pass per block of intervals;
+      and interval, in one array pass per block of intervals, and is
+      written through a boolean mask of the upper triangle;
     - the endpoint form (``_endpoint_form``) builds one n x 2J table of exact
       end phases and one rank-2J product, whatever the differences.
 
@@ -490,41 +535,46 @@ def _gram_entries(freqs, intervals, period) -> np.ndarray:
     pairs at n = 200), where the closed form would run once per pair; the
     second for one grid band (Toeplitz) or an arithmetic progression of
     n >= 3 terms, whose increasing list has n distinct differences, where
-    those few closed forms suffice.  Medians timed on a 2-vCPU Xeon: a
-    200-term greedy Gram over 6 intervals took 11.6 ms in the closed form
-    and 1.6 ms in all, endpoint form included.  On arithmetic progressions
-    over torus combs the endpoint form, forced, took 39 ms against the
-    closed form's 22 ms at n = 1000 over 64 blocks, 18 against 18 ms at
-    n = 400 over 256 blocks and 26 against 46 ms at n = 200 over 1024
-    blocks: the rule counts differences, not intervals, and keeps the closed
-    form on all three.  The two forms agree within about J units of
-    rounding per entry, and on the full torus the end phases of integer
-    frequencies are exactly 1, so the Gram matrix is exactly the identity
-    however large the terms.
+    those few closed forms suffice.  The lower triangle, diagonal included,
+    is then set by one masked conjugate of the transpose, so the matrix
+    equals its conjugate transpose bit for bit off the diagonal, and the
+    diagonal is real with imaginary part -0.0.  Everything is assembled as
+    whole n x n arrays, with no index arrays of the triangle but for Python
+    numbers, and each temporary is freed or reused as soon as it is spent:
+    arrays of this size go back to the system when freed, so each fresh one
+    is faulted in again page by page (at n = 200, 2.4 times fewer minor
+    page faults a call than with index arrays of the triangle).  Medians
+    timed in process on a 2-vCPU Xeon whose speed drifted: a 200-term greedy
+    Gram over 6 intervals (ends on (1/64)Z) took 11-13 ms in the closed form
+    and 1.1-2.4 ms in all, endpoint form included; timed alternately with
+    an assembly through index arrays of the triangle, 2.0 against 4.1 ms.  On
+    arithmetic progressions over torus combs the endpoint form, forced, took
+    39 ms against the closed form's 22 ms at n = 1000 over 64 blocks, 18
+    against 18 ms at n = 400 over 256 blocks and 26 against 46 ms at
+    n = 200 over 1024 blocks: the rule counts differences, not intervals,
+    and keeps the closed form on all three.  The two forms agree within
+    about J units of rounding per entry, and on the full torus the end
+    phases of integer frequencies are exactly 1, so the Gram matrix is
+    exactly the identity however large the terms.
     """
     n = len(freqs)
-    rows, cols = np.triu_indices(n)
-    v = _exact_values(freqs)
-    try:
-        with np.errstate(over="ignore"):  # of float terms: refused below
-            diffs = (v[rows] - v[cols]).astype(float)
-        finite = math.isfinite(float(max(freqs, key=abs))) and np.isfinite(diffs).all()
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"sequence: a frequency or a difference of two is past the largest "
-                         f"float {sys.float_info.max!r}")
-    scaled = diffs / period
+    v, D = _difference_matrix(freqs)
+    upper = ~np.tri(n, k=-1, dtype=bool)
+    scaled = D[upper]  # the upper triangle in triu order
+    scaled /= period
     # distinct values counted on a sort: np.unique without an inverse hashes
     # its input, which left 1-2 MB more of the heap resident at n = 200
-    ordered = np.sort(scaled)
-    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > scaled.size:
-        entries = _endpoint_form(freqs, intervals, period, rows, cols, diffs)
+    scaled.sort()
+    if 2 * (1 + np.count_nonzero(scaled[1:] != scaled[:-1])) > scaled.size:
+        m = _endpoint_form(freqs, v, D, intervals, period)
     else:
-        entries = _closed_form(scaled, intervals, period)
-    m = np.zeros((n, n), dtype=complex)
-    m[rows, cols] = entries
-    m[cols, rows] = entries.conj()
+        entries = _closed_form(D[upper] / period, intervals, period)
+        m = np.empty((n, n), dtype=complex)
+        m[upper] = entries
+    del v, D, scaled  # freed before the mirror's copy of the lower triangle
+    lower = np.tri(n, dtype=bool)
+    mirror = m.T[lower]
+    m[lower] = np.conjugate(mirror, out=mirror)
     return m
 
 
@@ -603,7 +653,11 @@ def nazarov_constant(E: ThickSet, seq: Sequence) -> ConcentrationEstimate:
     DEGENERACY_FLOOR in practice: greedy lists of 500 to 1500 terms on
     [0, 1e-6], and of 500 terms on widths where lambda_min is 7e-15 and
     1e-11, read lambda_min within 2e-16 of G's.  A set of two or more
-    intervals takes the complex Gram matrix of ``gram_matrix``.
+    intervals takes the complex Gram matrix of ``_gram_entries`` as it is
+    assembled, with no ``HermitianForm`` around it: the assembly sets the
+    lower triangle as the conjugate of the upper one, so G is Hermitian bit
+    for bit and needs neither the form's check nor its copy (``gram_matrix``
+    keeps both for the forms it hands out).
 
     Either matrix goes to one least-eigenpair kernel (``_least_value``).
     Lacunary exponentials are nearly orthogonal, so lambda_min stands well
@@ -625,10 +679,13 @@ def nazarov_constant(E: ThickSet, seq: Sequence) -> ConcentrationEstimate:
     in 36 (4.5 -> 3.5 ms), and 1000 greedy terms on [0, 1e-6] in 52
     (180 -> 112 ms).  The progression over six intervals and 150 greedy
     terms on [0, 0.05] fall back at the twelfth step (9.1 -> 9.9 ms and
-    3.0 -> 3.4 ms).  ``ls_constant`` keeps ``eigvalsh``: a band
-    compression has a clustered spectrum, and its dense union forms took
-    64 to 124 of n = 65 to 129 steps, 3.5 to 7 times the ``eigvalsh``
-    route's time.
+    3.0 -> 3.4 ms).  With the whole-array assembly and no form's check and
+    copy, the 200 greedy terms on four and six intervals took 5.2 and
+    4.9 ms against 7.9 and 7.7 ms, timed alternately in one process (the
+    host ran slower than for the times above).  ``ls_constant`` keeps
+    ``eigvalsh``: a band compression has a clustered spectrum, and its
+    dense union forms took 64 to 124 of n = 65 to 129 steps, 3.5 to 7
+    times the ``eigvalsh`` route's time.
     """
     intervals = _torus_intervals(E, seq)
     if len(intervals) == 1:
@@ -639,7 +696,7 @@ def nazarov_constant(E: ThickSet, seq: Sequence) -> ConcentrationEstimate:
             raise ValueError("one-interval Gram matrix is not real within tolerance")
         lam, residual = _least_value(np.ascontiguousarray(K.real))
     else:
-        lam, residual = _least_value(gram_matrix(E, seq).entries)
+        lam, residual = _least_value(_gram_entries(seq.values, intervals, 1))
     return _estimate(
         lam,
         residual,
@@ -761,13 +818,15 @@ def _forms(pieces, intervals, period, cap: int, X: np.ndarray) -> np.ndarray:
     of |sum_l x_l e^{2 pi i f_l x / T}|^2 over them.  An entry depends only
     on the difference of its two frequencies and takes the closed form once
     per distinct one.  When G holds at most cap entries it is built, and
-    each trial takes one product with it.  Past that, for each pair of
-    shifts (an integer shift is folded into its bins) the closed form is
-    taken on the range of the differences, at most 2S - 1 numbers for
-    |k + s| < S/2, and dotted with the correlation of a trial's
-    coefficients on those bins (``_correlate_rows``, by FFT).
-    Each trial takes the same calls whatever the others, so a row has the
-    same bits alone or in a batch.  No intervals or no frequencies give 0."""
+    all trials take one stacked product with it, X @ G: numpy runs one
+    matrix product per trial of the stack, on the memory that trial holds
+    alone, and reduces each row along its own axis, so a row has the same
+    bits alone or in a batch.  Past that, for each pair of shifts (an
+    integer shift is folded into its bins) the closed form is taken on the
+    range of the differences, at most 2S - 1 numbers for |k + s| < S/2,
+    and dotted with the correlation of a trial's coefficients on those bins
+    (``_correlate_rows``, by FFT), trial by trial, so that no array grows
+    with the number of trials.  No intervals or no frequencies give 0."""
     out = np.zeros(X.shape[:2])
     if not intervals or not X.shape[2]:
         return out
@@ -778,8 +837,7 @@ def _forms(pieces, intervals, period, cap: int, X: np.ndarray) -> np.ndarray:
     if k.size ** 2 <= cap:
         d = (shift[:, None] - shift) + (k[:, None] - k)
         G = _closed_form(d.ravel() / period, intervals, period).reshape(d.shape)
-        for acc, x, xc in zip(out, X, X.conj()):
-            acc += np.add.reduce((x @ G) * xc, axis=-1).real
+        out += np.add.reduce((X @ G) * X.conj(), axis=-1).real
         return out
     shifts, group = np.unique(shift, return_inverse=True)
     members = [np.flatnonzero(group == g) for g in range(len(shifts))]

@@ -456,19 +456,29 @@ def _atomic_write(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def csv_text(rows: list[dict]) -> str:
-    """The runner's CSV table: a header of labelled columns, then one line per row."""
-    cols = list(rows[0].keys())
+def _cells(rows: list[dict]) -> dict:
+    """Each column of ``rows`` as the text of its cells (``_fmt``), in row
+    order: the strings that a table's CSV and its plots are built from."""
+    return {c: [_fmt(row[c]) for row in rows] for c in rows[0]}
+
+
+def _csv_of(cells: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow([_COLUMN_LABELS.get(c, c) for c in cols])
-    writer.writerows(zip(*([_fmt(row[c]) for row in rows] for c in cols)))
+    writer.writerow([_COLUMN_LABELS.get(c, c) for c in cells])
+    writer.writerows(zip(*cells.values()))
     return buf.getvalue()
 
 
-def _plot_text(rows: list[dict], columns: tuple) -> str:
+def csv_text(rows: list[dict]) -> str:
+    """The runner's CSV table: a header of labelled columns, then one line per row."""
+    return _csv_of(_cells(rows))
+
+
+def _plot_text(rows: list[dict], columns: tuple, cells: dict | None = None) -> str:
     """Two or three columns of ``rows``, sorted by the first, as the text of
-    a whitespace-separated data file."""
+    a whitespace-separated data file, from the cell texts ``cells`` of the
+    rows (``_cells``) when given."""
     if not rows:
         raise ValueError("empty result table")
     if len(columns) not in (2, 3):
@@ -476,9 +486,11 @@ def _plot_text(rows: list[dict], columns: tuple) -> str:
     for col in columns:
         if col not in rows[0]:
             raise ValueError(f"missing column '{col}'")
-    ordered = sorted(rows, key=lambda r: r[columns[0]])
+    if cells is None:
+        cells = _cells(rows)
+    order = sorted(range(len(rows)), key=lambda i: rows[i][columns[0]])
     lines = ["# " + " ".join(columns)]
-    lines += map(" ".join, zip(*([_fmt(row[c]) for row in ordered] for c in columns)))
+    lines += map(" ".join, zip(*([cells[c][i] for i in order] for c in columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -765,10 +777,12 @@ def run(config: ExperimentConfig, base_dir=".") -> RunManifest:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "manifest.json").unlink(missing_ok=True)
     outputs = {}
-    for fname, rows in tables.items():
-        outputs[fname] = _atomic_write(outdir / fname, csv_text(rows))
+    cells = {fname: _cells(rows) for fname, rows in tables.items()}  # each cell formatted once
+    for fname, table in cells.items():
+        outputs[fname] = _atomic_write(outdir / fname, _csv_of(table))
     for fname, (table_name, columns) in plots.items():
-        outputs[fname] = _atomic_write(outdir / fname, _plot_text(tables[table_name], columns))
+        outputs[fname] = _atomic_write(
+            outdir / fname, _plot_text(tables[table_name], columns, cells[table_name]))
     manifest = RunManifest(
         config_hash=config.digest(),
         tool_version=TOOL_VERSION,

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import csv
 import gc
 import json
 import math
@@ -336,6 +337,21 @@ class TestRun:
         assert {"carleman_denjoy.csv", "carleman_proxy.csv", "partial_sums.dat"} <= set(
             manifest.outputs
         )
+
+    def test_each_cell_is_formatted_once_per_run(self, tmp_path, monkeypatch):
+        # the plot partial_sums.dat is built from the strings of the CSV's
+        # cells, not formatted a second time
+        calls = []
+        fmt = experiments._fmt
+        monkeypatch.setattr(experiments, "_fmt", lambda v: calls.append(v) or fmt(v))
+        cfg = {"version": 1, "kind": "carleman_denjoy", "output_dir": "cd",
+               "params": {"N": 20, "T_max": 100.0}}
+        run(ExperimentConfig.from_dict(cfg), tmp_path)
+        cells = 0
+        for path in (tmp_path / "cd").glob("*.csv"):
+            header, *rows = csv.reader(path.read_text().splitlines())
+            cells += len(header) * len(rows)
+        assert cells > 20 * 5 and len(calls) == cells  # carleman_denjoy.csv: 20 rows of 5
 
 
 class TestEmitPlotData:

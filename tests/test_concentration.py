@@ -93,9 +93,8 @@ def endpoint_entries(freqs, intervals, period):
     """The upper triangle of the endpoint form, whatever the list, and that
     of the oracle."""
     rows, cols = np.triu_indices(len(freqs))
-    exact = np.array(freqs, dtype=object)
-    diffs = (exact[rows] - exact[cols]).astype(float)
-    return (conc._endpoint_form(freqs, intervals, period, rows, cols, diffs),
+    v, D = conc._difference_matrix(freqs)
+    return (conc._endpoint_form(freqs, v, D, intervals, period)[rows, cols],
             closed_form_oracle(freqs, intervals, period)[rows, cols])
 
 
@@ -111,6 +110,26 @@ def endpoint_spy(monkeypatch):
 
     monkeypatch.setattr(conc, "_end_numerators", spy)
     return sizes
+
+
+def assert_mirrored(m):
+    """m equals its conjugate transpose bit for bit off the diagonal, and its
+    diagonal is real with the imaginary part -0.0 of a conjugate."""
+    off = ~np.eye(len(m), dtype=bool)
+    assert m[off].tobytes() == m.conj().T[off].tobytes()
+    diagonal = np.diagonal(m).imag
+    assert not diagonal.any() and np.signbit(diagonal).all()
+
+
+@st.composite
+def full_torus_cases(draw):
+    """Integer lists past 2**53, some past 2**62 apart, on the full torus
+    with exact or float ends."""
+    base = draw(st.integers(2**53, 2**80))
+    offsets = draw(st.lists(st.one_of(st.integers(0, 2**12), st.integers(2**62, 2**63)),
+                            min_size=1, max_size=12, unique=True))
+    ends = draw(st.sampled_from([(0, 1), (0.0, 1.0)]))
+    return [base + k for k in sorted(offsets)], [ends], 1
 
 
 @st.composite
@@ -274,6 +293,37 @@ class TestGramMatrix:
         close = np.abs((exact[rows] - exact[cols]).astype(float)) < 1
         np.testing.assert_array_equal(got[close], want[close])
 
+    @given(st.one_of(gram_cases(), full_torus_cases()))
+    @example(([-3, 2**62 + 1, 2**80], [(0.0, 0.25), (0.5, 1.0)], 1))  # Python ints
+    @example(([7], [(0.0, 0.5), (0.75, 1.0)], 1))
+    @example(([0.0, 0.125, 0.375], [(0.1, 0.2), (0.5, 0.7)], 2.0))  # no pair 1 apart
+    @settings(max_examples=200, deadline=None)
+    def test_assembly_is_hermitian_bit_for_bit(self, case):
+        # the lower triangle is the conjugate of the upper one, so no form
+        # built on it is checked again for Hermitian symmetry
+        freqs, intervals, period = case
+        m = conc._gram_entries(freqs, intervals, period)
+        assert m.shape == (len(freqs), len(freqs))
+        assert_mirrored(m)
+
+    @pytest.mark.parametrize("seq", [Sequence((5,)), Sequence((2**70,)),
+                                     Sequence((0.0, 0.125, 0.375)),
+                                     Sequence((Fraction(0), Fraction(1, 3), Fraction(1, 2)))],
+                             ids=["one", "one past 2**62", "floats", "fractions"])
+    def test_no_pair_one_apart_builds_no_end_phases(self, monkeypatch, seq):
+        # the endpoint form's rule holds (more distinct differences than
+        # half the pairs), yet with no quotient to take it is the closed form
+        sizes = endpoint_spy(monkeypatch)
+        E = ThickSet(((0.0, 0.25), (0.5, 0.75), (0.8, 0.9)), (0.0, 1.0))
+        G = conc._gram_entries(seq.values, E.intervals, 1)
+        np.testing.assert_array_equal(G, closed_form_oracle(seq.values, E.intervals, 1))
+        est = nazarov_constant(E, seq)
+        vals, _, residual = hermitian_eigensystem(gram_matrix(E, seq))
+        assert (est.lambda_min, est.residual) == (max(float(vals[0]), 0.0), residual)
+        if len(seq) == 1:
+            assert est.lambda_min == G[0, 0].real
+        assert sizes == []
+
     def test_exact_phases_beat_a_rounded_difference(self):
         # a difference of 3001/3: the closed form evaluates it rounded to
         # float, the endpoint form exactly (against mpmath at 40 digits)
@@ -325,6 +375,30 @@ class TestGramMatrix:
         assert peaks[1] <= 1.5 * peaks[0]
         assert G.provenance["set"] == {
             "window": [0.0, 1.0], "measure": 0.5, "interval_count": 10**5, "periodic": True}
+
+    @pytest.mark.parametrize("form", ["endpoint", "closed"])
+    def test_assembly_at_the_dense_cap_peaks_within_three_matrices(self, monkeypatch, form):
+        # 2000 greedy-like integers over 6 intervals (the endpoint form) and
+        # a 2000-term progression (the closed form): the tracemalloc peak of
+        # the assembly, in units of the 16 n^2 bytes of the result, measured
+        # 2.44 and 2.35 (3.90 and 3.25 with index arrays of the triangle)
+        n = conc.MAX_DENSE_DIM
+        rng = np.random.default_rng(0)
+        if form == "endpoint":
+            freqs = sorted(int(x) for x in rng.choice(10**12, n, replace=False))
+        else:
+            freqs = list(range(n))
+        ends = np.sort(rng.choice(np.arange(1, 64), 12, replace=False)) / 64
+        intervals = list(zip(ends[0::2], ends[1::2]))
+        sizes = endpoint_spy(monkeypatch)
+        tracemalloc.start()
+        try:
+            conc._gram_entries(freqs, intervals, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == ([n] if form == "endpoint" else [])
+        assert peak <= 3 * 16 * n * n
 
     def test_a_difference_past_the_float_range_is_refused(self):
         message = (r"^sequence: a frequency or a difference of two is past the largest float "
@@ -633,6 +707,18 @@ class TestOneIntervalRealForm:
         assert dtypes == [np.float64, np.complex128, np.complex128]
         assert kernel == [np.float64, np.complex128]
 
+    def test_builds_no_hermitian_form(self, monkeypatch):
+        # the kernel takes the assembled matrix as it is: no validating copy
+        def refuse(self):
+            pytest.fail("a HermitianForm was built")
+
+        monkeypatch.setattr(HermitianForm, "__post_init__", refuse)
+        rng = np.random.default_rng(3)
+        for E in (ThickSet(((0.2, 0.7),), (0.0, 1.0)), random_torus_set(rng, 2),
+                  random_torus_set(rng, 6)):
+            for seq in (build_greedy(40), build_greedy(120), Sequence((3,))):
+                assert nazarov_constant(E, seq).lambda_min > 0
+
     def test_an_imaginary_part_past_the_tolerance_is_refused(self, monkeypatch):
         gram_entries = conc._gram_entries
         monkeypatch.setattr(conc, "_gram_entries", lambda *a: gram_entries(*a) + 1e-9j)
@@ -861,13 +947,15 @@ def class_view(comb, bins):
     class's offsets from its first bin over [w0, w0 + fill] / delta, the
     largest |eigenvalue| of them, and whether every class of two or more
     offsets took the form, closed or endpoint, that the one table of
-    ``_comb_eigenpair`` took.  The classes are visited in
+    ``_comb_eigenpair`` took (a Gram of two or more distinct integer
+    offsets builds end phases, ``_end_numerators``, in the endpoint form
+    alone).  The classes are visited in
     ``_comb_eigenpair``'s order, by size and then by residue, and the first
     least value is kept, so that a tie of -0.0 and +0.0 keeps its sign."""
     M = comb.blocks
     E = ThickSet(((comb.start / comb.delta, (comb.start + comb.fill) / comb.delta),), (0, 1))
     classes = sorted((np.sort(bins[bins % M == r]) for r in np.unique(bins % M)), key=len)
-    with mock.patch.object(conc, "_endpoint_form", wraps=conc._endpoint_form) as spy:
+    with mock.patch.object(conc, "_end_numerators", wraps=conc._end_numerators) as spy:
         got = conc._comb_eigenpair(comb, bins)
         table_form = spy.called
         least, norm, same = math.inf, 0.0, True

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_concentration import lemma_oracle
 
@@ -118,23 +120,35 @@ def test_trials_build_no_band_function_and_synthesize_once(monkeypatch):
     assert len(synthesized) == 1
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-def test_split_rows_equal_single_calls(seed):
+# the dense forms of these shapes (27 and 9 bins, 27^2 <= S) evaluate all
+# trials in one stacked product; each row keeps the bits it has alone, at
+# seeds drawn from each base and 1 to 70 trials
+@pytest.mark.parametrize("base", [0, 11])
+@given(st.integers(0, 2**64 - 12), st.integers(1, 70))
+@example(0, 4)
+@settings(max_examples=6, deadline=None)
+def test_split_rows_equal_single_calls(base, offset, trials):
+    seed = base + offset
     grid = Grid(8.0, 2048)
     E = periodic_comb(0.5, 1.0, (0.0, 8.0))
     seq = Sequence((4, 16, 64))
     schedule = schedule_from([[1, 2]])
-    rows = split_trials(seq, E, grid, 1, schedule, seed, 4)
-    blocks = trial_blocks(seq, grid, seed, 4)
+    rows = split_trials(seq, E, grid, 1, schedule, seed, trials)
+    blocks = trial_blocks(seq, grid, seed, trials)
     assert rows == [theorem_split_check(b, seq, schedule, 1, E, grid) for b in blocks]
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-def test_lemma_rows_equal_single_calls(seed):
+@pytest.mark.parametrize("base", [0, 11])
+@given(st.integers(0, 2**64 - 12), st.integers(1, 70))
+@example(0, 4)
+@settings(max_examples=6, deadline=None)
+def test_lemma_rows_equal_single_calls(base, offset, trials):
+    seed = base + offset
     grid = Grid(8.0, 2048)
     E = periodic_comb(0.5, 1.0, (0.0, 8.0))
     seq = Sequence((4, 16, 64))
-    rows = lemma_trials(seq, E, grid, 4, seed, 4)
+    rows = lemma_trials(seq, E, grid, 4, seed, trials)
+    assert len(rows) == trials
     for trial, row in enumerate(rows):
         rng = trial_rng(seed, trial)
         f_list = [random_band_function(grid, rng) for _ in range(len(seq))]
