@@ -723,36 +723,65 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
     compression is the direct sum of one block per residue class of the bins
     mod M.  Every other set, a comb rebuilt from its intervals included,
     gets the dense n x n form.  Either way the dense solver cap applies to
-    the number n of bins, before anything is assembled.
+    the number n of bins, before anything is assembled.  This is the one-set
+    case of ``_ls_constants``, whose refusals come in this order: E's window
+    and measure, the band rule, the cap.
     """
     _check_on_grid(E, grid)
+    return _ls_constants([E], grid.band_bins(profile), grid)[0]
+
+
+def _ls_constants(sets: list[ThickSet], bins: np.ndarray, grid: Grid) -> list:
+    """``ls_constant`` of each set against the same bins, in list order.
+
+    The bins are ``grid.band_bins`` of one profile, taken once by the
+    caller.  Each set is checked against the grid (``_check_on_grid``), the
+    first before the dense solver cap, so that the refusals come in the
+    order of one ``ls_constant`` call per set.  The combs that tile the grid
+    period are solved together, one ``_comb_eigenpair`` call per block
+    count M, so that the classes of the bins mod M and the stacked ``eigh``
+    calls serve them all; every other set takes the dense form of its own.
+    """
     T = grid.period
-    bins = grid.band_bins(profile)
     n = bins.size
-    _require_dense(n)
-    comb = E.comb
-    if comb is not None and comb.blocks * comb.delta == T:
-        lam, residual = _comb_eigenpair(comb, bins)
-    else:
-        form = HermitianForm(n, _gram_entries(bins.tolist(), _set_intervals(E, grid), T),
-                             {"kind": "ls_compression"})
-        vals, _, residual = hermitian_eigensystem(form)
-        lam = float(vals[0])
-    return _estimate(
-        lam,
-        residual,
-        {
-            "model": "ls_compression",
-            "dimension": n,
-            "set_measure": float(E.measure),
-            "grid": {"period": T, "samples": grid.samples},
-        },
-    )
+    groups = {}  # block count M -> the positions of the combs that tile T
+    for i, E in enumerate(sets):
+        _check_on_grid(E, grid)
+        if i == 0:
+            _require_dense(n)
+        comb = E.comb
+        if comb is not None and comb.blocks * comb.delta == T:
+            groups.setdefault(comb.blocks, []).append(i)
+    solved = {}
+    for members in groups.values():
+        pairs = _comb_eigenpair([sets[i].comb for i in members], bins)
+        solved.update(zip(members, pairs))
+    estimates = []
+    for i, E in enumerate(sets):
+        if i in solved:
+            lam, residual = solved[i]
+        else:
+            form = HermitianForm(n, _gram_entries(bins.tolist(), _set_intervals(E, grid), T),
+                                 {"kind": "ls_compression"})
+            vals, _, residual = hermitian_eigensystem(form)
+            lam = float(vals[0])
+        estimates.append(_estimate(
+            lam,
+            residual,
+            {
+                "model": "ls_compression",
+                "dimension": n,
+                "set_measure": float(E.measure),
+                "grid": {"period": T, "samples": grid.samples},
+            },
+        ))
+    return estimates
 
 
-def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
-    """(lambda_min, residual) of the compression to the bins over a comb of
-    M = ``comb.blocks`` blocks that tile the grid period T, M delta = T.
+def _comb_eigenpair(combs: list[Comb], bins: np.ndarray) -> list:
+    """(lambda_min, residual) of the compression to the bins over each comb
+    of a list, in list order: combs of the same M = ``comb.blocks`` blocks
+    that tile the grid period T, M delta = T.
 
     Entry (k, l) is (1/T) int_E e^{2 pi i (k - l) x / T} dx.  Summed over
     the blocks it is M times one block's integral when M divides k - l, and
@@ -766,37 +795,52 @@ def _comb_eigenpair(comb: Comb, bins: np.ndarray) -> tuple:
     (``_gram_entries``) of the sorted distinct offsets of all classes, at
     most n of them.
 
-    The classes of one size are stacked, less each class whose offsets
-    repeat the previous class's (a band has one pattern per size, and a
-    lacunary profile's pattern changes only where a band edge falls), and
-    solved by one batched ``eigh`` per size.  lambda_min is the least
-    eigenvalue of all blocks, the residual is ||G_c v - lambda_min v|| of
-    the block c that attains it, and the residual contract takes max
-    |lambda| over all blocks as ||G||.
+    The classes depend on the bins and M alone, so their order, sizes and
+    offsets are built once for the list, and each comb assembles only its
+    own table of the offsets.  The classes of one size are taken less each
+    class whose offsets repeat the previous class's (a band has one pattern
+    per size, and a lacunary profile's pattern changes only where a band
+    edge falls); their blocks, gathered from every comb's table into one
+    C-contiguous stack, comb by comb, are solved by one batched ``eigh`` per
+    size.  (A gather whose comb axis is not the outermost in memory sends
+    the residual's product G_c v down another BLAS path, which moves its
+    last bits.)  For each comb, lambda_min is the least eigenvalue of its
+    blocks, the residual is ||G_c v - lambda_min v|| of the block c that
+    attains it, and the residual contract takes max |lambda| over its
+    blocks as ||G||.
     """
-    M = comb.blocks
+    M = combs[0].blocks
     residues = bins % M
     ordered = bins[np.lexsort((bins, residues))]  # by class, each class increasing
     _, first, sizes = np.unique(np.sort(residues), return_index=True, return_counts=True)
     offsets, index = np.unique((ordered - np.repeat(ordered[first], sizes)) // M,
                                return_inverse=True)
-    table = _gram_entries(offsets.tolist(), [(comb.start / comb.delta,
-                                              (comb.start + comb.fill) / comb.delta)], 1)
-    _require_hermitian(table)
-    least, scale = None, 0.0
-    for size in np.unique(sizes):
+    offsets = offsets.tolist()
+    tables = [_gram_entries(offsets, [(comb.start / comb.delta,
+                                       (comb.start + comb.fill) / comb.delta)], 1)
+              for comb in combs]
+    for table in tables:
+        _require_hermitian(table)
+    least, scale = [None] * len(combs), [0.0] * len(combs)
+    for size in sorted(set(sizes.tolist())):  # Python ints: np.unique costs more here
         rows = index[first[sizes == size][:, None] + np.arange(size)]
         rows = rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
-        G = table[rows[:, :, None], rows[:, None, :]]
+        G = [table[rows[:, :, None], rows[:, None, :]] for table in tables]
+        G = G[0] if len(G) == 1 else np.concatenate(G)  # one comb: no copy
         vals, vecs = np.linalg.eigh(G)
-        scale = max(scale, float(np.max(np.abs(vals))))
-        c = int(np.argmin(vals[:, 0]))
-        if least is None or vals[c, 0] < least[0]:
-            least = (float(vals[c, 0]), G[c], vecs[c, :, 0])
-    lam, G, v = least
-    residual = _residual(G @ v, v, lam, scale)
-    _require_residual(residual, scale)
-    return lam, residual
+        k = len(rows)  # the blocks of comb j are G[j k:(j + 1) k]
+        peaks = np.abs(vals).reshape(len(combs), -1).max(axis=1).tolist()
+        for j, c in enumerate(vals[:, 0].reshape(len(combs), k).argmin(axis=1).tolist()):
+            scale[j] = max(scale[j], peaks[j])
+            c += j * k
+            if least[j] is None or vals[c, 0] < least[j][0]:
+                least[j] = (float(vals[c, 0]), G[c], vecs[c, :, 0])
+    pairs = []
+    for (lam, G, v), norm in zip(least, scale):
+        residual = _residual(G @ v, v, lam, norm)
+        _require_residual(residual, norm)
+        pairs.append((lam, residual))
+    return pairs
 
 
 def _lemma_window(E: ThickSet, grid: Grid, interval) -> tuple:

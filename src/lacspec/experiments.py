@@ -31,9 +31,10 @@ from . import __version__
 from .concentration import (
     _lemma_form,
     _lemma_window,
+    _ls_constants,
     _require_measure,
     _split_form,
-    ls_constant,
+    ls_constant,  # kept bound here: bench/tracing.py wraps this name
     nazarov_constant,
 )
 from .errors import ConfigError, LimitError
@@ -671,11 +672,11 @@ def _run_ls_gamma_sweep(config, base_dir):
     grid = _grid(config)
     profile = _profile_from(config.params, base_dir)
     with _grid_refusals():
-        grid.band_bins(profile)
+        bins = grid.band_bins(profile)
+    gammas = config.set_spec["gammas"]
+    combs = [comb_on_grid(gamma, config.set_spec["delta"], grid) for gamma in gammas]
     rows = []
-    for gamma in config.set_spec["gammas"]:
-        E = comb_on_grid(gamma, config.set_spec["delta"], grid)
-        est = ls_constant(E, profile, grid)
+    for gamma, est in zip(gammas, _ls_constants(combs, bins, grid)):
         rows.append(
             {
                 "gamma": float(gamma),

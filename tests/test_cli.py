@@ -308,6 +308,59 @@ class TestRun:
             run(ExperimentConfig.from_dict(cfg), tmp_path)
         assert not (tmp_path / "o").exists()
 
+    def test_ls_sweep_takes_its_bins_and_classes_once(self, tmp_path, monkeypatch):
+        # T = 64, delta = 2: M = 32 classes of the 65 bins of [0, 1], of two
+        # sizes (2, and 3 for the class of 0), so one eigh per size for all
+        # three gammas; each comb assembles its own table of the offsets 0, 1, 2
+        supports, tables, shapes = [], [], []
+        band_bins, gram_entries, eigh = (lacspec.Grid.band_bins, concentration._gram_entries,
+                                         np.linalg.eigh)
+
+        def bins_spy(grid, support):
+            supports.append(support)
+            return band_bins(grid, support)
+
+        def gram_spy(freqs, *rest):
+            tables.append(len(freqs))
+            return gram_entries(freqs, *rest)
+
+        def eigh_spy(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(lacspec.Grid, "band_bins", bins_spy)
+        monkeypatch.setattr(concentration, "_gram_entries", gram_spy)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        cfg = small_configs()["ls_gamma_sweep"]
+        cfg["grid"] = {"period": 64.0, "samples": 256}
+        cfg["set"] = {"pattern": "comb", "gammas": [0.25, 0.5, 1.0], "delta": 2.0}
+        run(ExperimentConfig.from_dict(cfg), tmp_path)
+        assert supports == [(0.0, 1.0)]
+        assert tables == [3, 3, 3]
+        assert shapes == [(3, 2, 2), (3, 3, 3)]
+        text = (tmp_path / "o" / "ls_gamma_sweep.csv").read_text()
+        rows = [row.split(",")[:2] for row in text.splitlines()[1:]]
+        assert [g for g, _ in rows] == ["0.25", "0.5", "1.0"] and rows[-1][1] == "1.0"
+
+    @pytest.mark.parametrize("gammas, delta, band, message", [
+        ([0.25, 1.0], 2.0, [0, 40], "dimension 2561 exceeds the dense solver cap 2000"),
+        # a null comb (a fill that rounds to 0) after the first gamma: the
+        # cap refuses first, as it did at the first gamma's own call
+        ([0.5, 5e-324], 0.5, [0, 40], "dimension 2561 exceeds the dense solver cap 2000"),
+        ([5e-324, 0.5], 0.5, [0, 40], "set must have positive measure"),
+        ([0.5, 5e-324], 0.5, [0, 1], "set must have positive measure"),
+    ])
+    def test_ls_sweep_past_the_dense_cap_is_refused(self, tmp_path, capsys, gammas, delta,
+                                                    band, message):
+        # the combs' class blocks are small, yet the cap is on the bins
+        cfg = small_configs()["ls_gamma_sweep"]
+        cfg["grid"] = {"period": 64.0, "samples": 8192}
+        cfg["set"] = {"pattern": "comb", "gammas": gammas, "delta": delta}
+        cfg["params"]["profile"]["band"] = band
+        assert run_cli(cfg, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_csv_headers_name_units(self, tmp_path):
         run(ExperimentConfig.from_dict(nazarov_config()), tmp_path)
         header = (tmp_path / "out" / "nazarov_sweep.csv").read_text().splitlines()[0]

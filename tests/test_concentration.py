@@ -956,7 +956,7 @@ def class_view(comb, bins):
     E = ThickSet(((comb.start / comb.delta, (comb.start + comb.fill) / comb.delta),), (0, 1))
     classes = sorted((np.sort(bins[bins % M == r]) for r in np.unique(bins % M)), key=len)
     with mock.patch.object(conc, "_end_numerators", wraps=conc._end_numerators) as spy:
-        got = conc._comb_eigenpair(comb, bins)
+        got, = conc._comb_eigenpair([comb], bins)
         table_form = spy.called
         least, norm, same = math.inf, 0.0, True
         for members in classes:
@@ -1061,6 +1061,70 @@ class TestClassGather:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         ls_constant(periodic_comb(0.5, 1.0, (0.0, 128.0)), (0.0, 8.0), Grid(128.0, 4096))
         assert shapes == [(1, 8, 8), (1, 9, 9)]
+
+
+@st.composite
+def set_lists(draw):
+    """A profile (a band or a geometric one), a grid on [0, T], 4 <= T <= 128,
+    that resolves it, and a list of combs of one block width, exact or
+    float, at fills drawn with repeats and with gamma = 1; now and then a
+    comb of twice the width (another M), or a set of the dense path: one
+    interval, or the first comb rebuilt from its intervals."""
+    exact = draw(st.booleans())
+    delta = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1, 2, 4]))
+    T = delta * draw(st.integers(max(1, math.ceil(4 / delta)), int(128 / delta)))
+    window = (0, T) if exact else (0.0, float(T))
+    fills = st.one_of(st.just(1),
+                      st.builds(Fraction, st.integers(1, 15), st.just(16)),
+                      st.floats(0.01, 1.0))
+    gammas = draw(st.lists(fills, min_size=1, max_size=4))
+    gammas += draw(st.lists(st.sampled_from(gammas), max_size=2))  # repeats
+    width = delta if exact else float(delta)
+    sets = [periodic_comb(g if exact else float(g), width, window) for g in gammas]
+    extra = draw(st.sampled_from(["none", "width", "interval", "rebuilt"]))
+    if extra == "width" and T / delta % 2 == 0:
+        sets.insert(1, periodic_comb(Fraction(1, 2) if exact else 0.5, 2 * width, window))
+    elif extra == "interval":
+        sets.append(ThickSet(((0.0, float(T) / 3),), (0.0, float(T))))
+    elif extra == "rebuilt":
+        sets.append(ThickSet(sets[0].intervals, sets[0].window, True))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-2, 2))
+        profile = (float(lo), lo + draw(st.floats(0.5, 3.0)))
+    else:
+        start, ratio = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        count = draw(st.integers(1, 3))
+        profile = SpectralProfile(Sequence(tuple(start * ratio**k for k in range(count))))
+    try:
+        bins = Grid(float(T), 2**24).band_bins(profile)
+    except ValueError:  # a band narrower than the bin spacing 1/T
+        assume(False)
+    assume(bins.size <= 400)
+    grid = Grid(float(T), 2 ** (2 * int(np.abs(bins).max()) + 1).bit_length())
+    return sets, profile, grid
+
+
+class TestSetLists:
+    """``_ls_constants``: the sets of one profile solved on one band rule
+    and, for combs that tile T, one class structure and stacked ``eigh``."""
+
+    @given(set_lists())
+    @example((
+        [periodic_comb(g, 2, (0, 64)) for g in (Fraction(5, 16), Fraction(11, 16), 1)],
+        (0.0, 1.0), Grid(64.0, 256)))
+    @example((
+        [periodic_comb(g, 1.0, (0.0, 32.0)) for g in (0.25, 0.25, 1.0)],
+        SpectralProfile(Sequence((2, 8, 32))), Grid(32.0, 4096)))
+    @settings(max_examples=200, deadline=None)
+    def test_a_list_is_its_sets_one_by_one(self, case):
+        sets, profile, grid = case
+        together = conc._ls_constants(sets, grid.band_bins(profile), grid)
+        alone = [ls_constant(E, profile, grid) for E in sets]
+        assert [e.to_dict() for e in together] == [e.to_dict() for e in alone]
+        for a, b in zip(together, alone):
+            assert a.lambda_min.hex() == b.lambda_min.hex()
+            assert a.residual.hex() == b.residual.hex()
+            assert repr(a) == repr(b)
 
 
 def solve_spy(monkeypatch):
