@@ -732,40 +732,34 @@ def ls_constant(E: ThickSet, profile, grid: Grid) -> ConcentrationEstimate:
 
 
 def _ls_constants(sets: list[ThickSet], bins: np.ndarray, grid: Grid) -> list:
-    """``ls_constant`` of each set against the same bins, in list order.
+    """``ls_constant`` of each set against the same bins, in list order: one
+    set, or the combs of one ``ls_gamma_sweep`` run, which share their
+    block width and so their block count M.
 
     The bins are ``grid.band_bins`` of one profile, taken once by the
-    caller.  Each set is checked against the grid (``_check_on_grid``), the
-    first before the dense solver cap, so that the refusals come in the
-    order of one ``ls_constant`` call per set.  The combs that tile the grid
-    period are solved together, one ``_comb_eigenpair`` call per block
-    count M, so that the classes of the bins mod M and the stacked ``eigh``
-    calls serve them all; every other set takes the dense form of its own.
+    caller.  The first set is checked against the grid before the dense
+    solver cap, and the others after it, so that the refusals come in the
+    order of one ``ls_constant`` call per set.  When every set is a comb
+    that tiles the grid period, one ``_comb_eigenpair`` call solves them
+    all on one class structure; otherwise each set takes the dense form.
     """
     T = grid.period
     n = bins.size
-    groups = {}  # block count M -> the positions of the combs that tile T
-    for i, E in enumerate(sets):
+    _check_on_grid(sets[0], grid)
+    _require_dense(n)
+    for E in sets[1:]:
         _check_on_grid(E, grid)
-        if i == 0:
-            _require_dense(n)
-        comb = E.comb
-        if comb is not None and comb.blocks * comb.delta == T:
-            groups.setdefault(comb.blocks, []).append(i)
-    solved = {}
-    for members in groups.values():
-        pairs = _comb_eigenpair([sets[i].comb for i in members], bins)
-        solved.update(zip(members, pairs))
-    estimates = []
-    for i, E in enumerate(sets):
-        if i in solved:
-            lam, residual = solved[i]
-        else:
+    if all(E.comb is not None and E.comb.blocks * E.comb.delta == T for E in sets):
+        pairs = _comb_eigenpair([E.comb for E in sets], bins)
+    else:
+        pairs = []
+        for E in sets:
             form = HermitianForm(n, _gram_entries(bins.tolist(), _set_intervals(E, grid), T),
                                  {"kind": "ls_compression"})
             vals, _, residual = hermitian_eigensystem(form)
-            lam = float(vals[0])
-        estimates.append(_estimate(
+            pairs.append((float(vals[0]), residual))
+    return [
+        _estimate(
             lam,
             residual,
             {
@@ -774,8 +768,9 @@ def _ls_constants(sets: list[ThickSet], bins: np.ndarray, grid: Grid) -> list:
                 "set_measure": float(E.measure),
                 "grid": {"period": T, "samples": grid.samples},
             },
-        ))
-    return estimates
+        )
+        for E, (lam, residual) in zip(sets, pairs)
+    ]
 
 
 def _comb_eigenpair(combs: list[Comb], bins: np.ndarray) -> list:
@@ -796,18 +791,14 @@ def _comb_eigenpair(combs: list[Comb], bins: np.ndarray) -> list:
     most n of them.
 
     The classes depend on the bins and M alone, so their order, sizes and
-    offsets are built once for the list, and each comb assembles only its
-    own table of the offsets.  The classes of one size are taken less each
-    class whose offsets repeat the previous class's (a band has one pattern
-    per size, and a lacunary profile's pattern changes only where a band
-    edge falls); their blocks, gathered from every comb's table into one
-    C-contiguous stack, comb by comb, are solved by one batched ``eigh`` per
-    size.  (A gather whose comb axis is not the outermost in memory sends
-    the residual's product G_c v down another BLAS path, which moves its
-    last bits.)  For each comb, lambda_min is the least eigenvalue of its
-    blocks, the residual is ||G_c v - lambda_min v|| of the block c that
-    attains it, and the residual contract takes max |lambda| over its
-    blocks as ||G||.
+    offsets are built once for the list, and so are, for each class size,
+    the rows of its classes in a table of the offsets, less each class
+    whose offsets repeat the previous class's (a band has one pattern per
+    size, and a lacunary profile's pattern changes only where a band edge
+    falls).  The combs are then solved in groups (``_stacked_eigenpairs``)
+    whose tables and blocks hold at most n^2 entries in all, or of one comb
+    each, so that a sweep's memory stays about that of one comb, however
+    many combs it holds.
     """
     M = combs[0].blocks
     residues = bins % M
@@ -815,18 +806,52 @@ def _comb_eigenpair(combs: list[Comb], bins: np.ndarray) -> list:
     _, first, sizes = np.unique(np.sort(residues), return_index=True, return_counts=True)
     offsets, index = np.unique((ordered - np.repeat(ordered[first], sizes)) // M,
                                return_inverse=True)
+    classes = []  # per class size: the rows of its classes, (classes, size)
+    entries = offsets.size**2  # of one comb's table and blocks
+    for size in sorted(set(sizes.tolist())):  # Python ints: np.unique costs more here
+        rows = index[first[sizes == size][:, None] + np.arange(size)]
+        rows = rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
+        classes.append(rows)
+        entries += rows.size * size
+    step = max(1, bins.size**2 // entries)
     offsets = offsets.tolist()
+    pairs = []
+    for lo in range(0, len(combs), step):
+        pairs += _stacked_eigenpairs(combs[lo:lo + step], offsets, classes)
+    return pairs
+
+
+def _stacked_eigenpairs(combs: list[Comb], offsets: list, classes: list) -> list:
+    """``_comb_eigenpair`` of a group of combs, given the class structure:
+    the offsets and, per class size, the rows of its classes in a table of
+    the offsets.
+
+    Each comb assembles and checks its table of the offsets; then the
+    blocks of each size of every comb are gathered into that size's
+    preallocated stack, each comb's into its slice, and the tables are
+    freed.  (Assembled one after another, the tables of a 4-comb sweep at
+    T = 64 cost about 15 us less than when each sits between two gathers.)
+    Each stack, blocks of the first comb first, is C-contiguous, and one
+    batched ``eigh`` per size solves it.  (A stack whose comb axis is not
+    the outermost in memory sends the residual's product G_c v down another
+    BLAS path, which moves its last bits.)  For each comb, lambda_min is
+    the least eigenvalue of its blocks, the residual is ||G_c v - lambda_min
+    v|| of the block c that attains it, and the residual contract takes
+    max |lambda| over its blocks as ||G||.
+    """
     tables = [_gram_entries(offsets, [(comb.start / comb.delta,
                                        (comb.start + comb.fill) / comb.delta)], 1)
               for comb in combs]
     for table in tables:
         _require_hermitian(table)
+    stacks = [np.empty((len(combs) * len(rows), rows.shape[1], rows.shape[1]), dtype=complex)
+              for rows in classes]
+    for j, table in enumerate(tables):
+        for rows, G in zip(classes, stacks):
+            G[j * len(rows):(j + 1) * len(rows)] = table[rows[:, :, None], rows[:, None, :]]
+    del tables, table
     least, scale = [None] * len(combs), [0.0] * len(combs)
-    for size in sorted(set(sizes.tolist())):  # Python ints: np.unique costs more here
-        rows = index[first[sizes == size][:, None] + np.arange(size)]
-        rows = rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
-        G = [table[rows[:, :, None], rows[:, None, :]] for table in tables]
-        G = G[0] if len(G) == 1 else np.concatenate(G)  # one comb: no copy
+    for rows, G in zip(classes, stacks):
         vals, vecs = np.linalg.eigh(G)
         k = len(rows)  # the blocks of comb j are G[j k:(j + 1) k]
         peaks = np.abs(vals).reshape(len(combs), -1).max(axis=1).tolist()

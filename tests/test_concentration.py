@@ -1067,9 +1067,8 @@ class TestClassGather:
 def set_lists(draw):
     """A profile (a band or a geometric one), a grid on [0, T], 4 <= T <= 128,
     that resolves it, and a list of combs of one block width, exact or
-    float, at fills drawn with repeats and with gamma = 1; now and then a
-    comb of twice the width (another M), or a set of the dense path: one
-    interval, or the first comb rebuilt from its intervals."""
+    float, at fills drawn with repeats and with gamma = 1, as an
+    ``ls_gamma_sweep`` run builds them."""
     exact = draw(st.booleans())
     delta = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1, 2, 4]))
     T = delta * draw(st.integers(max(1, math.ceil(4 / delta)), int(128 / delta)))
@@ -1081,13 +1080,6 @@ def set_lists(draw):
     gammas += draw(st.lists(st.sampled_from(gammas), max_size=2))  # repeats
     width = delta if exact else float(delta)
     sets = [periodic_comb(g if exact else float(g), width, window) for g in gammas]
-    extra = draw(st.sampled_from(["none", "width", "interval", "rebuilt"]))
-    if extra == "width" and T / delta % 2 == 0:
-        sets.insert(1, periodic_comb(Fraction(1, 2) if exact else 0.5, 2 * width, window))
-    elif extra == "interval":
-        sets.append(ThickSet(((0.0, float(T) / 3),), (0.0, float(T))))
-    elif extra == "rebuilt":
-        sets.append(ThickSet(sets[0].intervals, sets[0].window, True))
     if draw(st.booleans()):
         lo = draw(st.integers(-2, 2))
         profile = (float(lo), lo + draw(st.floats(0.5, 3.0)))
@@ -1125,6 +1117,26 @@ class TestSetLists:
             assert a.lambda_min.hex() == b.lambda_min.hex()
             assert a.residual.hex() == b.residual.hex()
             assert repr(a) == repr(b)
+
+    def test_a_sweep_peaks_as_one_comb(self):
+        # one block (M = 1, delta = T): one class of all n = 601 bins, so each
+        # comb's table and blocks hold n^2 entries and a group is one comb;
+        # stacked together, 8 combs would hold 8 times the memory of one
+        grid = Grid(1.0, 2**12)
+        bins = grid.band_bins((-300.0, 300.0))
+        n = bins.size
+        sets = [periodic_comb(k / 10, 1.0, (0.0, 1.0)) for k in range(1, 9)]
+        peaks = []
+        for count in (1, 8):
+            tracemalloc.start()
+            try:
+                conc._ls_constants(sets[:count], bins, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert n == 601
+        assert peaks[1] <= 1.1 * peaks[0]  # measured equal, 3.0 n^2 complex entries
+        assert peaks[1] <= 10 * 16 * n**2
 
 
 def solve_spy(monkeypatch):
