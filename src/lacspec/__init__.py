@@ -14,7 +14,6 @@ from .errors import ConfigError, NumericalError
 from .experiments import (
     ExperimentConfig,
     RunManifest,
-    emit_plot_data,
     run,
 )
 from .concentration import (
@@ -24,7 +23,6 @@ from .concentration import (
     SplitCheck,
     gram_matrix,
     hermitian_eigensystem,
-    interval_phase_integral,
     lemma_main_report,
     ls_constant,
     nazarov_constant,

@@ -33,7 +33,6 @@ __all__ = [
     "ConcentrationEstimate",
     "LemmaTerms",
     "SplitCheck",
-    "interval_phase_integral",
     "gram_matrix",
     "nazarov_constant",
     "ls_constant",
@@ -73,22 +72,15 @@ def _phase_integrals(width, center, d: np.ndarray) -> np.ndarray:
     return np.where(np.abs(dw) < np.finfo(float).tiny, width, z)
 
 
-def interval_phase_integral(a, b, d) -> complex:
-    """Integral of e^{2 pi i d x} over [a, b]: the scalar view of the closed
-    form, which the Gram kernel evaluates for lists of few distinct
-    differences and for pairs of frequencies less than 1 apart (see
-    ``_gram_entries``; its other pairs take (e(d b) - e(d a)) / (2 pi i d),
-    e(t) = e^{2 pi i t}, from exact end phases)."""
-    return complex(_phase_integrals(float(b - a), float(a + b), np.array([float(d)]))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """Dense Hermitian matrix with a provenance record.
+    """Dense Hermitian matrix with a provenance record: the type of the forms
+    handed out (``gram_matrix``) or read in (``from_text``).
 
     Hermitian symmetry is validated to HERMITIAN_TOL entrywise on
-    construction; builders assemble one triangle and mirror it, so the check
-    guards against assembly bugs rather than rounding.
+    construction, the one place where a form is checked.  The library's
+    own solvers take the matrices of ``_gram_entries`` as assembled: it
+    mirrors one triangle into the other, so they are Hermitian bit for bit.
     """
 
     dimension: int
@@ -102,7 +94,8 @@ class HermitianForm:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (self.dimension, self.dimension):
             raise ValueError("entries must be a square matrix of the declared size")
-        _require_hermitian(m)
+        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+            raise ValueError("matrix is not Hermitian within tolerance")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -153,13 +146,6 @@ class ConcentrationEstimate:
         }
 
 
-def _require_hermitian(m: np.ndarray) -> None:
-    """Hermitian symmetry of a matrix, or of each of a stack, to HERMITIAN_TOL
-    entrywise."""
-    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-
 def _require_residual(residual: float, scale: float) -> None:
     """The residual contract: ||G v - lambda v|| <= EIG_RESIDUAL_TOL ||G||,
     which a NaN residual fails.  Below ||G|| = tiny / EIG_RESIDUAL_TOL, about
@@ -191,12 +177,14 @@ def _require_dense(dimension: int) -> None:
 
 def hermitian_eigensystem(form: HermitianForm):
     """Eigenvalues of a dense Hermitian form and its least eigenpair, with a
-    residual contract.
+    residual contract: the solver of a ``HermitianForm`` handed out or read
+    in.  ``nazarov_constant`` and ``ls_constant`` solve the matrices they
+    assemble with no form around them.
 
     Returns (eigenvalues ascending, a unit eigenvector v of the least
     eigenvalue lambda_0, residual ||G v - lambda_0 v||).  The eigenvalues
-    come from ``eigvalsh``, which skips the eigenbasis that ``eigh`` builds
-    (about half of its time at n = 200).  v comes from inverse iteration:
+    come from ``eigvalsh``, which skips the eigenbasis that ``eigh``
+    builds.  v comes from inverse iteration:
     solves of (G - sigma I) x = b from a fixed start vector b, with sigma =
     lambda_0 - eps ||G||.  A solve scales each eigencomponent of b by
     1 / (lambda_k - sigma), so it shrinks the others against the least one
@@ -656,8 +644,8 @@ def nazarov_constant(E: ThickSet, seq: Sequence) -> ConcentrationEstimate:
     intervals takes the complex Gram matrix of ``_gram_entries`` as it is
     assembled, with no ``HermitianForm`` around it: the assembly sets the
     lower triangle as the conjugate of the upper one, so G is Hermitian bit
-    for bit and needs neither the form's check nor its copy (``gram_matrix``
-    keeps both for the forms it hands out).
+    for bit and needs neither the form's check nor its copy, which only a
+    form handed out or read in takes.
 
     Either matrix goes to one least-eigenpair kernel (``_least_value``).
     Lacunary exponentials are nearly orthogonal, so lambda_min stands well
@@ -672,20 +660,13 @@ def nazarov_constant(E: ThickSet, seq: Sequence) -> ConcentrationEstimate:
     their residual bound cannot get there in time (checked from the
     twelfth step on), or where the factorization fails, the eigenvalue and
     residual are those of ``_least_eigenpair`` (``eigvalsh`` and inverse
-    iteration), bit for bit; so is every list of fewer than 96 terms.  In
-    process, on a 2-vCPU Xeon: greedy prefixes converge in 16 to 20 steps
-    (150 terms on [0, 1/4]: 2.8 -> 1.7 ms; 200 terms on four or six
-    intervals: 10 -> 4.6 ms), an arithmetic progression 0..199 on [0, 0.3]
-    in 36 (4.5 -> 3.5 ms), and 1000 greedy terms on [0, 1e-6] in 52
-    (180 -> 112 ms).  The progression over six intervals and 150 greedy
-    terms on [0, 0.05] fall back at the twelfth step (9.1 -> 9.9 ms and
-    3.0 -> 3.4 ms).  With the whole-array assembly and no form's check and
-    copy, the 200 greedy terms on four and six intervals took 5.2 and
-    4.9 ms against 7.9 and 7.7 ms, timed alternately in one process (the
-    host ran slower than for the times above).  ``ls_constant`` keeps
-    ``eigvalsh``: a band compression has a clustered spectrum, and its
-    dense union forms took 64 to 124 of n = 65 to 129 steps, 3.5 to 7
-    times the ``eigvalsh`` route's time.
+    iteration), bit for bit; so is every list of fewer than 96 terms.
+    Greedy prefixes converge in 16 to 20 steps, an arithmetic progression
+    0..199 on [0, 0.3] in 36 and 1000 greedy terms on [0, 1e-6] in 52; the
+    progression over six intervals and 150 greedy terms on [0, 0.05] fall
+    back at the twelfth step.  ``ls_constant`` keeps ``eigvalsh``: a band
+    compression has a clustered spectrum, and its dense union forms took
+    64 to 124 of n = 65 to 129 steps.
     """
     intervals = _torus_intervals(E, seq)
     if len(intervals) == 1:
@@ -741,7 +722,9 @@ def _ls_constants(sets: list[ThickSet], bins: np.ndarray, grid: Grid) -> list:
     solver cap, and the others after it, so that the refusals come in the
     order of one ``ls_constant`` call per set.  When every set is a comb
     that tiles the grid period, one ``_comb_eigenpair`` call solves them
-    all on one class structure; otherwise each set takes the dense form.
+    all on one class structure; otherwise each set takes the dense form,
+    which goes to ``_least_eigenpair`` as ``_gram_entries`` assembles it,
+    Hermitian bit for bit, with no ``HermitianForm`` check or copy.
     """
     T = grid.period
     n = bins.size
@@ -754,9 +737,8 @@ def _ls_constants(sets: list[ThickSet], bins: np.ndarray, grid: Grid) -> list:
     else:
         pairs = []
         for E in sets:
-            form = HermitianForm(n, _gram_entries(bins.tolist(), _set_intervals(E, grid), T),
-                                 {"kind": "ls_compression"})
-            vals, _, residual = hermitian_eigensystem(form)
+            vals, _, residual = _least_eigenpair(
+                _gram_entries(bins.tolist(), _set_intervals(E, grid), T))
             pairs.append((float(vals[0]), residual))
     return [
         _estimate(
@@ -826,24 +808,22 @@ def _stacked_eigenpairs(combs: list[Comb], offsets: list, classes: list) -> list
     the offsets and, per class size, the rows of its classes in a table of
     the offsets.
 
-    Each comb assembles and checks its table of the offsets; then the
-    blocks of each size of every comb are gathered into that size's
-    preallocated stack, each comb's into its slice, and the tables are
-    freed.  (Assembled one after another, the tables of a 4-comb sweep at
-    T = 64 cost about 15 us less than when each sits between two gathers.)
-    Each stack, blocks of the first comb first, is C-contiguous, and one
-    batched ``eigh`` per size solves it.  (A stack whose comb axis is not
-    the outermost in memory sends the residual's product G_c v down another
-    BLAS path, which moves its last bits.)  For each comb, lambda_min is
-    the least eigenvalue of its blocks, the residual is ||G_c v - lambda_min
-    v|| of the block c that attains it, and the residual contract takes
-    max |lambda| over its blocks as ||G||.
+    Each comb assembles its table of the offsets (``_gram_entries``, which
+    mirrors one triangle into the other, so the table and its blocks are
+    Hermitian bit for bit); then the blocks of each size of every comb are
+    gathered into that size's preallocated stack, each comb's into its
+    slice, and the tables are freed.  Each stack, blocks of the first comb
+    first, is C-contiguous, and one batched ``eigh`` per size solves it.
+    (A stack whose comb axis is not the outermost in memory sends the
+    residual's product G_c v down another BLAS path, which moves its last
+    bits.)  For each comb, lambda_min is the least eigenvalue of its
+    blocks, the residual is ||G_c v - lambda_min v|| of the block c that
+    attains it, and the residual contract takes max |lambda| over its
+    blocks as ||G||.
     """
     tables = [_gram_entries(offsets, [(comb.start / comb.delta,
                                        (comb.start + comb.fill) / comb.delta)], 1)
               for comb in combs]
-    for table in tables:
-        _require_hermitian(table)
     stacks = [np.empty((len(combs) * len(rows), rows.shape[1], rows.shape[1]), dtype=complex)
               for rows in classes]
     for j, table in enumerate(tables):

@@ -62,7 +62,6 @@ __all__ = [
     "ExperimentConfig",
     "RunManifest",
     "run",
-    "emit_plot_data",
     "build_sequence",
     "geometric_log2",
     "MAX_BUILT_COUNT",
@@ -478,10 +477,10 @@ def csv_text(rows: list[dict]) -> str:
     return _csv_of(_cells(rows))
 
 
-def _plot_text(rows: list[dict], columns: tuple, cells: dict | None = None) -> str:
+def _plot_text(rows: list[dict], columns: tuple, cells: dict) -> str:
     """Two or three columns of ``rows``, sorted by the first, as the text of
     a whitespace-separated data file, from the cell texts ``cells`` of the
-    rows (``_cells``) when given."""
+    rows (``_cells``)."""
     if not rows:
         raise ValueError("empty result table")
     if len(columns) not in (2, 3):
@@ -489,20 +488,10 @@ def _plot_text(rows: list[dict], columns: tuple, cells: dict | None = None) -> s
     for col in columns:
         if col not in rows[0]:
             raise ValueError(f"missing column '{col}'")
-    if cells is None:
-        cells = _cells(rows)
     order = sorted(range(len(rows)), key=lambda i: rows[i][columns[0]])
     lines = ["# " + " ".join(columns)]
     lines += map(" ".join, zip(*([cells[c][i] for i in order] for c in columns)))
     return "\n".join(lines) + "\n"
-
-
-def emit_plot_data(rows: list[dict], columns: tuple, path) -> Path:
-    """Write two or three columns of ``rows``, sorted by the first, as a
-    whitespace-separated data file."""
-    path = Path(path)
-    _atomic_write(path, _plot_text(rows, columns))
-    return path
 
 
 @contextmanager

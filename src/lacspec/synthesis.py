@@ -98,11 +98,14 @@ class Grid:
         the unit bands of a SpectralProfile, as a read-only int64 array.
 
         [lo, hi] holds the bins ceil(lo*T - FREQ_SNAP_TOL) .. floor(hi*T +
-        FREQ_SNAP_TOL).  Raises ValueError when no bin is inside, or, before
-        any array is built, unless 2*max|k| < S on the integer end bins (the
-        test of bin_of)."""
+        FREQ_SNAP_TOL).  Raises ValueError on a nan or infinite edge, when no
+        bin is inside, or, before any array is built, unless 2*max|k| < S on
+        the integer end bins (the test of bin_of)."""
         profile = isinstance(support, SpectralProfile)
         intervals = support.intervals() if profile else [support]
+        for lo, hi in intervals:
+            if any(x != x or x in (math.inf, -math.inf) for x in (lo, hi)):
+                raise ValueError(f"band ({lo}, {hi}) has a non-finite edge")
         try:
             ends = [(math.ceil(lo * self.period - FREQ_SNAP_TOL),
                      math.floor(hi * self.period + FREQ_SNAP_TOL)) for lo, hi in intervals]

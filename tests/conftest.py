@@ -1,7 +1,15 @@
+import os
 import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
+
+# On CI a failing property prints the blob that replays it
+# (@reproduce_failure), so a rare draw can be rerun from the log alone.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 class Overran(Exception):

@@ -21,7 +21,7 @@ from lacspec import cli, concentration, experiments, sets, uniqueness
 from lacspec.errors import ConfigError, NumericalError
 from lacspec.experiments import (
     ExperimentConfig,
-    emit_plot_data,
+    _plot_text,
     run,
 )
 
@@ -408,19 +408,20 @@ class TestRun:
 
 
 class TestEmitPlotData:
-    def test_two_column_sorted(self, tmp_path):
+    """The text of the plot data files that a run emits (``_plot_text``)."""
+
+    def test_two_column_sorted(self):
         rows = [{"gamma": 0.8, "C": 1.5}, {"gamma": 0.2, "C": 9.0}]
-        path = emit_plot_data(rows, ("gamma", "C"), tmp_path / "p.dat")
-        lines = path.read_text().splitlines()
+        lines = _plot_text(rows, ("gamma", "C"), experiments._cells(rows)).splitlines()
         assert lines[0] == "# gamma C"
         assert lines[1].startswith("0.2") and lines[2].startswith("0.8")
 
-    def test_three_column(self, tmp_path):
+    def test_three_column(self):
         rows = [{"n": 1, "v": 2.0, "b": 4.0}]
-        path = emit_plot_data(rows, ("n", "v", "b"), tmp_path / "p.dat")
-        assert path.read_text().splitlines()[1] == "1 2.0 4.0"
+        text = _plot_text(rows, ("n", "v", "b"), experiments._cells(rows))
+        assert text.splitlines()[1] == "1 2.0 4.0"
 
-    def test_cells_are_formatted_one_by_one_in_any_column(self, tmp_path):
+    def test_cells_are_formatted_one_by_one_in_any_column(self):
         # the tables are formatted column by column: each cell has the text
         # of _fmt, whatever the other cells of its column
         rows = [{"x": float(i) / 3, "y": v, "z": w} for i, (v, w) in enumerate(
@@ -429,16 +430,16 @@ class TestEmitPlotData:
         text = experiments.csv_text(rows)
         assert text.splitlines()[1:] == [",".join(f'"{c}"' if "," in c else c for c in cells)
                                          for cells in zip(*columns)]
-        path = emit_plot_data(rows, ("x", "y", "z"), tmp_path / "p.dat")
-        assert path.read_text().splitlines()[1:] == [" ".join(cells) for cells in zip(*columns)]
+        text = _plot_text(rows, ("x", "y", "z"), experiments._cells(rows))
+        assert text.splitlines()[1:] == [" ".join(cells) for cells in zip(*columns)]
 
-    def test_missing_column(self, tmp_path):
+    def test_missing_column(self):
         with pytest.raises(ValueError, match="missing column"):
-            emit_plot_data([{"x": 1}], ("x", "y"), tmp_path / "p.dat")
+            _plot_text([{"x": 1}], ("x", "y"), experiments._cells([{"x": 1}]))
 
-    def test_empty_table(self, tmp_path):
+    def test_empty_table(self):
         with pytest.raises(ValueError, match="empty"):
-            emit_plot_data([], ("x", "y"), tmp_path / "p.dat")
+            _plot_text([], ("x", "y"), {})
 
 
 class TestCliMain:
@@ -665,6 +666,8 @@ class TestCliMain:
         (["set", "gamma", "--pattern", "intervals", "--intervals", "0,0.5;nan,1"],
          "error: interval (nan, 1.0) has a non-finite end"),
         (["set", "gamma", "--window", "nan,1"], "error: window (nan, 1.0) has a non-finite end"),
+        (["conc", "ls", "--band", "0,nan"], "error: band (0.0, nan) has a non-finite edge"),
+        (["conc", "ls", "--band", "0,inf"], "error: band (0.0, inf) has a non-finite edge"),
     ])
     def test_non_finite_input_exits_two_naming_it(self, capsys, argv, message):
         assert cli.main(argv) == 2

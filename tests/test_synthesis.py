@@ -835,9 +835,13 @@ class TestSplitUniformlyDiscrete:
 def band_rule(grid, support):
     """Oracle: the band rule written out apart from ``Grid.band_bins``."""
     T, profile = grid.period, isinstance(support, SpectralProfile)
+    bands = support.intervals() if profile else (support,)
+    for lo, hi in bands:
+        if any(math.isnan(x) or math.isinf(x) for x in (lo, hi) if isinstance(x, float)):
+            raise ValueError(f"band ({lo}, {hi}) has a non-finite edge")
     try:
         ends = [(math.ceil(lo * T - FREQ_SNAP_TOL), math.floor(hi * T + FREQ_SNAP_TOL))
-                for lo, hi in (support.intervals() if profile else (support,))]
+                for lo, hi in bands]
     except OverflowError:
         raise ValueError("Nyquist violation: band edge times T overflows a float") from None
     ends = [(a, b) for a, b in ends if a <= b]
